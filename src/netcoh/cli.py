@@ -152,8 +152,8 @@ def cmd_tune(args) -> int:
     grid = np.concatenate([[0.0], np.geomspace(hi * 1e-4, hi, cfg.grid_points - 1)])
     stream, close = _open_out(args)
     stream.write("c,gridscan_vn\n")
-    for c in grid:
-        value = dapi_variance(spec, replace(gains, c=float(c))).v_n
+    for c in grid.tolist():
+        value = dapi_variance(spec, replace(gains, c=c)).v_n
         stream.write(f"{c!r},{value!r}\n")
     stream.write(f"c_star,{c_star!r},v_star,{v_star!r},verdict,{verdict}\n")
     if close:

@@ -21,10 +21,6 @@ class GraphFormatError(CoherenceError, ValueError):
         self.line_number = line_number
 
 
-class DisconnectedGraphError(CoherenceError):
-    """The operation requires a connected graph."""
-
-
 class IdealPdRedirectError(CoherenceError):
     """Filtered PD with tau = 0 must be assembled as P control with g0 <- kd."""
 
@@ -35,6 +31,10 @@ class UnboundedVarianceError(CoherenceError):
     def __init__(self, message: str, mode_index: int | None = None):
         super().__init__(message)
         self.mode_index = mode_index
+
+
+class DisconnectedGraphError(UnboundedVarianceError):
+    """The operation requires a connected graph (one zero Laplacian mode)."""
 
 
 class InstabilityError(CoherenceError):

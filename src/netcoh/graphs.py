@@ -122,9 +122,15 @@ class LaplacianSpectrum:
     def is_connected(self) -> bool:
         return self.eigenvalues.size >= 1 and self.lambda2 > self.zero_tolerance
 
-    def nonzero_modes(self):
-        """Pairs (n, lambda_n) for n = 2..N, 1-based mode numbering."""
-        return [(n, float(lam)) for n, lam in enumerate(self.eigenvalues, start=1)][1:]
+    def connected_modes(self) -> np.ndarray:
+        """Eigenvalues of modes n = 2..N; a second zero mode raises."""
+        if self.node_count > 1 and not self.is_connected:
+            raise DisconnectedGraphError(
+                f"spectrum has more than one zero mode (lambda_2={self.lambda2:.3e}, "
+                f"tolerance {self.zero_tolerance:.3e}); the graph is disconnected",
+                mode_index=2,
+            )
+        return self.eigenvalues[1:]
 
 
 def build_path(n: int, weight: float) -> WeightedGraph:
@@ -303,23 +309,19 @@ def require_connected(graph: WeightedGraph) -> None:
 
 
 def ring_spectrum(n: int, weight: float) -> LaplacianSpectrum:
-    """Circulant eigenvalues weight * (2 - 2 cos(2 pi k / n)), k = 0..n-1."""
+    """Circulant eigenvalues weight * 4 sin^2(pi k / n), k = 0..n-1."""
     if n < 3:
         raise InvalidSizeError(f"ring needs n >= 3, got {n}")
     _check_weight(weight)
-    k = np.arange(n)
-    vals = weight * (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n))
-    return _analytic(vals)
+    return _analytic(weight * _sin2(np.arange(n) / n))
 
 
 def path_spectrum(n: int, weight: float) -> LaplacianSpectrum:
-    """Sine-basis eigenvalues weight * (2 - 2 cos(pi k / n)), k = 0..n-1."""
+    """Sine-basis eigenvalues weight * 4 sin^2(pi k / (2n)), k = 0..n-1."""
     if n < 2:
         raise InvalidSizeError(f"path needs n >= 2, got {n}")
     _check_weight(weight)
-    k = np.arange(n)
-    vals = weight * (2.0 - 2.0 * np.cos(np.pi * k / n))
-    return _analytic(vals)
+    return _analytic(weight * _sin2(np.arange(n) / (2 * n)))
 
 
 def torus_spectrum(side: int, dims: int, weight: float = 1.0) -> LaplacianSpectrum:
@@ -329,7 +331,7 @@ def torus_spectrum(side: int, dims: int, weight: float = 1.0) -> LaplacianSpectr
     if dims not in (1, 2, 3):
         raise InvalidSizeError(f"torus dimension must be 1, 2 or 3, got {dims}")
     _check_weight(weight)
-    axis = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(side) / side)
+    axis = _sin2(np.arange(side) / side)
     vals = axis
     for _ in range(dims - 1):
         vals = np.add.outer(vals, axis).ravel()
@@ -346,9 +348,17 @@ def complete_spectrum(n: int, weight: float) -> LaplacianSpectrum:
     return _analytic(vals)
 
 
+def _sin2(x: np.ndarray) -> np.ndarray:
+    """4 sin^2(pi x), the cancellation-free form of 2 - 2 cos(2 pi x)."""
+    return 4.0 * np.sin(np.pi * x) ** 2
+
+
 def _analytic(vals: np.ndarray) -> LaplacianSpectrum:
+    # The zero mode is exact, so a tolerance below lambda_2 counts one zero
+    # mode; the relative default would swallow lambda_2 of large rings.
     vals = np.sort(np.maximum(vals, 0.0))
-    return LaplacianSpectrum(vals, default_zero_tolerance(float(vals[-1])))
+    tolerance = min(default_zero_tolerance(float(vals[-1])), 0.5 * float(vals[1]))
+    return LaplacianSpectrum(vals, tolerance)
 
 
 def _check_weight(weight: float) -> None:

@@ -401,4 +401,4 @@ def write_trajectory_csv(
     stream.write(",".join(header) + "\n")
     data = np.column_stack([traj.times] + blocks)
     for row in data:
-        stream.write(",".join(repr(v) for v in row) + "\n")
+        stream.write(",".join(map(repr, row.tolist())) + "\n")

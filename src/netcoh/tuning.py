@@ -24,7 +24,7 @@ from .errors import (
     UnboundedVarianceError,
 )
 from .graphs import LaplacianSpectrum
-from .variance import dapi_variance
+from .variance import _dapi_terms
 
 __all__ = [
     "VERDICT_POSITIVE",
@@ -85,19 +85,13 @@ def classify_c_star(spec: LaplacianSpectrum, gains: DapiGains) -> CStarClassific
     ZeroOptimum when it fails everywhere (variance non-decreasing in c),
     Indeterminate otherwise.  The current ``gains.c`` is ignored.
     """
-    witness = []
-    for _, lam in spec.nonzero_modes():
-        if lam <= 0.0:
-            witness.append(False)
-            continue
-        witness.append(gains.f > (gains.g * lam + gains.g0) ** 2 / lam)
-    if all(witness):
+    lam = spec.connected_modes()
+    witness = gains.f > (gains.g * lam + gains.g0) ** 2 / lam
+    if witness.all():
         verdict = VERDICT_POSITIVE
-    elif not any(witness):
-        verdict = VERDICT_ZERO
     else:
-        verdict = VERDICT_INDETERMINATE
-    return CStarClassification(verdict, tuple(witness))
+        verdict = VERDICT_INDETERMINATE if witness.any() else VERDICT_ZERO
+    return CStarClassification(verdict, tuple(witness.tolist()))
 
 
 def c_star_complete(n: int, l: float, f: float, g: float, g0: float) -> float:
@@ -137,6 +131,7 @@ def c_star_numeric(
     the best grid point; golden-section refinement runs to ``abs_tolerance``.
     Returns ``(c_star, variance_at_c_star)``.
     """
+    lam = spec.connected_modes()
     if config is None:
         config = ScalarSearchConfig()
     hi = config.bracket_hi
@@ -145,7 +140,8 @@ def c_star_numeric(
 
     def objective(c: float) -> float:
         try:
-            return dapi_variance(spec, replace(gains, c=c)).v_n
+            s = _dapi_terms(lam, replace(gains, c=c))
+            return math.fsum(s.tolist()) / (2.0 * spec.node_count)
         except UnboundedVarianceError:
             return math.inf
 
@@ -199,17 +195,16 @@ def fdpd_dv_dtau(spec: LaplacianSpectrum, gains: FdpdGains) -> float:
     variance to high accuracy; tests pin this down.
     """
     f, g, f0, k_d, tau = gains.f, gains.g, gains.f0, gains.k_d, gains.tau
+    lam = spec.connected_modes()
     if tau == 0.0:
         return 0.0
-    terms = []
-    for _, lam in spec.nonzero_modes():
-        q = (
-            g * g * lam * lam * tau
-            + f * g * lam * lam * tau * tau
-            + f0 * g * lam * tau * tau
-            + k_d * g * lam * tau
-            + g * lam
-            + k_d
-        )
-        terms.append(k_d * tau * (tau * g * lam + 2.0) / (q * q))
-    return math.fsum(terms) / (2.0 * spec.node_count)
+    q = (
+        g * g * lam * lam * tau
+        + f * g * lam * lam * tau * tau
+        + f0 * g * lam * tau * tau
+        + k_d * g * lam * tau
+        + g * lam
+        + k_d
+    )
+    terms = k_d * tau * (tau * g * lam + 2.0) / (q * q)
+    return math.fsum(terms.tolist()) / (2.0 * spec.node_count)

@@ -9,8 +9,9 @@ Three independent evaluation routes are provided and cross-checked in tests:
 * a full-system oracle -- a Schur-based solve on the assembled block matrix
   after deflating the marginal, unobservable network-average directions.
 
-All mode sums run through ``math.fsum`` so the 1e-8 cross-route agreement
-holds up to N in the thousands.
+The closed forms are numpy array expressions over the eigenvalues of modes
+n >= 2, with no loop over modes.  Their terms, like the modal oracle's, are
+summed with ``math.fsum``, so each sum is correctly rounded at any N.
 """
 
 from __future__ import annotations
@@ -63,37 +64,85 @@ METHOD_FULL_LYAPUNOV = "full_lyapunov"
 
 DEFAULT_ORACLE_LIMIT = 64
 
+_NO_MODES = np.empty((0, 3))
+_NO_MODES.setflags(write=False)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class VarianceReport:
     """Per-node variance with its per-mode breakdown.
 
-    ``per_mode`` holds ``(n, lambda_n, s_n)`` with the normalization
-    ``v_n = (1/2N) * sum(s_n)`` for the closed-form and modal methods; the
-    full-system oracle reports no per-mode split.  ``bound`` carries the
-    uniform-in-N upper bound where one exists (DAPI, F-DPD).
+    ``per_mode`` is a read-only ``(N-1, 3)`` float array whose rows are
+    ``(n, lambda_n, s_n)``, with the normalization ``v_n = (1/2N) * sum(s_n)``
+    for the closed-form and modal methods; the full-system oracle reports no
+    per-mode split (zero rows).  ``bound`` carries the uniform-in-N upper
+    bound where one exists (DAPI, F-DPD).
     """
 
     v_n: float
-    per_mode: tuple[tuple[int, float, float], ...]
+    per_mode: np.ndarray
     bound: float | None
     method: str
     stable: bool
 
     def to_csv(self) -> str:
         lines = ["n,lambda,s_n"]
-        for n, lam, s in self.per_mode:
-            lines.append(f"{n},{lam!r},{s!r}")
+        for n, lam, s in self.per_mode.tolist():
+            lines.append(f"{int(n)},{lam!r},{s!r}")
         lines.append(f"V_N,{self.v_n!r}")
         lines.append(f"bound,{self.bound!r}" if self.bound is not None else "bound,none")
         return "\n".join(lines) + "\n"
 
 
-def _mode_sum_report(terms, n, bound, method) -> VarianceReport:
-    v_n = math.fsum(s for _, _, s in terms) / (2.0 * n)
-    return VarianceReport(
-        v_n=v_n, per_mode=tuple(terms), bound=bound, method=method, stable=True
-    )
+def _mode_sum_report(lam, s, n, bound, method) -> VarianceReport:
+    per_mode = np.column_stack((np.arange(2.0, lam.size + 2.0), lam, s))
+    per_mode.setflags(write=False)
+    return VarianceReport(math.fsum(s.tolist()) / (2.0 * n), per_mode, bound, method, True)
+
+
+def _reciprocal(lam: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
+    """Terms 1/den, raising for the first mode whose denominator is <= 0."""
+    bad = np.flatnonzero(den <= 0.0)
+    if bad.size:
+        n = int(bad[0]) + 2
+        raise UnboundedVarianceError(f"mode {n} (lambda={lam[n - 2]:.6g}) has {what}", mode_index=n)
+    return 1.0 / den
+
+
+def _p_terms(lam: np.ndarray, gains: PGains) -> np.ndarray:
+    den = (gains.f0 + gains.f * lam) * (gains.g0 + gains.g * lam)
+    return _reciprocal(lam, den, "zero denominator under P control")
+
+
+def _dapi_terms(lam: np.ndarray, gains: DapiGains) -> np.ndarray:
+    f, g, g0, k_i, c = gains.f, gains.g, gains.g0, gains.k_i, gains.c
+    inner = k_i * f * (g0 + lam * (c + g)) / (f + c * g0 + c * lam * (c + g))
+    den = f * g * lam * lam + g0 * f * lam + inner
+    return _reciprocal(lam, den, "non-positive denominator under DAPI")
+
+
+def _fdpd_terms(lam: np.ndarray, gains: FdpdGains) -> np.ndarray:
+    if gains.tau == 0.0:
+        return _p_terms(lam, ideal_pd_equivalent(gains))
+    f, g, f0, k_d, tau = gains.f, gains.g, gains.f0, gains.k_d, gains.tau
+    pos = f0 + f * lam
+    filt = k_d * (tau * g * lam + 1.0) / (tau * tau * pos + tau * g * lam + 1.0)
+    den = pos * (g * lam + filt)
+    return _reciprocal(lam, den, "non-positive denominator under F-DPD")
+
+
+def _closed_form(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
+    lam = spec.connected_modes()
+    s = _TERMS[kind](lam, gains)
+    return _mode_sum_report(lam, s, spec.node_count, _bound(kind, gains), METHOD_CLOSED_FORM)
+
+
+_TERMS = {KIND_P: _p_terms, KIND_DAPI: _dapi_terms, KIND_FDPD: _fdpd_terms}
+
+
+def _bound(kind: str, gains) -> float | None:
+    bounds = {KIND_DAPI: dapi_bound, KIND_FDPD: fdpd_bound}
+    return bounds[kind](gains) if kind in bounds else None
 
 
 def p_variance(spec: LaplacianSpectrum, gains: PGains) -> VarianceReport:
@@ -103,16 +152,7 @@ def p_variance(spec: LaplacianSpectrum, gains: PGains) -> VarianceReport:
     non-positive denominator means a marginal mode and raises
     :class:`UnboundedVarianceError`.
     """
-    terms = []
-    for n, lam in spec.nonzero_modes():
-        den = (gains.f0 + gains.f * lam) * (gains.g0 + gains.g * lam)
-        if den <= 0.0:
-            raise UnboundedVarianceError(
-                f"mode {n} (lambda={lam:.6g}) has zero denominator under P control",
-                mode_index=n,
-            )
-        terms.append((n, lam, 1.0 / den))
-    return _mode_sum_report(terms, spec.node_count, None, METHOD_CLOSED_FORM)
+    return _closed_form(spec, KIND_P, gains)
 
 
 def dapi_bound(gains: DapiGains) -> float:
@@ -132,18 +172,7 @@ def dapi_variance(spec: LaplacianSpectrum, gains: DapiGains) -> VarianceReport:
     against the Lyapunov oracles).  c = 0 is accepted analytically and
     reduces to P control with the integral gain in place of f0.
     """
-    f, g, g0, k_i, c = gains.f, gains.g, gains.g0, gains.k_i, gains.c
-    terms = []
-    for n, lam in spec.nonzero_modes():
-        inner = k_i * f * (g0 + lam * (c + g)) / (f + c * g0 + c * lam * (c + g))
-        den = f * g * lam * lam + g0 * f * lam + inner
-        if den <= 0.0:
-            raise UnboundedVarianceError(
-                f"mode {n} (lambda={lam:.6g}) has non-positive denominator under DAPI",
-                mode_index=n,
-            )
-        terms.append((n, lam, 1.0 / den))
-    return _mode_sum_report(terms, spec.node_count, dapi_bound(gains), METHOD_CLOSED_FORM)
+    return _closed_form(spec, KIND_DAPI, gains)
 
 
 def fdpd_bound(gains: FdpdGains) -> float:
@@ -162,39 +191,14 @@ def fdpd_variance(spec: LaplacianSpectrum, gains: FdpdGains) -> VarianceReport:
     tau = 0 is the ideal-PD case and is evaluated through the equivalent P
     law with the derivative gain in place of g0.
     """
-    if gains.tau == 0.0:
-        base = p_variance(spec, ideal_pd_equivalent(gains))
-        return VarianceReport(
-            v_n=base.v_n,
-            per_mode=base.per_mode,
-            bound=fdpd_bound(gains),
-            method=base.method,
-            stable=base.stable,
-        )
-    f, g, f0, k_d, tau = gains.f, gains.g, gains.f0, gains.k_d, gains.tau
-    terms = []
-    for n, lam in spec.nonzero_modes():
-        pos = f0 + f * lam
-        filt = k_d * (tau * g * lam + 1.0) / (tau * tau * pos + tau * g * lam + 1.0)
-        den = pos * (g * lam + filt)
-        if den <= 0.0:
-            raise UnboundedVarianceError(
-                f"mode {n} (lambda={lam:.6g}) has non-positive denominator under F-DPD",
-                mode_index=n,
-            )
-        terms.append((n, lam, 1.0 / den))
-    return _mode_sum_report(terms, spec.node_count, fdpd_bound(gains), METHOD_CLOSED_FORM)
+    return _closed_form(spec, KIND_FDPD, gains)
 
 
 def variance_by_kind(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
     """Closed-form dispatch on controller kind."""
-    if kind == KIND_P:
-        return p_variance(spec, gains)
-    if kind == KIND_DAPI:
-        return dapi_variance(spec, gains)
-    if kind == KIND_FDPD:
-        return fdpd_variance(spec, gains)
-    raise InvalidParameterError(f"unknown controller kind {kind!r}")
+    if kind not in _TERMS:
+        raise InvalidParameterError(f"unknown controller kind {kind!r}")
+    return _closed_form(spec, kind, gains)
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +248,18 @@ def modal_variance(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
     sub_kind, sub_gains = kind, gains
     if kind == KIND_FDPD and gains.tau == 0.0:
         sub_kind, sub_gains = KIND_P, ideal_pd_equivalent(gains)
+    lam = spec.connected_modes()
     terms = []
-    for n, lam in spec.nonzero_modes():
-        sub = modal_subsystem(sub_kind, sub_gains, lam, n)
+    for n, mode_lam in enumerate(lam.tolist(), start=2):
+        sub = modal_subsystem(sub_kind, sub_gains, mode_lam, n)
         if not is_stable_mode(sub):
             raise InstabilityError(
-                f"mode {n} (lambda={lam:.6g}) is not Hurwitz", mode_index=n
+                f"mode {n} (lambda={mode_lam:.6g}) is not Hurwitz", mode_index=n
             )
         p = solve_lyapunov(sub.a, sub.c.T @ sub.c)
-        terms.append((n, lam, 2.0 * float(sub.b[:, 0] @ p @ sub.b[:, 0])))
-    bound = None
-    if kind == KIND_DAPI:
-        bound = dapi_bound(gains)
-    elif kind == KIND_FDPD:
-        bound = fdpd_bound(gains)
-    return _mode_sum_report(terms, spec.node_count, bound, METHOD_MODAL_LYAPUNOV)
+        terms.append(2.0 * float(sub.b[:, 0] @ p @ sub.b[:, 0]))
+    bound = _bound(kind, gains)
+    return _mode_sum_report(lam, np.array(terms), spec.node_count, bound, METHOD_MODAL_LYAPUNOV)
 
 
 def _mean_deflation_basis(n: int) -> np.ndarray:
@@ -327,10 +328,4 @@ def full_variance(
     if residual > 1e-8 * max(1.0, float(np.abs(x).max())) * scale:
         raise NumericalError(f"full-oracle residual {residual:.3e} too large")
     v = float(np.trace(c_red @ x @ c_red.T))
-    return VarianceReport(
-        v_n=v / n,
-        per_mode=(),
-        bound=None,
-        method=METHOD_FULL_LYAPUNOV,
-        stable=True,
-    )
+    return VarianceReport(v / n, _NO_MODES, None, METHOD_FULL_LYAPUNOV, True)

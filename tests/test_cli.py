@@ -49,6 +49,15 @@ class TestVarianceCommand:
         assert rc == 0
         assert "V_N," in capsys.readouterr().out
 
+    def test_disconnected_graph_fails(self, capsys, tmp_path, dapi_gains_file):
+        graph_file = tmp_path / "two_paths.edges"
+        graph_file.write_text("6\n1 2 1.0\n2 3 1.0\n4 5 1.0\n5 6 1.0\n")
+        rc = main(["variance", "--graph", str(graph_file), "--gains-file", dapi_gains_file])
+        assert rc != 0
+        captured = capsys.readouterr()
+        assert "V_N" not in captured.out
+        assert "disconnected" in captured.err
+
     def test_output_file(self, tmp_path, p_gains_file):
         out = tmp_path / "report.csv"
         main(["variance", "--family", "ring", "--n", "6", "--gains-file", p_gains_file,
@@ -87,6 +96,35 @@ class TestSimulateCommand:
         rc = main(["simulate", "--family", "ring", "--n", "5",
                    "--gains-file", p_gains_file, "--seed", "0"])
         assert rc == 2
+
+
+class TestPlainNumberCells:
+    """Every numeric CSV cell is a plain float repr, never ``np.float64(x)``."""
+
+    def test_tune_output(self, tmp_path, dapi_gains_file):
+        out = tmp_path / "tune.csv"
+        rc = main(["tune", "--family", "ring", "--n", "12", "--gains-file",
+                   dapi_gains_file, "--grid-points", "8", "--out", str(out)])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        for line in lines[1:-1]:
+            for cell in line.split(","):
+                float(cell)
+        footer = lines[-1].split(",")
+        float(footer[1])
+        float(footer[3])
+
+    def test_simulate_trajectory_output(self, capsys, tmp_path, p_gains_file):
+        out = tmp_path / "traj.csv"
+        rc = main(["simulate", "--family", "ring", "--n", "4", "--gains-file", p_gains_file,
+                   "--dt", "0.01", "--horizon", "1", "--seed", "3", "--out", str(out),
+                   "--with-velocity"])
+        assert rc == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 101
+        for row in rows:
+            for cell in row.split(","):
+                float(cell)
 
 
 class TestTuneCommand:

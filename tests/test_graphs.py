@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,36 @@ class TestWeightedGraphInvariants:
     def test_canonical_edge_storage(self):
         g = nc.WeightedGraph(3, ((3, 1, 2.0), (2, 1, 1.0)))
         assert g.edges == ((1, 2, 1.0), (1, 3, 2.0))
+
+
+class TestClosedFormPrecision:
+    """The sine form keeps lambda_2 exact where 2 - 2 cos cancels."""
+
+    @pytest.mark.parametrize(
+        "spectrum_fn,denominator",
+        [(nc.ring_spectrum, lambda n: n), (nc.path_spectrum, lambda n: 2 * n)],
+        ids=["ring", "path"],
+    )
+    def test_p_variance_at_two_to_the_twenty(self, spectrum_fn, denominator):
+        n = 2**20
+        gains = nc.PGains(f=1.0, g=1.0, f0=1.0, g0=0.0)
+        k = np.arange(1, n)
+        lam = 4.0 * np.sin(np.pi * k / denominator(n)) ** 2
+        terms = 1.0 / ((gains.f0 + gains.f * lam) * (gains.g0 + gains.g * lam))
+        reference = math.fsum(terms.tolist()) / (2.0 * n)
+        value = nc.p_variance(spectrum_fn(n, 1.0), gains).v_n
+        assert abs(value - reference) <= 1e-10 * reference
+
+    def test_large_closed_form_spectra_stay_connected(self):
+        assert nc.ring_spectrum(2**20, 1.0).is_connected
+        assert nc.path_spectrum(2**16, 1.0).is_connected
+
+
+class TestDisconnectedSpectrum:
+    def test_spectrum_is_returned_but_flagged(self):
+        graph = nc.from_edge_list("6\n1 2 1\n2 3 1\n4 5 1\n5 6 1\n")
+        spec = nc.spectrum(graph)
+        assert not spec.is_connected
+        with pytest.raises(nc.DisconnectedGraphError) as err:
+            spec.connected_modes()
+        assert err.value.mode_index == 2

@@ -38,6 +38,14 @@ class TestClassification:
         assert result.verdict == VERDICT_INDETERMINATE
         assert result.witness == (False, True)
 
+    def test_witness_is_tuple_of_python_bool(self):
+        spec = nc.ring_spectrum(64, 1.0)
+        result = nc.classify_c_star(spec, nc.DapiGains(f=1.0, g=0.0, g0=1.0, k_i=1.0, c=0.0))
+        assert isinstance(result.witness, tuple)
+        assert len(result.witness) == 63
+        assert all(type(w) is bool for w in result.witness)
+        assert result.verdict == VERDICT_INDETERMINATE
+
     def test_current_c_is_ignored(self):
         spec = nc.spectrum(nc.build_complete(4, 1.0))
         a = nc.classify_c_star(spec, nc.DapiGains(4.0, 0.0, 1.0, 1.0, 0.0))

@@ -72,7 +72,7 @@ class TestDapiVariance:
         spec = nc.spectrum(nc.build_path(6, 1.0))
         f, g, g0, k_i, c = gains.f, gains.g, gains.g0, gains.k_i, gains.c
         variant_terms = []
-        for _, lam in spec.nonzero_modes():
+        for lam in spec.connected_modes().tolist():
             inner_num = k_i * f * (g0 + lam * (c + g)) + g0 * f * lam * (
                 c * c * lam + f + c * g0
             )
@@ -319,3 +319,64 @@ class TestReportSerialization:
     def test_lyapunov_shape_mismatch(self):
         with pytest.raises(nc.InvalidParameterError):
             nc.solve_lyapunov(np.eye(2), np.eye(3))
+
+
+TWO_PATHS = "6\n1 2 1.0\n2 3 1.0\n4 5 1.0\n5 6 1.0\n"
+P_GAINS = nc.PGains(f=1.0, g=1.0, f0=1.0, g0=1.0)
+DAPI_GAINS = nc.DapiGains(f=1.0, g=0.0, g0=1.0, k_i=1.0, c=0.1)
+FDPD_GAINS = nc.FdpdGains(f=1.0, g=1.0, f0=1.0, k_d=1.0, tau=0.1)
+
+
+class TestArrayLayer:
+    def test_per_mode_is_read_only_array_of_rows(self):
+        spec = nc.spectrum(nc.build_path(7, 1.2))
+        for report in (
+            nc.p_variance(spec, P_GAINS),
+            nc.dapi_variance(spec, DAPI_GAINS),
+            nc.fdpd_variance(spec, FDPD_GAINS),
+            nc.modal_variance(spec, "dapi", DAPI_GAINS),
+        ):
+            assert report.per_mode.shape == (6, 3)
+            assert report.per_mode.dtype == np.float64
+            assert not report.per_mode.flags.writeable
+            with pytest.raises(ValueError):
+                report.per_mode[0, 2] = 1.0
+            rows = [(n, lam, s) for n, lam, s in report.per_mode]
+            assert [n for n, _, _ in rows] == list(range(2, 8))
+            assert [lam for _, lam, _ in rows] == list(spec.eigenvalues[1:])
+            assert report.v_n == math.fsum(s for _, _, s in rows) / 14.0
+
+    def test_full_oracle_reports_no_rows(self):
+        system = nc.assemble_p(nc.build_ring(5, 1.0), P_GAINS)
+        assert nc.full_variance(system).per_mode.shape == (0, 3)
+
+    def test_mode_index_is_first_offending_mode(self):
+        # every mode has a zero denominator without absolute or velocity gains
+        spec = nc.LaplacianSpectrum(np.array([0.0, 0.5, 1.0, 2.0]), 1e-9)
+        with pytest.raises(UnboundedVarianceError) as err:
+            nc.p_variance(spec, nc.PGains(f=1.0, g=0.0, f0=0.0, g0=0.0))
+        assert err.value.mode_index == 2
+        assert str(err.value) == (
+            "mode 2 (lambda=0.5) has zero denominator under P control"
+        )
+
+
+class TestDisconnectedGraph:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec: nc.p_variance(spec, P_GAINS),
+            lambda spec: nc.dapi_variance(spec, DAPI_GAINS),
+            lambda spec: nc.fdpd_variance(spec, FDPD_GAINS),
+            lambda spec: nc.fdpd_variance(spec, replace(FDPD_GAINS, tau=0.0)),
+            lambda spec: nc.variance_by_kind(spec, "p", P_GAINS),
+            lambda spec: nc.classify_c_star(spec, DAPI_GAINS),
+            lambda spec: nc.c_star_numeric(spec, DAPI_GAINS),
+            lambda spec: nc.fdpd_dv_dtau(spec, FDPD_GAINS),
+        ],
+        ids=["p", "dapi", "fdpd", "fdpd_tau0", "by_kind", "classify", "c_star", "dv_dtau"],
+    )
+    def test_two_disjoint_paths_raise(self, call):
+        spec = nc.spectrum(nc.from_edge_list(TWO_PATHS))
+        with pytest.raises(nc.DisconnectedGraphError):
+            call(spec)
