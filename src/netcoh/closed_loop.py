@@ -1,10 +1,10 @@
 """Closed-loop state-space models for P, DAPI and F-DPD consensus control.
 
-Assembles the full block-matrix dynamics driven by per-node white noise, the
-per-mode 2x2 / 3x3 subsystems obtained by diagonalizing the Laplacian, and
-stability checks for each controller family.  Gains are uniform scalars:
-relative couplings are ``gain * laplacian`` and absolute feedback terms are
-scalar multiples of the identity.
+Each controller is defined once, as a table of block coefficients: every
+block of its closed-loop matrix is ``alpha * I + beta * L``.  The full
+block-matrix dynamics driven by per-node white noise, the stacked per-mode
+2x2 / 3x3 matrices obtained by diagonalizing the Laplacian (L -> lambda), and
+one Routh-Hurwitz stability test shared by all controllers derive from it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ __all__ = [
     "assemble_p",
     "assemble_dapi",
     "assemble_fdpd",
+    "modal_matrices",
     "modal_subsystem",
+    "routh_hurwitz",
     "is_stable_mode",
     "power_preset",
     "droop_preset",
@@ -151,150 +153,109 @@ def _centering_output(n: int, state_dim: int) -> np.ndarray:
     return c
 
 
-def assemble_p(graph: WeightedGraph, gains: PGains) -> ClosedLoopSystem:
-    """2N-state P-controlled loop: [[0, I], [-f L - f0 I, -g L - g0 I]]."""
+def _coefficient_table(kind: str, gains) -> np.ndarray:
+    """Block coefficients ``(alpha, beta)`` of a controller, shape (2, d, d).
+
+    Block (i, j) of the closed-loop matrix is ``alpha[i, j] * I + beta[i, j]
+    * L``; rows and columns are the x, v and (DAPI, F-DPD) auxiliary blocks.
+    Assembly, the modal matrices and the stability test all derive from it.
+    """
+    if kind == KIND_P:
+        alpha = [[0, 1], [-gains.f0, -gains.g0]]
+        beta = [[0, 0], [-gains.f, -gains.g]]
+    elif kind == KIND_DAPI:
+        alpha = [[0, 1, 0], [0, -gains.g0, gains.k_i], [0, -1, 0]]
+        beta = [[0, 0, 0], [-gains.f, -gains.g, 0], [0, 0, -gains.c]]
+    elif kind == KIND_FDPD:
+        if gains.tau == 0.0:
+            raise IdealPdRedirectError(
+                "tau = 0 is ideal PD: use kind 'p' (assemble_p) with gains ideal_pd_equivalent(...)"
+            )
+        alpha = [[0, 1, 0], [-gains.f0, 0, 1], [0, -gains.k_d / gains.tau, -1 / gains.tau]]
+        beta = [[0, 0, 0], [-gains.f, -gains.g, 0], [0, 0, 0]]
+    else:
+        raise InvalidParameterError(f"unknown controller kind {kind!r}")
+    return np.array([alpha, beta], dtype=float)
+
+
+def assemble(graph: WeightedGraph, kind: str, gains) -> ClosedLoopSystem:
+    """Block-matrix loop of controller ``kind`` ('p', 'dapi', 'fdpd') on a graph.
+
+    Noise enters the v-block and the output is the x-block's deviation from
+    the network average.
+    """
+    alpha, beta = _coefficient_table(kind, gains)
     require_connected(graph)
     n = graph.node_count
     lap = laplacian(graph)
     eye = np.eye(n)
-    a = np.block(
-        [
-            [np.zeros((n, n)), eye],
-            [-gains.f * lap - gains.f0 * eye, -gains.g * lap - gains.g0 * eye],
-        ]
-    )
-    b = np.vstack([np.zeros((n, n)), eye])
-    return ClosedLoopSystem(a, b, _centering_output(n, 2 * n), KIND_P, n)
+    a = np.block([[al * eye + be * lap for al, be in zip(*rows)] for rows in zip(alpha, beta)])
+    b = np.eye(a.shape[0], n, -n)  # noise enters the v-block
+    return ClosedLoopSystem(a, b, _centering_output(n, a.shape[0]), kind, n)
+
+
+def assemble_p(graph: WeightedGraph, gains: PGains) -> ClosedLoopSystem:
+    """2N-state P-controlled loop: [[0, I], [-f L - f0 I, -g L - g0 I]]."""
+    return assemble(graph, KIND_P, gains)
 
 
 def assemble_dapi(graph: WeightedGraph, gains: DapiGains) -> ClosedLoopSystem:
     """3N-state DAPI loop with integral states averaged through c * L."""
-    require_connected(graph)
-    n = graph.node_count
-    lap = laplacian(graph)
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    a = np.block(
-        [
-            [zero, eye, zero],
-            [-gains.f * lap, -gains.g * lap - gains.g0 * eye, gains.k_i * eye],
-            [zero, -eye, -gains.c * lap],
-        ]
-    )
-    b = np.vstack([zero, eye, zero])
-    return ClosedLoopSystem(a, b, _centering_output(n, 3 * n), KIND_DAPI, n)
+    return assemble(graph, KIND_DAPI, gains)
 
 
 def assemble_fdpd(graph: WeightedGraph, gains: FdpdGains) -> ClosedLoopSystem:
     """3N-state F-DPD loop with low-pass filtered derivative action."""
-    if gains.tau == 0.0:
-        raise IdealPdRedirectError(
-            "tau = 0 is ideal PD: assemble with assemble_p and gains ideal_pd_equivalent(...)"
-        )
-    require_connected(graph)
-    n = graph.node_count
-    lap = laplacian(graph)
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    a = np.block(
-        [
-            [zero, eye, zero],
-            [-gains.f * lap - gains.f0 * eye, -gains.g * lap, eye],
-            [zero, -(gains.k_d / gains.tau) * eye, -(1.0 / gains.tau) * eye],
-        ]
-    )
-    b = np.vstack([zero, eye, zero])
-    return ClosedLoopSystem(a, b, _centering_output(n, 3 * n), KIND_FDPD, n)
+    return assemble(graph, KIND_FDPD, gains)
 
 
-def assemble(graph: WeightedGraph, kind: str, gains) -> ClosedLoopSystem:
-    """Dispatch on controller kind ('p', 'dapi', 'fdpd')."""
-    if kind == KIND_P:
-        return assemble_p(graph, gains)
-    if kind == KIND_DAPI:
-        return assemble_dapi(graph, gains)
-    if kind == KIND_FDPD:
-        return assemble_fdpd(graph, gains)
-    raise InvalidParameterError(f"unknown controller kind {kind!r}")
+def modal_matrices(kind: str, gains, lam: np.ndarray) -> np.ndarray:
+    """Stacked ``(k, d, d)`` modal matrices ``alpha + beta * lam_k``.
+
+    Diagonalizing the Laplacian decouples the loop into one d x d block per
+    eigenvalue (d = 2 for P, 3 for DAPI and F-DPD); noise enters the
+    v-component and the output reads the x-component.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam < 0.0):
+        raise InvalidParameterError(f"laplacian eigenvalue must be >= 0, got {float(lam[lam < 0.0][0])}")
+    alpha, beta = _coefficient_table(kind, gains)
+    return alpha + beta * lam[:, None, None]
 
 
 def modal_subsystem(kind: str, gains, lam: float, index: int) -> ModalSubsystem:
-    """Decoupled subsystem for one Laplacian eigenvalue.
+    """Decoupled subsystem for one Laplacian eigenvalue (one modal matrix)."""
+    a = modal_matrices(kind, gains, np.array([lam]))[0]
+    d = a.shape[0]
+    return ModalSubsystem(a, np.eye(d)[:, 1:2], np.eye(d)[:1], float(lam), index, kind)
 
-    P gives a 2x2 block, DAPI and F-DPD 3x3 blocks; the input column is the
-    v-component and the output row reads the x-component.
+
+def routh_hurwitz(a: np.ndarray) -> np.ndarray:
+    """Hurwitz verdict per matrix of a ``(k, d, d)`` stack, d = 2 or 3.
+
+    The coefficients of s^d + a_{d-1} s^{d-1} + ... + a_0 come from cofactor
+    expansion, which keeps the relative precision of a tiny a_0 such as
+    DAPI's f*c*lam^2: stable iff all are positive and, for d = 3, a_2 a_1 > a_0.
     """
-    if lam < 0.0:
-        raise InvalidParameterError(f"laplacian eigenvalue must be >= 0, got {lam}")
-    if kind == KIND_P:
-        a = np.array(
-            [
-                [0.0, 1.0],
-                [-gains.f * lam - gains.f0, -gains.g * lam - gains.g0],
-            ]
-        )
-        b = np.array([[0.0], [1.0]])
-        c = np.array([[1.0, 0.0]])
-    elif kind == KIND_DAPI:
-        a = np.array(
-            [
-                [0.0, 1.0, 0.0],
-                [-gains.f * lam, -gains.g * lam - gains.g0, gains.k_i],
-                [0.0, -1.0, -gains.c * lam],
-            ]
-        )
-        b = np.array([[0.0], [1.0], [0.0]])
-        c = np.array([[1.0, 0.0, 0.0]])
-    elif kind == KIND_FDPD:
-        if gains.tau == 0.0:
-            raise IdealPdRedirectError(
-                "tau = 0 is ideal PD: use kind 'p' with gains ideal_pd_equivalent(...)"
-            )
-        a = np.array(
-            [
-                [0.0, 1.0, 0.0],
-                [-gains.f * lam - gains.f0, -gains.g * lam, 1.0],
-                [0.0, -gains.k_d / gains.tau, -1.0 / gains.tau],
-            ]
-        )
-        b = np.array([[0.0], [1.0], [0.0]])
-        c = np.array([[1.0, 0.0, 0.0]])
-    else:
-        raise InvalidParameterError(f"unknown controller kind {kind!r}")
-    return ModalSubsystem(a, b, c, float(lam), index, kind)
+    d = a.shape[-1]
+    if d not in (2, 3):
+        raise InvalidParameterError(f"unsupported modal matrix shape {a.shape[1:]}")
 
+    def minor(i, j, r, s):
+        return a[:, i, r] * a[:, j, s] - a[:, i, s] * a[:, j, r]
 
-def _char_coeffs(a: np.ndarray) -> np.ndarray:
-    """Characteristic polynomial coefficients, highest power first."""
-    if a.shape == (2, 2):
-        return np.array([1.0, -np.trace(a), np.linalg.det(a)])
-    if a.shape == (3, 3):
-        tr = np.trace(a)
-        minors = (
-            a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-            + a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
-            + a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
-        )
-        return np.array([1.0, -tr, minors, -np.linalg.det(a)])
-    raise InvalidParameterError(f"unsupported modal matrix shape {a.shape}")
+    coeffs = [-np.trace(a, axis1=1, axis2=2), minor(0, 1, 0, 1)]
+    if d == 3:
+        coeffs[1] = coeffs[1] + minor(0, 2, 0, 2) + minor(1, 2, 1, 2)
+        det = a[:, 0, 0] * minor(1, 2, 1, 2) - a[:, 0, 1] * minor(1, 2, 0, 2) + a[:, 0, 2] * minor(1, 2, 0, 1)
+        coeffs.append(-det)
+    stable = np.all([c > 0.0 for c in coeffs], axis=0)
+    return stable if d == 2 else stable & (coeffs[0] * coeffs[1] > coeffs[2])
 
 
 def is_stable_mode(sub: ModalSubsystem) -> bool:
-    """Hurwitz verdict for one modal subsystem.
-
-    P uses coefficient positivity of the quadratic, F-DPD the Routh-Hurwitz
-    conditions of the cubic; DAPI falls back to numerical eigenvalues with
-    threshold 1e-10 times the spectral radius.
-    """
-    if sub.kind == KIND_P:
-        _, a1, a0 = _char_coeffs(sub.a)
-        return a1 > 0.0 and a0 > 0.0
-    if sub.kind == KIND_FDPD:
-        _, a2, a1, a0 = _char_coeffs(sub.a)
-        return a2 > 0.0 and a1 > 0.0 and a0 > 0.0 and a2 * a1 > a0
-    eigs = np.linalg.eigvals(sub.a)
-    radius = float(np.abs(eigs).max())
-    return bool(np.all(eigs.real < -1e-10 * max(radius, 1.0)))
+    """Hurwitz verdict for one modal subsystem (Routh-Hurwitz, any kind)."""
+    return bool(routh_hurwitz(sub.a[None])[0])
 
 
 def power_preset(

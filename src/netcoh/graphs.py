@@ -120,11 +120,11 @@ class LaplacianSpectrum:
 
     @property
     def is_connected(self) -> bool:
-        return self.eigenvalues.size >= 1 and self.lambda2 > self.zero_tolerance
+        return self.node_count == 1 or self.lambda2 > self.zero_tolerance
 
     def connected_modes(self) -> np.ndarray:
         """Eigenvalues of modes n = 2..N; a second zero mode raises."""
-        if self.node_count > 1 and not self.is_connected:
+        if not self.is_connected:
             raise DisconnectedGraphError(
                 f"spectrum has more than one zero mode (lambda_2={self.lambda2:.3e}, "
                 f"tolerance {self.zero_tolerance:.3e}); the graph is disconnected",

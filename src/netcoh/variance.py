@@ -4,10 +4,13 @@ Three independent evaluation routes are provided and cross-checked in tests:
 
 * closed forms -- the per-mode sums for P, DAPI and F-DPD control together
   with the uniform-in-N upper bounds for the latter two;
-* a modal oracle -- one small Lyapunov solve (Kronecker vectorization) per
-  Laplacian eigenvalue;
-* a full-system oracle -- a Schur-based solve on the assembled block matrix
-  after deflating the marginal, unobservable network-average directions.
+* a modal oracle -- the small Lyapunov equation of every Laplacian
+  eigenvalue, all solved at once: the stacked modal matrices get one
+  Routh-Hurwitz test, one batched eigenvalue check and one stacked solve of
+  their Kronecker systems;
+* a full-system oracle -- one real Schur form of the assembled block matrix,
+  after deflating the marginal, unobservable network-average directions,
+  gives both the eigenvalue checks and a triangular Sylvester solve.
 
 The closed forms are numpy array expressions over the eigenvalues of modes
 n >= 2, with no loop over modes.  Their terms, like the modal oracle's, are
@@ -31,8 +34,8 @@ from .closed_loop import (
     FdpdGains,
     PGains,
     ideal_pd_equivalent,
-    is_stable_mode,
-    modal_subsystem,
+    modal_matrices,
+    routh_hurwitz,
 )
 from .errors import (
     InstabilityError,
@@ -206,6 +209,57 @@ def variance_by_kind(spec: LaplacianSpectrum, kind: str, gains) -> VarianceRepor
 # ---------------------------------------------------------------------------
 
 
+def _lyapunov_stack(a: np.ndarray, q: np.ndarray):
+    """Solve A_k^T P_k + P_k A_k = -Q for a ``(k, d, d)`` stack, in one batch.
+
+    Returns the symmetrized solutions and, in check order, ``(failed mask,
+    error for index i)`` pairs: eigenvalue Hurwitz test, singular Kronecker
+    system, residual above 1e-10 * ||Q||.
+    """
+    k, d, _ = a.shape
+    finite = np.isfinite(a).all(axis=(1, 2))  # eigvals rejects a whole stack with one inf or nan
+    eigs = np.full((k, d), np.nan + 0j)
+    eigs[finite] = np.linalg.eigvals(a[finite])
+    at = a.swapaxes(1, 2)
+    eye = np.eye(d)
+    # np.kron(I, A^T) + np.kron(A^T, I) for every matrix of the stack
+    kron = eye[:, None, :, None] * at[:, None, :, None, :] + at[:, :, None, :, None] * eye[None, :, None, :]
+    kron = kron.reshape(k, d * d, d * d)
+    rhs = np.broadcast_to(-q.reshape(-1, 1, order="F"), (k, d * d, 1))
+    singular = {}
+    try:
+        vec_p = np.linalg.solve(kron, rhs)
+    except np.linalg.LinAlgError:  # find the singular systems one by one
+        vec_p = np.zeros((k, d * d, 1))
+        for i in range(k):
+            try:
+                vec_p[i] = np.linalg.solve(kron[i], rhs[i])
+            except np.linalg.LinAlgError as exc:
+                singular[i] = exc
+    p = vec_p.reshape(k, d, d).swapaxes(1, 2)
+    p = 0.5 * (p + p.swapaxes(1, 2))
+    with np.errstate(invalid="ignore"):  # non-finite matrices already fail the first check
+        residual = np.abs(at @ p + p @ a + q).max(axis=(1, 2), initial=0.0)
+    q_norm = max(np.abs(q).max(), 1e-300)
+    return p, [
+        (~finite | np.any(eigs.real >= 0.0, axis=1), lambda i: InstabilityError(
+            f"matrix is not Hurwitz (max real part {eigs[i].real.max():.3e})")),
+        (np.isin(np.arange(k), list(singular)), lambda i: NumericalError(
+            f"singular Kronecker system: {singular[i]}")),
+        (residual > 1e-10 * max(q_norm, 1.0), lambda i: NumericalError(
+            f"lyapunov residual {residual[i]:.3e} exceeds tolerance for ||Q||={q_norm:.3e}")),
+    ]
+
+
+def _raise_first(checks) -> None:
+    """Raise the first failed check of the lowest failing index, if any."""
+    failed = np.array([mask for mask, _ in checks])
+    bad = np.flatnonzero(failed.any(axis=0))
+    if bad.size:
+        i = int(bad[0])
+        raise checks[int(np.argmax(failed[:, i]))][1](i)
+
+
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve A^T P + P A = -Q for Hurwitz A by Kronecker vectorization.
 
@@ -216,50 +270,30 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != q.shape:
         raise InvalidParameterError(f"need square A and matching Q, got {a.shape}, {q.shape}")
-    eigs = np.linalg.eigvals(a)
-    if np.any(eigs.real >= 0.0):
-        raise InstabilityError(
-            f"matrix is not Hurwitz (max real part {eigs.real.max():.3e})"
-        )
-    n = a.shape[0]
-    eye = np.eye(n)
-    kron = np.kron(eye, a.T) + np.kron(a.T, eye)
-    try:
-        vec_p = np.linalg.solve(kron, -q.reshape(-1, order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular Kronecker system: {exc}") from exc
-    p = vec_p.reshape((n, n), order="F")
-    p = 0.5 * (p + p.T)
-    residual = np.abs(a.T @ p + p @ a + q).max()
-    q_norm = max(np.abs(q).max(), 1e-300)
-    if residual > 1e-10 * max(q_norm, 1.0):
-        raise NumericalError(
-            f"lyapunov residual {residual:.3e} exceeds tolerance for ||Q||={q_norm:.3e}"
-        )
-    return p
+    p, checks = _lyapunov_stack(a[None], q)
+    _raise_first(checks)
+    return p[0]
 
 
 def modal_variance(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
     """Per-mode Lyapunov oracle: sum of tr(B_n^T P_n B_n) over modes n >= 2.
 
     The network-average mode n = 1 produces no output and is excluded.
-    F-DPD with tau = 0 is routed through the equivalent P subsystems.
+    F-DPD with tau = 0 is routed through the equivalent P subsystems.  All
+    modes are solved at once; the lowest failing mode raises, its checks in
+    the order Routh-Hurwitz, eigenvalues, solve, residual.
     """
     sub_kind, sub_gains = kind, gains
     if kind == KIND_FDPD and gains.tau == 0.0:
         sub_kind, sub_gains = KIND_P, ideal_pd_equivalent(gains)
     lam = spec.connected_modes()
-    terms = []
-    for n, mode_lam in enumerate(lam.tolist(), start=2):
-        sub = modal_subsystem(sub_kind, sub_gains, mode_lam, n)
-        if not is_stable_mode(sub):
-            raise InstabilityError(
-                f"mode {n} (lambda={mode_lam:.6g}) is not Hurwitz", mode_index=n
-            )
-        p = solve_lyapunov(sub.a, sub.c.T @ sub.c)
-        terms.append(2.0 * float(sub.b[:, 0] @ p @ sub.b[:, 0]))
+    a = modal_matrices(sub_kind, sub_gains, lam)
+    q = np.diag(np.eye(a.shape[-1])[0])  # C^T C: the output reads the x-component
+    p, checks = _lyapunov_stack(a, q)
+    _raise_first([(~routh_hurwitz(a), lambda i: InstabilityError(
+        f"mode {i + 2} (lambda={lam[i]:.6g}) is not Hurwitz", mode_index=i + 2))] + checks)
     bound = _bound(kind, gains)
-    return _mode_sum_report(lam, np.array(terms), spec.node_count, bound, METHOD_MODAL_LYAPUNOV)
+    return _mode_sum_report(lam, 2.0 * p[:, 1, 1], spec.node_count, bound, METHOD_MODAL_LYAPUNOV)
 
 
 def _mean_deflation_basis(n: int) -> np.ndarray:
@@ -307,22 +341,25 @@ def full_variance(
     b_red = basis.T @ system.b
     c_red = system.c @ basis
 
-    eigs = np.linalg.eigvals(a_red)
-    scale = max(1.0, float(np.abs(eigs).max()))
+    # one real Schur form a_red = Z T Z^T serves the checks and the solve
+    gees = scipy.linalg.lapack.dgees
+    lwork = int(gees(lambda re, im: None, a_red, lwork=-1)[-2][0])  # workspace query
+    t, _, wr, wi, z, _, info = gees(lambda re, im: None, a_red, lwork=lwork)
+    if info:
+        raise NumericalError(f"full-oracle Schur decomposition failed (info={info})")
+    scale = max(1.0, float(np.hypot(wr, wi).max()))
     tol = 1e-9 * scale
-    if np.any(eigs.real > tol):
-        raise InstabilityError(
-            f"closed loop has eigenvalue with real part {eigs.real.max():.3e} > 0"
-        )
-    if np.any(np.abs(eigs.real) <= tol):
+    if np.any(wr > tol):
+        raise InstabilityError(f"closed loop has eigenvalue with real part {wr.max():.3e} > 0")
+    if np.any(np.abs(wr) <= tol):
         raise MarginalModeObservableError(
             "marginal mode outside the network-average subspace; variance undefined"
         )
-
-    try:
-        x = scipy.linalg.solve_continuous_lyapunov(a_red, -b_red @ b_red.T)
-    except Exception as exc:  # scipy raises LinAlgError subclasses
-        raise NumericalError(f"full-oracle Lyapunov solve failed: {exc}") from exc
+    # T Y + Y T^T = Z^T (-B B^T) Z, then X = Z Y Z^T
+    y, trsyl_scale, info = scipy.linalg.lapack.dtrsyl(t, t, z.T @ (-b_red @ b_red.T @ z), tranb="T")
+    if info or trsyl_scale != 1.0:
+        raise NumericalError(f"full-oracle Lyapunov solve failed (info={info}, scale={trsyl_scale})")
+    x = z @ y @ z.T
     x = 0.5 * (x + x.T)
     residual = np.abs(a_red @ x + x @ a_red.T + b_red @ b_red.T).max()
     if residual > 1e-8 * max(1.0, float(np.abs(x).max())) * scale:

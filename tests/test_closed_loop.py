@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import netcoh as nc
-from netcoh.closed_loop import ModalSubsystem
+from netcoh.closed_loop import ModalSubsystem, modal_matrices, routh_hurwitz
 from netcoh.errors import (
     DisconnectedGraphError,
     IdealPdRedirectError,
@@ -12,6 +13,7 @@ from netcoh.errors import (
 )
 
 OMEGA_REF = 2.0 * math.pi * 60.0
+DAPI_README = nc.DapiGains(f=1.0, g=0.0, g0=1.0, k_i=1.0, c=0.1)
 
 
 class TestAssembleP:
@@ -188,6 +190,31 @@ class TestStability:
             )
             sub = nc.modal_subsystem("dapi", gains, float(rng.uniform(0.01, 10)), 2)
             assert nc.is_stable_mode(sub)
+
+    def test_slow_dapi_mode_on_ring_1200_is_stable(self):
+        # the slow root is about -f*c*lam^2/k_i = -7.5e-11, below the old
+        # eigenvalue threshold of 1e-10 times the spectral radius
+        lam2 = float(nc.ring_spectrum(1200, 1.0).eigenvalues[1])
+        sub = nc.modal_subsystem("dapi", DAPI_README, lam2, 2)
+        assert nc.is_stable_mode(sub)
+
+    @pytest.mark.parametrize("c", [1e-6, 1e-3, 0.1, 2.0])
+    def test_every_dapi_mode_stable_on_families_up_to_4096(self, c):
+        gains = replace(DAPI_README, c=c)
+        spectra = [
+            nc.ring_spectrum(1200, 1.0),
+            nc.ring_spectrum(4096, 1.0),
+            nc.path_spectrum(4096, 1.0),
+            nc.torus_spectrum(64, 2, 1.0),
+            nc.torus_spectrum(16, 3, 1.0),
+        ]
+        for spec in spectra:
+            modes = spec.connected_modes().tolist()
+            assert all(
+                nc.is_stable_mode(nc.modal_subsystem("dapi", gains, lam, n))
+                for n, lam in enumerate(modes, start=2)
+            )
+            assert routh_hurwitz(modal_matrices("dapi", gains, spec.connected_modes())).all()
 
 
 def eigenvalue_multisets_match(full, parts, tol):

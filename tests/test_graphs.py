@@ -201,6 +201,14 @@ class TestConnectivity:
         for g in cases:
             assert nc.is_connected(g) == nc.spectrum(g).is_connected
 
+    def test_one_node_graph_is_connected_both_ways(self):
+        graph = nc.WeightedGraph(1, ())
+        spec = nc.spectrum(graph)
+        assert nc.is_connected(graph)
+        assert spec.is_connected
+        assert spec.connected_modes().size == 0
+        assert nc.p_variance(spec, nc.PGains(1.0, 1.0, 1.0, 1.0)).v_n == 0.0
+
 
 class TestAnalyticSpectra:
     @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import netcoh as nc
 from netcoh.errors import (
     InstabilityError,
     MarginalModeObservableError,
+    NumericalError,
     OracleSizeError,
     UnboundedVarianceError,
 )
@@ -156,6 +157,19 @@ class TestModalOracle:
         with pytest.raises(InstabilityError) as err:
             nc.modal_variance(spec, "dapi", gains)
         assert err.value.mode_index == 2
+
+    def test_slow_dapi_modes_are_not_called_unstable(self):
+        # ring 1200 with the README DAPI gains: mode 2 is stable (slow root
+        # about -7.5e-11); only the residual test, which scales by ||Q||
+        # alone, may still reject the solve
+        spec = nc.ring_spectrum(1200, 1.0)
+        gains = nc.DapiGains(f=1.0, g=0.0, g0=1.0, k_i=1.0, c=0.1)
+        try:
+            report = nc.modal_variance(spec, "dapi", gains)
+        except NumericalError as exc:
+            assert "lyapunov residual" in str(exc)
+        else:
+            assert report.v_n == pytest.approx(nc.dapi_variance(spec, gains).v_n, rel=1e-8)
 
     def test_zero_tau_redirects_through_p(self):
         spec = nc.spectrum(nc.build_ring(5, 1.0))
