@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,15 +13,8 @@ import numpy as np
 from . import __version__
 from .closed_loop import KIND_DAPI, assemble, parse_gains_config
 from .errors import CoherenceError, InvalidParameterError
-from .graphs import (
-    build_complete,
-    build_path,
-    build_ring,
-    build_torus,
-    from_edge_list,
-    spectrum,
-)
-from .scaling import FAMILIES, run_scaling, write_scaling_csv
+from .graphs import FAMILIES, build_family, from_edge_list, spectrum
+from .scaling import run_scaling, write_scaling_csv
 from .simulate import (
     SCENARIOS,
     SimConfig,
@@ -45,16 +39,7 @@ def _build_graph(args):
         raise InvalidParameterError("provide --graph FILE or --family NAME with --n")
     if args.n is None:
         raise InvalidParameterError("--family requires --n")
-    weight = args.l
-    if args.family == "path":
-        return build_path(args.n, weight)
-    if args.family == "ring":
-        return build_ring(args.n, weight)
-    if args.family == "complete":
-        return build_complete(args.n, weight)
-    if args.family in ("torus1", "torus2", "torus3"):
-        return build_torus(args.n, int(args.family[-1]), weight)
-    raise InvalidParameterError(f"unknown family {args.family!r}")
+    return build_family(args.family, args.n, args.l)
 
 
 def _load_gains(args):
@@ -69,10 +54,13 @@ def _load_gains(args):
     return kind, gains
 
 
-def _open_out(args):
+@contextmanager
+def _output(args):
     if args.out and args.out != "-":
-        return open(args.out, "w"), True
-    return sys.stdout, False
+        with open(args.out, "w") as stream:
+            yield stream
+    else:
+        yield sys.stdout
 
 
 def _add_graph_args(parser):
@@ -92,10 +80,8 @@ def cmd_variance(args) -> int:
         report = modal_variance(spec, kind, gains)
     else:
         report = full_variance(assemble(graph, kind, gains))
-    stream, close = _open_out(args)
-    stream.write(report.to_csv())
-    if close:
-        stream.close()
+    with _output(args) as stream:
+        stream.write(report.to_csv())
     return 0
 
 
@@ -150,14 +136,12 @@ def cmd_tune(args) -> int:
 
     hi = cfg.bracket_hi if cfg.bracket_hi is not None else default_bracket_hi(spec, gains)
     grid = np.concatenate([[0.0], np.geomspace(hi * 1e-4, hi, cfg.grid_points - 1)])
-    stream, close = _open_out(args)
-    stream.write("c,gridscan_vn\n")
-    for c in grid.tolist():
-        value = dapi_variance(spec, replace(gains, c=c)).v_n
-        stream.write(f"{c!r},{value!r}\n")
-    stream.write(f"c_star,{c_star!r},v_star,{v_star!r},verdict,{verdict}\n")
-    if close:
-        stream.close()
+    with _output(args) as stream:
+        stream.write("c,gridscan_vn\n")
+        for c in grid.tolist():
+            value = dapi_variance(spec, replace(gains, c=c)).v_n
+            stream.write(f"{c!r},{value!r}\n")
+        stream.write(f"c_star,{c_star!r},v_star,{v_star!r},verdict,{verdict}\n")
     return 0
 
 
@@ -169,10 +153,8 @@ def cmd_scale(args) -> int:
         lo, hi = args.window.split(":")
         window = (int(lo), int(hi))
     result = run_scaling(args.family, kind, gains, sizes, weight=args.l, window=window)
-    stream, close = _open_out(args)
-    write_scaling_csv(result, stream)
-    if close:
-        stream.close()
+    with _output(args) as stream:
+        write_scaling_csv(result, stream)
     return 0
 
 

@@ -235,7 +235,7 @@ def routh_hurwitz(a: np.ndarray) -> np.ndarray:
 
     The coefficients of s^d + a_{d-1} s^{d-1} + ... + a_0 come from cofactor
     expansion, which keeps the relative precision of a tiny a_0 such as
-    DAPI's f*c*lam^2: stable iff all are positive and, for d = 3, a_2 a_1 > a_0.
+    DAPI's f*c*lam^2: stable iff all are finite, positive and, for d = 3, a_2 a_1 > a_0.
     """
     d = a.shape[-1]
     if d not in (2, 3):
@@ -249,7 +249,7 @@ def routh_hurwitz(a: np.ndarray) -> np.ndarray:
         coeffs[1] = coeffs[1] + minor(0, 2, 0, 2) + minor(1, 2, 1, 2)
         det = a[:, 0, 0] * minor(1, 2, 1, 2) - a[:, 0, 1] * minor(1, 2, 0, 2) + a[:, 0, 2] * minor(1, 2, 0, 1)
         coeffs.append(-det)
-    stable = np.all([c > 0.0 for c in coeffs], axis=0)
+    stable = np.all([(c > 0.0) & np.isfinite(c) for c in coeffs], axis=0)
     return stable if d == 2 else stable & (coeffs[0] * coeffs[1] > coeffs[2])
 
 
@@ -293,9 +293,14 @@ def zero_averaging_equivalent(gains: DapiGains) -> PGains:
 # Gains config files: "key = value" lines, optional [power] preset block.
 # ---------------------------------------------------------------------------
 
-_P_KEYS = {"f", "g", "f0", "g0"}
-_DAPI_KEYS = {"f", "g", "g0", "ki", "c"}
-_FDPD_KEYS = {"f", "g", "f0", "kd", "tau"}
+# controller -> gains class and, per config key, (field, default); None = required
+_GAIN_KEYS = {
+    KIND_P: (PGains, {"f": ("f", 0.0), "g": ("g", 0.0), "f0": ("f0", 0.0), "g0": ("g0", 0.0)}),
+    KIND_DAPI: (DapiGains, {"f": ("f", None), "g": ("g", 0.0), "g0": ("g0", None), "ki": ("k_i", None),
+                            "c": ("c", 0.0)}),
+    KIND_FDPD: (FdpdGains, {"f": ("f", 0.0), "g": ("g", 0.0), "f0": ("f0", None), "kd": ("k_d", None),
+                            "tau": ("tau", None)}),
+}
 
 
 def parse_gains_config(text: str):
@@ -334,7 +339,7 @@ def parse_gains_config(text: str):
         raise InvalidParameterError("gains config must start with key = value lines")
     main = parser["gains"]
     kind = main.get("controller", "").strip().lower()
-    if kind not in (KIND_P, KIND_DAPI, KIND_FDPD):
+    if kind not in _GAIN_KEYS:
         raise InvalidParameterError(
             f"controller must be one of p, dapi, fdpd; got {kind!r}"
         )
@@ -353,41 +358,16 @@ def parse_gains_config(text: str):
 
     if "power" in parser:
         power = parser["power"]
-        m = value(power, "m")
-        d = value(power, "d")
-        b = value(power, "b")
-        l = value(power, "l")
+        m, d, b, l = (value(power, key) for key in ("m", "d", "b", "l"))
         if kind == KIND_DAPI:
             return kind, power_preset(m, d, b, l, value(main, "ki"), value(main, "c", 0.0))
         if kind == KIND_P:
             return kind, droop_preset(m, d, b, l)
         raise InvalidParameterError("power preset applies to controller p or dapi only")
 
-    if kind == KIND_P:
-        _reject_unknown(main, _P_KEYS)
-        return kind, PGains(
-            f=value(main, "f", 0.0),
-            g=value(main, "g", 0.0),
-            f0=value(main, "f0", 0.0),
-            g0=value(main, "g0", 0.0),
-        )
-    if kind == KIND_DAPI:
-        _reject_unknown(main, _DAPI_KEYS)
-        return kind, DapiGains(
-            f=value(main, "f"),
-            g=value(main, "g", 0.0),
-            g0=value(main, "g0"),
-            k_i=value(main, "ki"),
-            c=value(main, "c", 0.0),
-        )
-    _reject_unknown(main, _FDPD_KEYS)
-    return kind, FdpdGains(
-        f=value(main, "f", 0.0),
-        g=value(main, "g", 0.0),
-        f0=value(main, "f0"),
-        k_d=value(main, "kd"),
-        tau=value(main, "tau"),
-    )
+    gains_class, keys = _GAIN_KEYS[kind]
+    _reject_unknown(main, set(keys))
+    return kind, gains_class(**{field: value(main, key, default) for key, (field, default) in keys.items()})
 
 
 def _reject_unknown(section, allowed: set[str]) -> None:

@@ -14,11 +14,14 @@ class InvalidParameterError(CoherenceError, ValueError):
 
 
 class GraphFormatError(CoherenceError, ValueError):
-    """Edge-list text violates the file format or a graph invariant."""
+    """Edge-list text violates the file format or a graph invariant.
 
-    def __init__(self, line_number: int, message: str):
+    ``edge_index`` is the offending edge's position when an edge check fails.
+    """
+
+    def __init__(self, line_number: int, message: str, edge_index: int | None = None):
         super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
+        self.line_number, self.message, self.edge_index = line_number, message, edge_index
 
 
 class IdealPdRedirectError(CoherenceError):

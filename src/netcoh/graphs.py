@@ -1,29 +1,35 @@
 """Weighted undirected graphs, their Laplacians, and Laplacian spectra.
 
-Provides the four network families used throughout the package (path, ring,
-d-dimensional torus, complete graph), a plain-text edge-list parser, and both
-numerical and closed-form (circulant / sine-basis) spectra.  All node indices
-are 1-based in file formats and public edge tuples; torus nodes are ordered
-row-major over lattice coordinates so results are reproducible.
+Provides the network families used throughout the package (path, ring as
+the 1-D torus, d-dimensional torus, complete graph), a plain-text edge-list
+parser, and both numerical and closed-form (circulant / sine-basis) spectra.
+All node indices are 1-based in file formats and public edge tuples; torus
+nodes are ordered row-major over lattice coordinates, for reproducibility.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import (
     DisconnectedGraphError,
     GraphFormatError,
+    InvalidParameterError,
     InvalidSizeError,
     NumericalError,
 )
 
 __all__ = [
+    "FAMILIES",
     "WeightedGraph",
     "LaplacianSpectrum",
+    "build_family",
     "build_path",
     "build_ring",
     "build_torus",
@@ -32,11 +38,34 @@ __all__ = [
     "laplacian",
     "spectrum",
     "is_connected",
+    "family_spectrum",
     "path_spectrum",
     "ring_spectrum",
     "torus_spectrum",
     "complete_spectrum",
 ]
+
+
+def _canonical_edges(node_count: int, edges) -> tuple:
+    """Sorted ``(min, max, float w)`` edges; rejects self-loops, out-of-range
+    endpoints, non-positive or non-finite weights and duplicates, giving the
+    offending edge's position as the error's ``edge_index``."""
+    canonical = []
+    seen = set()
+    for index, (i, j, w) in enumerate(edges):
+        if i == j:
+            raise GraphFormatError(0, f"self-loop at node {i}", index)
+        if not (1 <= i <= node_count and 1 <= j <= node_count):
+            raise GraphFormatError(0, f"edge ({i},{j}) out of range 1..{node_count}", index)
+        if not (w > 0.0) or not math.isfinite(w):
+            raise GraphFormatError(0, f"edge ({i},{j}) has non-positive weight {w}", index)
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise GraphFormatError(0, f"duplicate edge ({i},{j})", index)
+        seen.add(key)
+        canonical.append((key[0], key[1], float(w)))
+    canonical.sort()
+    return tuple(canonical)
 
 
 @dataclass(frozen=True)
@@ -54,22 +83,7 @@ class WeightedGraph:
     def __post_init__(self):
         if self.node_count < 1:
             raise InvalidSizeError(f"node_count must be >= 1, got {self.node_count}")
-        canonical = []
-        seen = set()
-        for i, j, w in self.edges:
-            if i == j:
-                raise GraphFormatError(0, f"self-loop at node {i}")
-            if not (1 <= i <= self.node_count and 1 <= j <= self.node_count):
-                raise GraphFormatError(0, f"edge ({i},{j}) out of range 1..{self.node_count}")
-            if not (w > 0.0) or not math.isfinite(w):
-                raise GraphFormatError(0, f"edge ({i},{j}) has non-positive weight {w}")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise GraphFormatError(0, f"duplicate edge ({i},{j})")
-            seen.add(key)
-            canonical.append((key[0], key[1], float(w)))
-        canonical.sort()
-        object.__setattr__(self, "edges", tuple(canonical))
+        object.__setattr__(self, "edges", _canonical_edges(self.node_count, self.edges))
 
     @property
     def edge_count(self) -> int:
@@ -97,14 +111,15 @@ class LaplacianSpectrum:
             raise InvalidSizeError("spectrum needs at least one eigenvalue")
         if self.zero_tolerance <= 0.0:
             raise GraphFormatError(0, "zero_tolerance must be positive")
+        if not np.isfinite(vals).all():
+            raise NumericalError("spectrum has non-finite eigenvalues")
         vals = np.sort(vals)
         if abs(vals[0]) > self.zero_tolerance:
             raise NumericalError(
                 f"smallest eigenvalue {vals[0]:.3e} exceeds zero tolerance "
                 f"{self.zero_tolerance:.3e}"
             )
-        vals = vals.copy()
-        vals[0] = 0.0
+        vals[0] = 0.0  # np.sort returned a copy
         vals.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
 
@@ -133,117 +148,47 @@ class LaplacianSpectrum:
         return self.eigenvalues[1:]
 
 
-def build_path(n: int, weight: float) -> WeightedGraph:
-    """Path graph: nearest-neighbor chain 1-2-...-N with uniform weight."""
-    if n < 2:
-        raise InvalidSizeError(f"path graph needs n >= 2, got {n}")
-    _check_weight(weight)
-    return WeightedGraph(n, tuple((i, i + 1, weight) for i in range(1, n)))
-
-
-def build_ring(n: int, weight: float) -> WeightedGraph:
-    """Ring graph: cycle 1-2-...-N-1 with uniform weight."""
-    if n < 3:
-        raise InvalidSizeError(f"ring graph needs n >= 3, got {n}")
-    _check_weight(weight)
-    edges = [(i, i + 1, weight) for i in range(1, n)]
-    edges.append((1, n, weight))
-    return WeightedGraph(n, tuple(edges))
-
-
-def build_torus(side: int, dims: int, weight: float = 1.0) -> WeightedGraph:
-    """Torus lattice with ``side**dims`` nodes and wrap-around neighbors.
-
-    Nodes are numbered row-major over lattice coordinates
-    ``(c_0, ..., c_{dims-1})``: index = 1 + sum(c_k * side**(dims-1-k)).
-    Each node has 2*dims neighbors; dims = 1 reproduces the ring.
-    """
-    if side < 3:
-        raise InvalidSizeError(f"torus needs side >= 3, got {side}")
-    if dims not in (1, 2, 3):
-        raise InvalidSizeError(f"torus dimension must be 1, 2 or 3, got {dims}")
-    _check_weight(weight)
-
-    def index(coords) -> int:
-        idx = 0
-        for c in coords:
-            idx = idx * side + c
-        return idx + 1
-
-    edges = []
-    for flat in range(side**dims):
-        coords = []
-        rest = flat
-        for _ in range(dims):
-            coords.append(rest % side)
-            rest //= side
-        coords.reverse()
-        for axis in range(dims):
-            fwd = list(coords)
-            fwd[axis] = (fwd[axis] + 1) % side
-            a, b = index(coords), index(fwd)
-            if a < b:
-                edges.append((a, b, weight))
-            # wrap edge (side-1 -> 0) is emitted once, from the high end
-            elif coords[axis] == side - 1:
-                edges.append((b, a, weight))
-    return WeightedGraph(side**dims, tuple(edges))
-
-
-def build_complete(n: int, weight: float) -> WeightedGraph:
-    """Complete graph on n nodes, all N(N-1)/2 edges with uniform weight."""
-    if n < 2:
-        raise InvalidSizeError(f"complete graph needs n >= 2, got {n}")
-    _check_weight(weight)
-    return WeightedGraph(
-        n, tuple((i, j, weight) for i in range(1, n) for j in range(i + 1, n + 1))
-    )
-
-
 def from_edge_list(text: str) -> WeightedGraph:
     """Parse the edge-list format.
 
     First non-comment line holds N; every following non-empty line is
     ``i j w`` with 1-based indices.  Lines starting with ``#`` are ignored.
-    Violations raise :class:`GraphFormatError` carrying the line number.
+    Violations raise :class:`GraphFormatError` carrying the line number of
+    the first offending line.
     """
-    node_count = None
-    edges = []
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if node_count is None:
+    node_count, edges, lines, malformed = None, [], [], None
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if node_count is None:
+                try:
+                    node_count = int(line)
+                except ValueError:
+                    raise GraphFormatError(lineno, f"expected node count, got {line!r}") from None
+                if node_count < 1:
+                    raise GraphFormatError(lineno, f"node count must be positive, got {node_count}")
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise GraphFormatError(lineno, f"expected 'i j w', got {line!r}")
             try:
-                node_count = int(line)
+                edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
             except ValueError:
-                raise GraphFormatError(lineno, f"expected node count, got {line!r}") from None
-            if node_count < 1:
-                raise GraphFormatError(lineno, f"node count must be positive, got {node_count}")
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise GraphFormatError(lineno, f"expected 'i j w', got {line!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            w = float(parts[2])
-        except ValueError:
-            raise GraphFormatError(lineno, f"malformed edge line {line!r}") from None
-        if i == j:
-            raise GraphFormatError(lineno, f"self-loop at node {i}")
-        if not (1 <= i <= node_count and 1 <= j <= node_count):
-            raise GraphFormatError(lineno, f"edge ({i},{j}) out of range 1..{node_count}")
-        if not (w > 0.0) or not math.isfinite(w):
-            raise GraphFormatError(lineno, f"weight must be positive, got {parts[2]}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise GraphFormatError(lineno, f"duplicate edge ({i},{j})")
-        seen.add(key)
-        edges.append((key[0], key[1], w))
-    if node_count is None:
-        raise GraphFormatError(1, "empty edge-list text")
-    return WeightedGraph(node_count, tuple(edges))
+                raise GraphFormatError(lineno, f"malformed edge line {line!r}") from None
+            lines.append(lineno)
+    except GraphFormatError as exc:
+        malformed = exc
+    if node_count is None or (malformed and not edges):
+        raise malformed or GraphFormatError(1, "empty edge-list text")
+    try:  # the edges above a malformed line are checked first: the earliest line is named
+        graph = WeightedGraph(node_count, tuple(edges))
+    except GraphFormatError as exc:
+        raise GraphFormatError(lines[exc.edge_index], exc.message) from None
+    if malformed is not None:
+        raise malformed
+    return graph
 
 
 def laplacian(graph: WeightedGraph) -> np.ndarray:
@@ -303,49 +248,114 @@ def require_connected(graph: WeightedGraph) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form spectra for the regular families.  These avoid the dense
-# eigensolver in large sweeps; tests cross-check them against spectrum().
+# The graph families, registered once in _FAMILIES.  Every builder and
+# closed-form spectrum goes through _member, which checks size and weight.
+# The closed forms avoid the dense eigensolver in large sweeps; tests
+# cross-check them against spectrum().
 # ---------------------------------------------------------------------------
 
 
+def build_path(n: int, weight: float) -> WeightedGraph:
+    """Path graph: nearest-neighbor chain 1-2-...-N with uniform weight."""
+    return build_family("path", n, weight)
+
+
+def build_ring(n: int, weight: float) -> WeightedGraph:
+    """Ring graph: cycle 1-2-...-N-1 with uniform weight, the 1-D torus."""
+    return build_family("ring", n, weight)
+
+
+def build_torus(side: int, dims: int, weight: float = 1.0) -> WeightedGraph:
+    """Torus lattice with ``side**dims`` nodes and wrap-around neighbors.
+
+    Nodes are numbered row-major over lattice coordinates
+    ``(c_0, ..., c_{dims-1})``: index = 1 + sum(c_k * side**(dims-1-k)).
+    Each node has 2*dims neighbors; dims = 1 reproduces the ring.
+    """
+    return build_family(_torus_name(dims), side, weight)
+
+
+def build_complete(n: int, weight: float) -> WeightedGraph:
+    """Complete graph on n nodes, all N(N-1)/2 edges with uniform weight."""
+    return build_family("complete", n, weight)
+
+
 def ring_spectrum(n: int, weight: float) -> LaplacianSpectrum:
-    """Circulant eigenvalues weight * 4 sin^2(pi k / n), k = 0..n-1."""
-    if n < 3:
-        raise InvalidSizeError(f"ring needs n >= 3, got {n}")
-    _check_weight(weight)
-    return _analytic(weight * _sin2(np.arange(n) / n))
+    """Circulant eigenvalues weight * 4 sin^2(pi k / n), k = 0..n-1 (the 1-D torus)."""
+    return family_spectrum("ring", n, weight)
 
 
 def path_spectrum(n: int, weight: float) -> LaplacianSpectrum:
     """Sine-basis eigenvalues weight * 4 sin^2(pi k / (2n)), k = 0..n-1."""
-    if n < 2:
-        raise InvalidSizeError(f"path needs n >= 2, got {n}")
-    _check_weight(weight)
-    return _analytic(weight * _sin2(np.arange(n) / (2 * n)))
+    return family_spectrum("path", n, weight)
 
 
 def torus_spectrum(side: int, dims: int, weight: float = 1.0) -> LaplacianSpectrum:
     """Sums of ring eigenvalues over the d-dimensional lattice frequencies."""
-    if side < 3:
-        raise InvalidSizeError(f"torus needs side >= 3, got {side}")
-    if dims not in (1, 2, 3):
-        raise InvalidSizeError(f"torus dimension must be 1, 2 or 3, got {dims}")
-    _check_weight(weight)
-    axis = _sin2(np.arange(side) / side)
-    vals = axis
-    for _ in range(dims - 1):
-        vals = np.add.outer(vals, axis).ravel()
-    return _analytic(weight * vals)
+    return family_spectrum(_torus_name(dims), side, weight)
 
 
 def complete_spectrum(n: int, weight: float) -> LaplacianSpectrum:
     """Eigenvalue 0 plus n*weight with multiplicity n-1."""
-    if n < 2:
-        raise InvalidSizeError(f"complete graph needs n >= 2, got {n}")
-    _check_weight(weight)
-    vals = np.full(n, n * weight, dtype=float)
-    vals[0] = 0.0
-    return _analytic(vals)
+    return family_spectrum("complete", n, weight)
+
+
+def build_family(family: str, size: int, weight: float) -> WeightedGraph:
+    """One member of a registered family; ``size`` is the torus side."""
+    return _member(family, size, weight).build(size, weight)
+
+
+def family_spectrum(family: str, size: int, weight: float) -> LaplacianSpectrum:
+    """Closed-form spectrum of one family member; ``size`` is the torus side."""
+    return _member(family, size, weight).spectrum(size, weight)
+
+
+def _torus_graph(dims: int, side: int, weight: float) -> WeightedGraph:
+    ids = np.arange(1, side**dims + 1).reshape((side,) * dims)
+    succ = np.stack([np.roll(ids, -1, axis=axis) for axis in range(dims)])
+    lo, hi = np.minimum(ids, succ).ravel().tolist(), np.maximum(ids, succ).ravel().tolist()
+    return WeightedGraph(ids.size, tuple(zip(lo, hi, itertools.repeat(weight))))
+
+
+def _complete_graph(n: int, weight: float) -> WeightedGraph:
+    return WeightedGraph(n, tuple((i, j, weight) for i in range(1, n) for j in range(i + 1, n + 1)))
+
+
+def _torus_spectrum(dims: int, side: int, weight: float) -> LaplacianSpectrum:
+    axis = _sin2(np.arange(side) / side)
+    return _analytic(weight * sum(np.ix_(*[axis] * dims)).ravel())  # lattice sums a_i + a_j + ...
+
+
+# name -> smallest size (the lattice side for a torus), builder, closed-form spectrum
+_Family = namedtuple("_Family", "min_size build spectrum")
+_FAMILIES = {
+    "path": _Family(2, lambda n, w: WeightedGraph(n, tuple((i, i + 1, w) for i in range(1, n))),
+                    lambda n, w: _analytic(w * _sin2(np.arange(n) / (2 * n)))),
+    "ring": _Family(3, partial(_torus_graph, 1), partial(_torus_spectrum, 1)),
+    "complete": _Family(2, _complete_graph,
+                        lambda n, w: _analytic(np.where(np.arange(n) > 0, n * w, 0.0))),
+    **{f"torus{d}": _Family(3, partial(_torus_graph, d), partial(_torus_spectrum, d)) for d in (1, 2, 3)},
+}
+FAMILIES = tuple(_FAMILIES)
+
+
+def _member(family: str, size: int, weight: float) -> _Family:
+    """The registry entry of ``family``, once ``size`` and ``weight`` are admissible."""
+    if family not in _FAMILIES:
+        raise InvalidParameterError(f"unknown family {family!r}; choose from {FAMILIES}")
+    entry = _FAMILIES[family]
+    if size < entry.min_size:
+        what = "torus needs side" if family.startswith("torus") else f"{family} graph needs n"
+        raise InvalidSizeError(f"{what} >= {entry.min_size}, got {size}")
+    if not (weight > 0.0) or not math.isfinite(weight):
+        raise InvalidSizeError(f"edge weight must be positive and finite, got {weight}")
+    return entry
+
+
+def _torus_name(dims: int) -> str:
+    if dims not in (1, 2, 3):
+        raise InvalidSizeError(f"torus dimension must be 1, 2 or 3, got {dims}")
+    return f"torus{dims}"
 
 
 def _sin2(x: np.ndarray) -> np.ndarray:
@@ -359,8 +369,3 @@ def _analytic(vals: np.ndarray) -> LaplacianSpectrum:
     vals = np.sort(np.maximum(vals, 0.0))
     tolerance = min(default_zero_tolerance(float(vals[-1])), 0.5 * float(vals[1]))
     return LaplacianSpectrum(vals, tolerance)
-
-
-def _check_weight(weight: float) -> None:
-    if not (weight > 0.0) or not math.isfinite(weight):
-        raise InvalidSizeError(f"edge weight must be positive and finite, got {weight}")

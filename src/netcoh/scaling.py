@@ -1,7 +1,6 @@
 """Variance sweeps across network sizes with log-log exponent fits.
 
-Sweeps use the closed-form spectra of the regular families (circulant for
-ring and torus, sine basis for the path, N*l for the complete graph) so sizes
+Sweeps use the closed-form family spectra of :mod:`netcoh.graphs`, so sizes
 in the thousands stay cheap; configurations whose variance diverges are kept
 as unbounded markers rather than numbers.  The exponent is the least-squares
 slope of log V_N against log N inside a fit window, by default the upper half
@@ -15,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, InvalidParameterError, UnboundedVarianceError
-from .graphs import (
-    LaplacianSpectrum,
-    complete_spectrum,
-    path_spectrum,
-    ring_spectrum,
-    torus_spectrum,
-)
+from .graphs import FAMILIES, family_spectrum
 from .variance import variance_by_kind
 
 __all__ = [
@@ -32,8 +25,6 @@ __all__ = [
     "fit_exponent",
     "write_scaling_csv",
 ]
-
-FAMILIES = ("path", "ring", "complete", "torus1", "torus2", "torus3")
 
 _MIN_FIT_POINTS = 4
 
@@ -47,19 +38,6 @@ class ScalingResult:
     points: tuple[tuple[int, float | None], ...]
     fitted_exponent: float | None
     fit_window: tuple[int, int] | None
-
-
-def family_spectrum(family: str, size: int, weight: float) -> LaplacianSpectrum:
-    """Closed-form spectrum of one family member; ``size`` is the torus side."""
-    if family == "path":
-        return path_spectrum(size, weight)
-    if family == "ring":
-        return ring_spectrum(size, weight)
-    if family == "complete":
-        return complete_spectrum(size, weight)
-    if family in ("torus1", "torus2", "torus3"):
-        return torus_spectrum(size, int(family[-1]), weight)
-    raise InvalidParameterError(f"unknown family {family!r}; choose from {FAMILIES}")
 
 
 def run_scaling(

@@ -148,6 +148,22 @@ def default_burn_in(system: ClosedLoopSystem, horizon: float) -> float:
     return min(5.0 * slowest_time_constant(system), 0.5 * horizon)
 
 
+def _em_setup(system: ClosedLoopSystem, cfg: SimConfig):
+    """Step-size check and the fixed parts of the scheme: fastest |Re xi|,
+    step count, step matrix I + A dt, noise scale and burn-in."""
+    stable, _ = _stable_eigs(system)
+    fastest = float(np.abs(stable.real).max())
+    if cfg.dt * fastest > 1.0:
+        raise StepSizeError(
+            f"dt * max|Re xi| = {cfg.dt * fastest:.3g} > 1; reduce dt below "
+            f"{1.0 / fastest:.3g}"
+        )
+    steps = int(round(cfg.horizon / cfg.dt))
+    stepper = np.eye(system.state_dim) + cfg.dt * system.a
+    burn_in = cfg.burn_in if cfg.burn_in is not None else default_burn_in(system, cfg.horizon)
+    return fastest, steps, stepper, cfg.noise_intensity * math.sqrt(cfg.dt), burn_in
+
+
 def _initial_state(system: ClosedLoopSystem, cfg: SimConfig, rng) -> np.ndarray:
     dim, n = system.state_dim, system.n
     init = cfg.initial_state
@@ -174,13 +190,7 @@ def simulate_em(system: ClosedLoopSystem, cfg: SimConfig) -> Trajectory:
     :class:`StepSizeError` when ``dt * max|Re xi| > 1``; a warning is issued
     past ``dt * max|Re xi| > 0.1``.
     """
-    stable, _ = _stable_eigs(system)
-    fastest = float(np.abs(stable.real).max())
-    if cfg.dt * fastest > 1.0:
-        raise StepSizeError(
-            f"dt * max|Re xi| = {cfg.dt * fastest:.3g} > 1; reduce dt below "
-            f"{1.0 / fastest:.3g}"
-        )
+    fastest, steps, stepper, sigma, burn_in = _em_setup(system, cfg)
     if cfg.dt * fastest > 0.1:
         warnings.warn(
             f"dt * max|Re xi| = {cfg.dt * fastest:.3g} > 0.1; expect noticeable "
@@ -189,10 +199,6 @@ def simulate_em(system: ClosedLoopSystem, cfg: SimConfig) -> Trajectory:
         )
 
     n, dim = system.n, system.state_dim
-    steps = int(round(cfg.horizon / cfg.dt))
-    stepper = np.eye(dim) + cfg.dt * system.a
-    sigma = cfg.noise_intensity * math.sqrt(cfg.dt)
-
     rng = np.random.default_rng(cfg.seed)
     state = _initial_state(system, cfg, rng)
 
@@ -219,7 +225,6 @@ def simulate_em(system: ClosedLoopSystem, cfg: SimConfig) -> Trajectory:
 
     x = records[:, :n]
     output_y = x - x.mean(axis=1, keepdims=True)
-    burn_in = cfg.burn_in if cfg.burn_in is not None else default_burn_in(system, cfg.horizon)
     return Trajectory(times=times, states=records, output_y=output_y, n=n, burn_in=burn_in)
 
 
@@ -254,18 +259,8 @@ def ensemble_variance(
     seeds = list(seeds)
     if not seeds:
         raise InvalidParameterError("need at least one seed")
-    stable, _ = _stable_eigs(system)
-    fastest = float(np.abs(stable.real).max())
-    if cfg.dt * fastest > 1.0:
-        raise StepSizeError(
-            f"dt * max|Re xi| = {cfg.dt * fastest:.3g} > 1; reduce dt below "
-            f"{1.0 / fastest:.3g}"
-        )
-    n, dim = system.n, system.state_dim
-    steps = int(round(cfg.horizon / cfg.dt))
-    stepper = np.eye(dim) + cfg.dt * system.a
-    sigma = cfg.noise_intensity * math.sqrt(cfg.dt)
-    burn_in = cfg.burn_in if cfg.burn_in is not None else default_burn_in(system, cfg.horizon)
+    _, steps, stepper, sigma, burn_in = _em_setup(system, cfg)
+    n = system.n
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
     states = np.column_stack(

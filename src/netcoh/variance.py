@@ -66,6 +66,8 @@ METHOD_MODAL_LYAPUNOV = "modal_lyapunov"
 METHOD_FULL_LYAPUNOV = "full_lyapunov"
 
 DEFAULT_ORACLE_LIMIT = 64
+# largest estimated relative error of a modal-oracle V_N, the cross-check tolerance
+MODAL_FORWARD_TOL = 1e-8
 
 _NO_MODES = np.empty((0, 3))
 _NO_MODES.setflags(write=False)
@@ -214,7 +216,8 @@ def _lyapunov_stack(a: np.ndarray, q: np.ndarray):
 
     Returns the symmetrized solutions and, in check order, ``(failed mask,
     error for index i)`` pairs: eigenvalue Hurwitz test, singular Kronecker
-    system, residual above 1e-10 * ||Q||.
+    system, residual above the backward-error bound
+    1e-10 * max(2 ||A_k|| ||P_k|| + ||Q||, 1) in max-abs norms.
     """
     k, d, _ = a.shape
     finite = np.isfinite(a).all(axis=(1, 2))  # eigvals rejects a whole stack with one inf or nan
@@ -240,14 +243,15 @@ def _lyapunov_stack(a: np.ndarray, q: np.ndarray):
     p = 0.5 * (p + p.swapaxes(1, 2))
     with np.errstate(invalid="ignore"):  # non-finite matrices already fail the first check
         residual = np.abs(at @ p + p @ a + q).max(axis=(1, 2), initial=0.0)
-    q_norm = max(np.abs(q).max(), 1e-300)
+        scale = 2.0 * np.abs(a).max(axis=(1, 2)) * np.abs(p).max(axis=(1, 2)) + np.abs(q).max()
+    tol = 1e-10 * np.maximum(scale, 1.0)
     return p, [
         (~finite | np.any(eigs.real >= 0.0, axis=1), lambda i: InstabilityError(
             f"matrix is not Hurwitz (max real part {eigs[i].real.max():.3e})")),
         (np.isin(np.arange(k), list(singular)), lambda i: NumericalError(
             f"singular Kronecker system: {singular[i]}")),
-        (residual > 1e-10 * max(q_norm, 1.0), lambda i: NumericalError(
-            f"lyapunov residual {residual[i]:.3e} exceeds tolerance for ||Q||={q_norm:.3e}")),
+        (~(residual <= tol) | np.isinf(tol), lambda i: NumericalError(
+            f"lyapunov residual {residual[i]:.3e} exceeds tolerance {tol[i]:.3e}")),
     ]
 
 
@@ -264,7 +268,7 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve A^T P + P A = -Q for Hurwitz A by Kronecker vectorization.
 
     Intended for the small per-mode blocks; the result is symmetrized and
-    the residual is checked against 1e-10 * ||Q||.
+    the residual is checked against 1e-10 * max(2 ||A|| ||P|| + ||Q||, 1).
     """
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -281,7 +285,10 @@ def modal_variance(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
     The network-average mode n = 1 produces no output and is excluded.
     F-DPD with tau = 0 is routed through the equivalent P subsystems.  All
     modes are solved at once; the lowest failing mode raises, its checks in
-    the order Routh-Hurwitz, eigenvalues, solve, residual.
+    the order Routh-Hurwitz, eigenvalues, solve, residual.  Then V_N is
+    returned only if its estimated forward error is at most
+    ``MODAL_FORWARD_TOL``; otherwise :class:`NumericalError` names the worst
+    mode.
     """
     sub_kind, sub_gains = kind, gains
     if kind == KIND_FDPD and gains.tau == 0.0:
@@ -292,8 +299,18 @@ def modal_variance(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
     p, checks = _lyapunov_stack(a, q)
     _raise_first([(~routh_hurwitz(a), lambda i: InstabilityError(
         f"mode {i + 2} (lambda={lam[i]:.6g}) is not Hurwitz", mode_index=i + 2))] + checks)
+    terms = 2.0 * p[:, 1, 1]
+    # The residual test bounds only the backward error; a slow mode can pass
+    # it with P_k wrong in every digit.  Term k's relative forward error is
+    # about u * cond_k, with cond_k ~ 2 ||A_k|| ||P_k|| / ||Q|| (here ||Q|| = 1).
+    with np.errstate(over="ignore"):  # an overflowing estimate fails as inf
+        err = np.finfo(float).eps * np.abs(a).max(axis=(1, 2)) * np.abs(p).max(axis=(1, 2)) * np.abs(terms)
+    if err.sum() > MODAL_FORWARD_TOL * abs(terms.sum()):
+        i = int(np.argmax(err))
+        raise NumericalError(f"modal V_N forward error estimate {err.sum() / abs(terms.sum()):.3e} exceeds "
+                             f"{MODAL_FORWARD_TOL:.0e}; mode {i + 2} (lambda={lam[i]:.6g}) is ill-conditioned")
     bound = _bound(kind, gains)
-    return _mode_sum_report(lam, 2.0 * p[:, 1, 1], spec.node_count, bound, METHOD_MODAL_LYAPUNOV)
+    return _mode_sum_report(lam, terms, spec.node_count, bound, METHOD_MODAL_LYAPUNOV)
 
 
 def _mean_deflation_basis(n: int) -> np.ndarray:

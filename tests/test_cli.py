@@ -1,7 +1,10 @@
+import argparse
+
 import pytest
 
 import netcoh as nc
-from netcoh.cli import main
+from netcoh.cli import build_parser, main
+from netcoh.scaling import FAMILIES
 
 
 @pytest.fixture
@@ -188,3 +191,10 @@ class TestTopLevel:
         rc = main(["variance", "--family", "ring", "--gains-file", p_gains_file])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_family_choices_are_the_registered_families(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name in ("variance", "simulate", "tune", "scale"):
+            family = next(a for a in commands.choices[name]._actions if a.dest == "family")
+            assert tuple(family.choices) == FAMILIES

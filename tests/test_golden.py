@@ -5,6 +5,9 @@ written by the per-mode-loop implementation of the closed forms.  The array
 implementation must reproduce it exactly; the only intended difference is
 the ``c`` column of ``tune``, which the loop version wrote as
 ``np.float64(x)`` under numpy 2 and which is now a plain float ``repr``.
+The ring, path and torus ``scale_*`` sweeps, the torus and full-oracle
+``variance`` cases and ``tune_path12_dapi`` were captured from the per-family
+dispatch that the family table in ``graphs.py`` replaced.
 
 Regenerate a file only for a deliberate output change::
 
@@ -53,6 +56,17 @@ CASES = {
     "tune_ring16_dapi": (["tune", "--family", "ring", "--n", "16"], "dapi"),
     "tune_complete10_dapi": (["tune", "--family", "complete", "--n", "10"], "dapi"),
     "tune_graph_dapi": (["tune", "--graph", "{graph}", "--grid-points", "16"], "dapi"),
+    "scale_ring_p": (["scale", "--family", "ring", "--sizes", "geometric:8:512:2"], "p"),
+    "scale_path_dapi": (
+        ["scale", "--family", "path", "--sizes", "8,16,32,64,128", "--l", "1.3"], "dapi"),
+    "scale_torus1_p": (["scale", "--family", "torus1", "--sizes", "geometric:8:128:2"], "p"),
+    "scale_torus2_fdpd": (["scale", "--family", "torus2", "--sizes", "4,8,16,32"], "fdpd"),
+    "scale_torus3_dapi": (["scale", "--family", "torus3", "--sizes", "3,4,6,8,12"], "dapi"),
+    "variance_torus1_10_dapi_closed": (["variance", "--family", "torus1", "--n", "10"], "dapi"),
+    "variance_torus3_3_p_modal": (
+        ["variance", "--family", "torus3", "--n", "3", "--method", "modal"], "p"),
+    "variance_ring8_fdpd_full": (["variance", "--family", "ring", "--n", "8", "--method", "full"], "fdpd"),
+    "tune_path12_dapi": (["tune", "--family", "path", "--n", "12", "--grid-points", "16"], "dapi"),
 }
 
 _NUMPY_SCALAR = re.compile(r"np\.float64\((.*)\)")

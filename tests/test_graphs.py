@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netcoh as nc
-from netcoh.errors import GraphFormatError, InvalidSizeError
+from netcoh import graphs
+from netcoh.errors import GraphFormatError, InvalidParameterError, InvalidSizeError, NumericalError
+from netcoh.graphs import FAMILIES, build_family, family_spectrum
 
 
 def edge_set(graph):
@@ -89,6 +93,122 @@ class TestTorus:
         assert all(len(nbrs) == 6 for nbrs in g3.neighbor_lists())
 
 
+class TestFamilyRegistry:
+    @pytest.mark.parametrize("n,weight", [(3, 1.0), (12, 0.7), (1024, 1.3)])
+    def test_ring_is_the_one_dimensional_torus(self, n, weight):
+        assert nc.build_ring(n, weight) == nc.build_torus(n, 1, weight)
+        ring, torus = nc.ring_spectrum(n, weight), nc.torus_spectrum(n, 1, weight)
+        assert np.array_equal(ring.eigenvalues, torus.eigenvalues)
+
+    def test_size_and_weight_are_checked_once(self, monkeypatch):
+        calls = []
+        member = graphs._member
+        monkeypatch.setattr(graphs, "_member", lambda *args: calls.append(args[0]) or member(*args))
+        nc.build_ring(5, 1.0)
+        nc.torus_spectrum(3, 2, 1.0)
+        build_family("path", 4, 1.0)
+        assert calls == ["ring", "torus2", "path"]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_smallest_size_is_shared_by_builder_and_spectrum(self, family):
+        smallest = 3 if family == "ring" or family.startswith("torus") else 2
+        assert build_family(family, smallest, 1.0).node_count == family_spectrum(family, smallest, 1.0).node_count
+        for make in (build_family, family_spectrum):
+            with pytest.raises(InvalidSizeError):
+                make(family, smallest - 1, 1.0)
+            with pytest.raises(InvalidSizeError):
+                make(family, smallest, float("inf"))
+
+    def test_errors_name_the_family(self):
+        for make in (lambda: build_family("ring", 2, 1.0), lambda: nc.build_ring(2, 1.0),
+                     lambda: nc.ring_spectrum(2, 1.0)):
+            with pytest.raises(InvalidSizeError, match="ring graph needs n >= 3, got 2"):
+                make()
+        for make in (nc.build_torus, nc.torus_spectrum):
+            with pytest.raises(InvalidSizeError, match="torus needs side >= 3, got 2"):
+                make(2, 1, 1.0)
+        with pytest.raises(InvalidSizeError, match="path graph needs n >= 2, got 1"):
+            family_spectrum("path", 1, 1.0)
+        with pytest.raises(InvalidParameterError, match="unknown family 'star'"):
+            build_family("star", 8, 1.0)
+
+
+class TestSpectrumValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_eigenvalues_raise(self, bad):
+        with pytest.raises(NumericalError):
+            nc.p_variance(nc.LaplacianSpectrum(np.array([0.0, 1.0, bad]), 1e-9), nc.PGains(1, 1, 1, 1))
+
+
+@st.composite
+def edge_lists(draw):
+    """A node count and a list of valid, pairwise distinct weighted edges."""
+    n = draw(st.integers(2, 8))
+    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, max_size=12, unique_by=frozenset))
+    weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(pairs), max_size=len(pairs)))
+    return n, [(i, j, w) for (i, j), w in zip(pairs, weights)]
+
+
+@st.composite
+def edge_lists_with_one_bad_edge(draw):
+    """A valid edge list with one invalid edge inserted; returns it and its index."""
+    n, edges = draw(edge_lists())
+    kinds = ["self-loop", "range", "weight"] + (["duplicate"] if edges else [])
+    kind = draw(st.sampled_from(kinds))
+    lo = 0
+    if kind == "self-loop":
+        i = draw(st.integers(1, n))
+        bad = (i, i, 1.0)
+    elif kind == "range":
+        outside = draw(st.sampled_from([0, -1, n + 1, n + 7]))
+        bad = (outside, 1, 1.0) if draw(st.booleans()) else (1, outside, 1.0)
+    elif kind == "weight":
+        bad = (1, 2, draw(st.sampled_from([0.0, -1.5, math.inf, -math.inf, math.nan])))
+    else:  # a duplicate counts as bad only after the edge it repeats
+        lo = draw(st.integers(0, len(edges) - 1)) + 1
+        i, j, _ = edges[lo - 1]
+        bad = (j, i, 2.0) if draw(st.booleans()) else (i, j, 2.0)
+    k = draw(st.integers(lo, len(edges)))
+    return n, edges[:k] + [bad] + edges[k:], k
+
+
+def edge_list_text(n, edges, comments):
+    """Edge-list text with ``# ...`` lines before the edges flagged in ``comments``;
+    returns the text and the line number of every edge."""
+    rows, lines = ["# generated", str(n)], []
+    for (i, j, w), comment in zip(edges, comments):
+        if comment:
+            rows.append("# next edge")
+        rows.append(f"{i} {j} {w!r}")
+        lines.append(len(rows))
+    return "\n".join(rows) + "\n", lines
+
+
+class TestSharedEdgeValidator:
+    @settings(max_examples=150, deadline=None)
+    @given(edge_lists_with_one_bad_edge(), st.data())
+    def test_parser_names_the_bad_line_with_the_graph_message(self, case, data):
+        n, edges, k = case
+        comments = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        text, lines = edge_list_text(n, edges, comments)
+        with pytest.raises(GraphFormatError) as parsed:
+            nc.from_edge_list(text)
+        with pytest.raises(GraphFormatError) as direct:
+            nc.WeightedGraph(n, tuple(edges))
+        assert parsed.value.line_number == lines[k]
+        assert direct.value.line_number == 0
+        assert str(parsed.value) == str(direct.value).replace("line 0:", f"line {lines[k]}:", 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_lists(), st.data())
+    def test_valid_lists_round_trip(self, case, data):
+        n, edges = case
+        comments = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        text, _ = edge_list_text(n, edges, comments)
+        assert nc.from_edge_list(text) == nc.WeightedGraph(n, tuple(edges))
+
+
 class TestEdgeListParsing:
     def test_path_of_three(self):
         g = nc.from_edge_list("3\n1 2 1.0\n2 3 1.0")
@@ -119,6 +239,36 @@ class TestEdgeListParsing:
     def test_empty_text(self):
         with pytest.raises(GraphFormatError):
             nc.from_edge_list("# nothing\n")
+
+    @pytest.mark.parametrize(
+        "text,lineno,fragment",
+        [
+            ("4\n1 2 1.0\n3 3 1.0\n2 3 1.0\n1 2 x\n", 3, "self-loop"),
+            ("4\n1 2 1.0\n1 2 x\n2 3 1.0\n3 3 1.0\n", 3, "malformed"),
+            ("4\n1 2 1.0\n2 1 1.0\n2 3\n", 3, "duplicate"),
+            ("0\n1 2 1.0\n", 1, "node count must be positive"),
+        ],
+    )
+    def test_first_offending_line_is_named(self, text, lineno, fragment):
+        # edge checks run after parsing, yet a bad edge above a malformed
+        # line is still the one reported
+        with pytest.raises(GraphFormatError) as err:
+            nc.from_edge_list(text)
+        assert err.value.line_number == lineno
+        assert fragment in str(err.value)
+
+    def test_edges_are_checked_once_per_parse(self, monkeypatch):
+        calls = []
+        check = graphs._canonical_edges
+        monkeypatch.setattr(graphs, "_canonical_edges", lambda *args: calls.append(1) or check(*args))
+        nc.from_edge_list("3\n1 2 1.0\n2 3 1.0\n")
+        assert len(calls) == 1
+
+    def test_graph_errors_give_the_edge_index(self):
+        with pytest.raises(GraphFormatError) as err:
+            nc.WeightedGraph(4, ((1, 2, 1.0), (2, 3, 1.0), (4, 4, 1.0)))
+        assert (err.value.line_number, err.value.edge_index) == (0, 2)
+        assert err.value.message == "self-loop at node 4"
 
 
 class TestLaplacian:

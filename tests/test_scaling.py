@@ -5,7 +5,11 @@ import pytest
 
 import netcoh as nc
 from netcoh.errors import FitError, InvalidParameterError
-from netcoh.scaling import family_spectrum, write_scaling_csv
+from netcoh.graphs import build_family
+from netcoh.scaling import FAMILIES, family_spectrum, write_scaling_csv
+
+# one size per family (the lattice side for a torus)
+DENSE_CHECK_SIZES = {"path": 200, "ring": 256, "complete": 64, "torus1": 50, "torus2": 7, "torus3": 5}
 
 
 class TestFitExponent:
@@ -34,18 +38,11 @@ class TestFamilySpectrum:
         with pytest.raises(InvalidParameterError):
             family_spectrum("star", 8, 1.0)
 
-    @pytest.mark.parametrize(
-        "family,size,builder",
-        [
-            ("ring", 256, lambda: nc.build_ring(256, 1.0)),
-            ("path", 200, lambda: nc.build_path(200, 1.0)),
-            ("complete", 64, lambda: nc.build_complete(64, 1.0)),
-            ("torus2", 7, lambda: nc.build_torus(7, 2, 1.0)),
-        ],
-    )
-    def test_against_dense_eigensolver(self, family, size, builder):
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_against_dense_eigensolver(self, family):
+        size = DENSE_CHECK_SIZES[family]
         analytic = family_spectrum(family, size, 1.0)
-        numeric = nc.spectrum(builder())
+        numeric = nc.spectrum(build_family(family, size, 1.0))
         assert np.allclose(analytic.eigenvalues, numeric.eigenvalues, atol=1e-8)
 
 
