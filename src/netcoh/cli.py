@@ -19,7 +19,7 @@ from .simulate import (
     SCENARIOS,
     SimConfig,
     empirical_variance,
-    run_scenario,
+    scenario_config,
     simulate_em,
     write_trajectory_csv,
 )
@@ -87,14 +87,9 @@ def cmd_variance(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.scenario:
-        traj = run_scenario(
-            args.scenario,
-            seed=args.seed,
-            dt=args.dt,
-            horizon=args.horizon,
-            burn_in=args.burn_in,
-            noise_intensity=args.noise_intensity,
-            record_every=args.record_every,
+        system, cfg = scenario_config(
+            args.scenario, args.seed, dt=args.dt, horizon=args.horizon, burn_in=args.burn_in,
+            noise_intensity=args.noise_intensity, record_every=args.record_every,
         )
     else:
         graph = _build_graph(args)
@@ -102,15 +97,9 @@ def cmd_simulate(args) -> int:
         if args.dt is None or args.horizon is None:
             raise InvalidParameterError("--dt and --horizon are required without --scenario")
         system = assemble(graph, kind, gains)
-        cfg = SimConfig(
-            dt=args.dt,
-            horizon=args.horizon,
-            seed=args.seed,
-            burn_in=args.burn_in,
-            noise_intensity=args.noise_intensity,
-            record_every=args.record_every or 1,
-        )
-        traj = simulate_em(system, cfg)
+        cfg = SimConfig(args.dt, args.horizon, args.seed, args.burn_in, args.noise_intensity,
+                        record_every=args.record_every or 1)
+    traj = simulate_em(system, cfg)
     print(f"empirical_vn,{empirical_variance(traj)!r}")
     if args.out:
         with open(args.out, "w") as stream:

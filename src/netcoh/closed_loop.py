@@ -121,7 +121,8 @@ class ClosedLoopSystem:
 
     States are stacked as x-block, v-block and (for dapi/fdpd) the auxiliary
     block; B injects unit-intensity noise into the v-block and C maps x to
-    its deviation from the network average.
+    its deviation from the network average.  :func:`assemble` also keeps the
+    Laplacian ``lap`` and ``coefficients`` table (the modal structure).
     """
 
     a: np.ndarray
@@ -129,6 +130,8 @@ class ClosedLoopSystem:
     c: np.ndarray
     kind: str
     n: int
+    lap: np.ndarray | None = None
+    coefficients: np.ndarray | None = None
 
     @property
     def state_dim(self) -> int:
@@ -184,14 +187,19 @@ def assemble(graph: WeightedGraph, kind: str, gains) -> ClosedLoopSystem:
     Noise enters the v-block and the output is the x-block's deviation from
     the network average.
     """
-    alpha, beta = _coefficient_table(kind, gains)
+    table = _coefficient_table(kind, gains)
     require_connected(graph)
     n = graph.node_count
     lap = laplacian(graph)
-    eye = np.eye(n)
-    a = np.block([[al * eye + be * lap for al, be in zip(*rows)] for rows in zip(alpha, beta)])
+    a = _block_matrix(table, lap)
     b = np.eye(a.shape[0], n, -n)  # noise enters the v-block
-    return ClosedLoopSystem(a, b, _centering_output(n, a.shape[0]), kind, n)
+    return ClosedLoopSystem(a, b, _centering_output(n, a.shape[0]), kind, n, lap, table)
+
+
+def _block_matrix(table: np.ndarray, lap: np.ndarray) -> np.ndarray:
+    """Closed-loop matrix with blocks ``alpha[i, j] * I + beta[i, j] * L``."""
+    eye = np.eye(len(lap))
+    return np.block([[al * eye + be * lap for al, be in zip(*rows)] for rows in zip(*table)])
 
 
 def assemble_p(graph: WeightedGraph, gains: PGains) -> ClosedLoopSystem:

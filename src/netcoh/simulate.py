@@ -10,6 +10,18 @@ perturbation first when requested, then one length-N vector per step), so a
 given (system, config) pair reproduces bit-identical trajectories and
 trajectories are comparable in distribution across implementations.
 
+One kernel steps every run.  An assembled loop is block-diagonal in the
+Laplacian eigenbasis ``L = U diag(lam) U^T``: mode k is ``A_k = alpha + beta
+lam_k`` from the controller's coefficient table (d = 2 or 3), its noise is
+``sigma sqrt(dt) (xi U)_k`` (the same draws, rotated by one GEMM per chunk),
+and ``||y||^2`` sums ``x_hat_k^2`` over every mode but the network average,
+which so leaves the statistic exactly.  A hand-built loop is one mode of size
+dim with ``U = I``.  Blocks of BLOCK steps are one batched GEMM over the modes
+with the map built from the powers of ``M_k = I + dt A_k`` and its impulse
+response (state-space form: a transfer-function filter loses DAPI's slow pole
+near 1), so Python loops once per block.  BLOCK is fixed and every step is
+computed, so no state depends on ``record_every`` or ``accumulate_every``.
+
 Note on step sizes: for a lightly damped oscillatory mode with eigenvalue xi
 the scheme inflates the stationary variance by roughly |xi|^2 dt / (2|Re xi|),
 which is far more restrictive than the stability limit when |Im xi| >> |Re xi|.
@@ -21,6 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +41,7 @@ from .closed_loop import (
     ClosedLoopSystem,
     FdpdGains,
     PGains,
+    _block_matrix,
     assemble,
     droop_preset,
     power_preset,
@@ -58,7 +72,8 @@ __all__ = [
 INIT_ZERO = "zero"
 INIT_FREQUENCY_PERTURBATION = "random_frequency_perturbation"
 
-_NOISE_CHUNK = 4096
+BLOCK = 32  # EM steps per kernel block: a constant, so no state depends on a stride
+_NOISE_CHUNK = 1024  # steps drawn per generator call, at most 2^22 draws in all
 
 
 @dataclass(frozen=True)
@@ -109,24 +124,57 @@ class Trajectory:
         return int(self.states.shape[1])
 
 
-def _stable_eigs(system: ClosedLoopSystem) -> tuple[np.ndarray, float]:
+class _Modes(NamedTuple):
+    """The loop as K decoupled modes of size d (see the module docstring)."""
+
+    basis: np.ndarray  # (N, K): modal components to state blocks
+    a: np.ndarray  # (K, d, d) mode matrices
+    inject: np.ndarray  # (K, d, r) noise input of a step: r = 1 rotated draw per mode, or all N
+    output: np.ndarray  # (K, d, p): ||y||^2 is the squared norm of the outputs of all modes
+
+
+def _modes(system: ClosedLoopSystem) -> _Modes:
+    if system.lap is None or not np.array_equal(system.a, _block_matrix(system.coefficients, system.lap)):
+        # hand-built, or ``a`` replaced since assembly: one mode of size dim, U = I
+        return _Modes(np.ones((1, 1)), system.a[None], system.b[None], system.c.T[None])
+    lam, basis = np.linalg.eigh(system.lap)
+    lam[0] = 0.0  # the network average; assemble admits connected graphs only
+    alpha, beta = system.coefficients
+    inject = np.zeros((system.n, len(alpha), 1))
+    inject[:, 1] = 1.0  # noise enters v
+    output = np.zeros_like(inject)
+    output[1:, 0] = 1.0  # y sees x of every mode but the network average
+    return _Modes(basis, alpha + beta * lam[:, None, None], inject, output)
+
+
+def _stable_eigs(system: ClosedLoopSystem, modes: _Modes) -> np.ndarray:
+    """Strictly stable closed-loop eigenvalues.
+
+    Dense eigenvalues within ``tol = 1e-6 * max(1, |xi|max)`` of the axis are
+    not resolved and are dropped.  The modes resolve them: in every mode but
+    mode 0 (the network average; all of a hand-built loop) they are kept at
+    their per-mode values and must have ``Re xi < 0``.
+    """
     eigs = np.linalg.eigvals(system.a)
-    scale = max(1.0, float(np.abs(eigs).max()))
-    tol = 1e-6 * scale
+    tol = 1e-6 * max(1.0, float(np.abs(eigs).max()))
     if np.any(eigs.real > tol):
         raise InstabilityError(
             f"closed loop is unstable (max eigenvalue real part {eigs.real.max():.3e})"
         )
-    stable = eigs[eigs.real < -tol]
+    slow = np.linalg.eigvals(modes.a[1:])
+    slow = np.where(np.abs(slow.real) <= tol, slow, np.nan)
+    marginal = np.flatnonzero(np.any(slow.real >= 0.0, axis=1))
+    if marginal.size:
+        raise InstabilityError(f"mode {marginal[0] + 2} is not strictly stable")
+    stable = np.concatenate([eigs[eigs.real < -tol], slow[~np.isnan(slow)]])
     if stable.size == 0:
         raise InstabilityError("closed loop has no strictly stable dynamics")
-    return stable, tol
+    return stable
 
 
 def slowest_time_constant(system: ClosedLoopSystem) -> float:
     """1 / min |Re xi| over the strictly stable closed-loop eigenvalues."""
-    stable, _ = _stable_eigs(system)
-    return float(1.0 / np.abs(stable.real).min())
+    return float(1.0 / np.abs(_stable_eigs(system, _modes(system)).real).min())
 
 
 def recommended_step(system: ClosedLoopSystem, bias_budget: float = 0.02) -> float:
@@ -135,94 +183,114 @@ def recommended_step(system: ClosedLoopSystem, bias_budget: float = 0.02) -> flo
     Uses dt = budget * min(2|Re xi| / |xi|^2) over stable modes, additionally
     capped below the 0.1 / max|Re xi| accuracy warning threshold.
     """
-    stable, _ = _stable_eigs(system)
-    variance_cap = bias_budget * float(
-        (2.0 * np.abs(stable.real) / np.abs(stable) ** 2).min()
-    )
+    stable = _stable_eigs(system, _modes(system))
+    variance_cap = bias_budget * float((2.0 * np.abs(stable.real) / np.abs(stable) ** 2).min())
     warn_cap = 0.099 / float(np.abs(stable.real).max())
     return min(variance_cap, warn_cap)
 
 
-def default_burn_in(system: ClosedLoopSystem, horizon: float) -> float:
-    """Five slowest time constants, capped at half the horizon."""
-    return min(5.0 * slowest_time_constant(system), 0.5 * horizon)
+def _initial_state(system: ClosedLoopSystem, cfg: SimConfig, rng) -> np.ndarray:
+    init, n, dim = cfg.initial_state, system.n, system.state_dim
+    if not isinstance(init, str):
+        state = np.array(init, dtype=float)
+        if state.shape != (dim,):
+            raise InvalidParameterError(f"initial state must have shape ({dim},), got {state.shape}")
+        return state
+    if init not in (INIT_ZERO, INIT_FREQUENCY_PERTURBATION):
+        raise InvalidParameterError(f"unknown initial-state preset {init!r}")
+    state = np.zeros(dim)
+    if init == INIT_FREQUENCY_PERTURBATION:
+        state[n : 2 * n] = cfg.perturbation_scale * rng.standard_normal(n)
+    return state
 
 
-def _em_setup(system: ClosedLoopSystem, cfg: SimConfig):
-    """Step-size check and the fixed parts of the scheme: fastest |Re xi|,
-    step count, step matrix I + A dt, noise scale and burn-in."""
-    stable, _ = _stable_eigs(system)
+def _block_operator(step: np.ndarray, inject: np.ndarray) -> np.ndarray:
+    """(K, d + BLOCK r, BLOCK d) map of a mode's row ``[s_0, w_1 .. w_B]`` to
+    ``[s_1 .. s_B]``: the EM step ``s_j = M s_(j-1) + E w_j`` run on unit rows."""
+    k, d, r = inject.shape
+    op = np.empty((k, d + BLOCK * r, BLOCK * d))
+    s = np.broadcast_to(np.eye(d + BLOCK * r, d), op.shape[:2] + (d,))
+    for j in range(BLOCK):
+        s = s @ step.transpose(0, 2, 1)
+        s[:, d + j * r : d + (j + 1) * r] += inject.transpose(0, 2, 1)
+        op[:, :, j * d : (j + 1) * d] = s
+    return op
+
+
+def _em_blocks(system: ClosedLoopSystem, cfg: SimConfig, seeds, warn: bool = False):
+    """Checks and set-up of the EM kernel: ``(modes, steps, burn_in, initial
+    states, blocks)``, where ``blocks`` yields ``(first, modal states (K, S,
+    m, d) of steps first + 1 .. first + m)``."""
+    modes = _modes(system)
+    stable = _stable_eigs(system, modes)
     fastest = float(np.abs(stable.real).max())
     if cfg.dt * fastest > 1.0:
         raise StepSizeError(
             f"dt * max|Re xi| = {cfg.dt * fastest:.3g} > 1; reduce dt below "
             f"{1.0 / fastest:.3g}"
         )
-    steps = int(round(cfg.horizon / cfg.dt))
-    stepper = np.eye(system.state_dim) + cfg.dt * system.a
-    burn_in = cfg.burn_in if cfg.burn_in is not None else default_burn_in(system, cfg.horizon)
-    return fastest, steps, stepper, cfg.noise_intensity * math.sqrt(cfg.dt), burn_in
-
-
-def _initial_state(system: ClosedLoopSystem, cfg: SimConfig, rng) -> np.ndarray:
-    dim, n = system.state_dim, system.n
-    init = cfg.initial_state
-    if isinstance(init, str):
-        if init == INIT_ZERO:
-            return np.zeros(dim)
-        if init == INIT_FREQUENCY_PERTURBATION:
-            state = np.zeros(dim)
-            state[n : 2 * n] = cfg.perturbation_scale * rng.standard_normal(n)
-            return state
-        raise InvalidParameterError(f"unknown initial-state preset {init!r}")
-    state = np.asarray(init, dtype=float)
-    if state.shape != (dim,):
-        raise InvalidParameterError(
-            f"initial state must have shape ({dim},), got {state.shape}"
+    if warn and cfg.dt * fastest > 0.1:
+        warnings.warn(
+            f"dt * max|Re xi| = {cfg.dt * fastest:.3g} > 0.1; expect noticeable "
+            "discretization bias",
+            stacklevel=3,
         )
-    return state.copy()
+    steps = int(round(cfg.horizon / cfg.dt))
+    burn_in = cfg.burn_in
+    if burn_in is None:  # five slowest time constants, capped at half the horizon
+        burn_in = min(5.0 * float(1.0 / np.abs(stable.real).min()), 0.5 * cfg.horizon)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    states = np.stack([_initial_state(system, cfg, rng) for rng in rngs])
+    (k, d, r), n, n_seeds = modes.inject.shape, system.n, len(rngs)
+    sigma = cfg.noise_intensity * math.sqrt(cfg.dt)
+    op = _block_operator(np.eye(d) + cfg.dt * modes.a, sigma * modes.inject)
+    chunk = BLOCK * max(1, min(_NOISE_CHUNK, (1 << 22) // (n * n_seeds)) // BLOCK)
+
+    def blocks():
+        draws = np.empty(n_seeds * chunk * n)
+        rotated = np.empty_like(draws) if r == 1 else None
+        rows = np.empty((k, n_seeds, d + BLOCK * r))
+        rows[:, :, :d] = (states.reshape(n_seeds, d, -1) @ modes.basis).transpose(2, 0, 1)
+        for done in range(0, steps, chunk):
+            size = min(chunk, steps - done)
+            xi = draws[: n_seeds * size * n].reshape(n_seeds, size, n)
+            for rng, out in zip(rngs, xi):
+                rng.standard_normal(out=out)
+            w = xi.reshape(-1, n)
+            if r == 1:  # one draw per mode: xi U
+                w = np.matmul(modes.basis.T, w.T, out=rotated[: w.size].reshape(n, -1))
+            w = w.reshape(k, n_seeds, size * r)
+            for t in range(0, size, BLOCK):
+                m = min(BLOCK, size - t)
+                rows[:, :, d : d + m * r] = w[:, :, t * r : (t + m) * r]
+                block = np.matmul(rows[:, :, : d + m * r], op[:, : d + m * r, : m * d])
+                rows[:, :, :d] = block[:, :, -d:]
+                yield done + t, block.reshape(k, n_seeds, m, d)
+
+    return modes, steps, burn_in, states, blocks()
 
 
 def simulate_em(system: ClosedLoopSystem, cfg: SimConfig) -> Trajectory:
     """Integrate the closed loop and record a decimated trajectory.
 
+    The one-seed case of the kernel: a block holding a record is mapped back
+    to states, ``x = U x_hat``, as a whole and the records are picked from it.
     Raises :class:`InstabilityError` for unstable dynamics and
     :class:`StepSizeError` when ``dt * max|Re xi| > 1``; a warning is issued
     past ``dt * max|Re xi| > 0.1``.
     """
-    fastest, steps, stepper, sigma, burn_in = _em_setup(system, cfg)
-    if cfg.dt * fastest > 0.1:
-        warnings.warn(
-            f"dt * max|Re xi| = {cfg.dt * fastest:.3g} > 0.1; expect noticeable "
-            "discretization bias",
-            stacklevel=2,
-        )
-
-    n, dim = system.n, system.state_dim
-    rng = np.random.default_rng(cfg.seed)
-    state = _initial_state(system, cfg, rng)
-
-    n_records = 1 + steps // cfg.record_every
-    records = np.empty((n_records, dim))
-    times = np.empty(n_records)
-    records[0] = state
-    times[0] = 0.0
-    row = 1
-
-    k = 0
-    while k < steps:
-        chunk = min(_NOISE_CHUNK, steps - k)
-        noise = rng.standard_normal((chunk, n))
-        for step_row in range(chunk):
-            state = stepper @ state
-            if sigma != 0.0:
-                state[n : 2 * n] += sigma * noise[step_row]
-            k += 1
-            if k % cfg.record_every == 0:
-                records[row] = state
-                times[row] = k * cfg.dt
-                row += 1
-
+    modes, steps, burn_in, states, blocks = _em_blocks(system, cfg, [cfg.seed], warn=True)
+    n, every = system.n, cfg.record_every
+    records = np.empty((1 + steps // every, system.state_dim))
+    records[0] = states[0]
+    for first, block in blocks:
+        k, _, m, d = block.shape
+        at = np.flatnonzero((first + 1 + np.arange(m)) % every == 0)
+        if at.size:
+            full = (modes.basis @ block[:, 0].reshape(k, m * d)).reshape(-1, m, d)
+            row = (first + 1 + at[0]) // every
+            records[row : row + at.size] = full.transpose(1, 2, 0).reshape(m, -1)[at]
+    times = (np.arange(len(records)) * every) * cfg.dt
     x = records[:, :n]
     output_y = x - x.mean(axis=1, keepdims=True)
     return Trajectory(times=times, states=records, output_y=output_y, n=n, burn_in=burn_in)
@@ -247,50 +315,32 @@ def ensemble_variance(
     seeds,
     accumulate_every: int = 10,
 ) -> np.ndarray:
-    """Per-seed empirical variances from independent runs stepped in lockstep.
+    """Per-seed empirical variances of independent runs stepped together.
 
-    Each seed keeps its own generator and consumes noise in the same order as
-    :func:`simulate_em`, so the runs are the independent-seed simulations of
-    the concurrency contract merged by seed order; they are only propagated
-    together as one matrix recurrence for speed.  ``||y||^2 / N`` is
-    accumulated online every ``accumulate_every``-th step past burn-in, so no
-    trajectories are stored.
+    Each seed keeps its own PCG64 generator and draws exactly what
+    :func:`simulate_em` draws for it, in the same order, so the runs are the
+    independent-seed simulations merged by seed order, stepped by the modal
+    block kernel of the module docstring.  ``||y||^2 / N``, the sum of
+    ``x_hat_k^2`` over every mode but the network average, is accumulated
+    every ``accumulate_every``-th step past burn-in; no trajectory is stored,
+    and no state depends on ``accumulate_every``.
     """
     seeds = list(seeds)
     if not seeds:
         raise InvalidParameterError("need at least one seed")
-    _, steps, stepper, sigma, burn_in = _em_setup(system, cfg)
-    n = system.n
-
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    states = np.column_stack(
-        [_initial_state(system, cfg, rng) for rng in rngs]
-    )
-    n_seeds = len(seeds)
-    scratch = np.empty_like(states)
-    acc = np.zeros(n_seeds)
-    count = 0
-    k = 0
-    chunk_size = max(1, min(_NOISE_CHUNK, (1 << 22) // max(1, n * n_seeds)))
-    while k < steps:
-        chunk = min(chunk_size, steps - k)
-        noise = np.stack([rng.standard_normal((chunk, n)) for rng in rngs], axis=2)
-        if sigma != 0.0:
-            noise *= sigma
-        for step_row in range(chunk):
-            np.matmul(stepper, states, out=scratch)
-            states, scratch = scratch, states
-            if sigma != 0.0:
-                states[n : 2 * n] += noise[step_row]
-            k += 1
-            if k % accumulate_every == 0 and k * cfg.dt > burn_in:
-                x = states[:n]
-                y = x - x.mean(axis=0, keepdims=True)
-                acc += np.sum(y * y, axis=0)
-                count += 1
+    modes, _, burn_in, _, blocks = _em_blocks(system, cfg, seeds)
+    acc, count = np.zeros(len(seeds)), 0
+    for first, block in blocks:
+        k, n_seeds, m, d = block.shape
+        step = first + 1 + np.arange(m)
+        at = np.flatnonzero((step % accumulate_every == 0) & (step * cfg.dt > burn_in))
+        if at.size:
+            y = np.matmul(block[:, :, at].reshape(k, -1, d), modes.output).reshape(k, n_seeds, -1)
+            acc += (y * y).sum(axis=(0, 2))
+            count += at.size
     if count == 0:
         raise WindowError(f"no accumulation samples after burn-in {burn_in:.6g}")
-    return acc / (count * n)
+    return acc / (count * system.n)
 
 
 # ---------------------------------------------------------------------------
@@ -346,38 +396,12 @@ def scenario_config(
     horizon = default_horizon if horizon is None else horizon
     if record_every is None:
         record_every = max(1, int(round(horizon / dt)) // 50_000)
-    cfg = SimConfig(
-        dt=dt,
-        horizon=horizon,
-        seed=seed,
-        burn_in=burn_in,
-        noise_intensity=noise_intensity,
-        initial_state=init,
-        record_every=record_every,
-    )
-    return system, cfg
+    return system, SimConfig(dt, horizon, seed, burn_in, noise_intensity, init, record_every=record_every)
 
 
-def run_scenario(
-    name: str,
-    seed: int,
-    dt: float | None = None,
-    horizon: float | None = None,
-    burn_in: float | None = None,
-    noise_intensity: float = 1.0,
-    record_every: int | None = None,
-) -> Trajectory:
-    """Simulate a named scenario with its default step and horizon."""
-    system, cfg = scenario_config(
-        name,
-        seed,
-        dt=dt,
-        horizon=horizon,
-        burn_in=burn_in,
-        noise_intensity=noise_intensity,
-        record_every=record_every,
-    )
-    return simulate_em(system, cfg)
+def run_scenario(name: str, seed: int, **options) -> Trajectory:
+    """Simulate a named scenario; ``options`` are those of :func:`scenario_config`."""
+    return simulate_em(*scenario_config(name, seed, **options))
 
 
 def write_trajectory_csv(

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .closed_loop import (
     KIND_DAPI,
@@ -341,6 +340,8 @@ def full_variance(
         raise OracleSizeError(
             f"system has N={system.n} nodes, full oracle capped at {size_limit}"
         )
+    import scipy.linalg  # its only user: importing it costs most of `import netcoh`
+
     n = system.n
     blocks = system.state_dim // n
     w = _mean_deflation_basis(n)

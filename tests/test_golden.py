@@ -9,9 +9,10 @@ The ring, path and torus ``scale_*`` sweeps, the torus and full-oracle
 ``variance`` cases and ``tune_path12_dapi`` were captured from the per-family
 dispatch that the family table in ``graphs.py`` replaced.
 
-Regenerate a file only for a deliberate output change::
+Regenerate files only for a deliberate output change: the entry point
+writes the named cases, or every case when none is named::
 
-    PYTHONPATH=src python tests/test_golden.py tests/data/golden
+    PYTHONPATH=src python tests/test_golden.py tests/data/golden [CASE ...]
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import io
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -105,11 +107,20 @@ def test_cli_output_matches_golden(name, tmp_path):
     assert run_case(name, tmp_path) == expected
 
 
+def test_regenerate_writes_only_the_named_cases(tmp_path):
+    subprocess.run([sys.executable, __file__, str(tmp_path), "scale_complete_p"], check=True)
+    assert [path.name for path in tmp_path.iterdir()] == ["scale_complete_p.csv"]
+    assert (tmp_path / "scale_complete_p.csv").read_text() == (GOLDEN_DIR / "scale_complete_p.csv").read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 
-    target = Path(sys.argv[1])
+    target, names = Path(sys.argv[1]), sys.argv[2:] or list(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown cases: {', '.join(unknown)}")
     target.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for case in CASES:
+        for case in names:
             (target / f"{case}.csv").write_text(run_case(case, Path(tmp)))

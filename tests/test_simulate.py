@@ -1,16 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import netcoh as nc
+from netcoh import simulate
+from netcoh.closed_loop import modal_matrices
 from netcoh.errors import (
     InstabilityError,
     InvalidParameterError,
     StepSizeError,
     WindowError,
 )
-from netcoh.simulate import SCENARIOS, scenario_system, write_trajectory_csv
+from netcoh.simulate import BLOCK, SCENARIOS, scenario_system, write_trajectory_csv
+
+from conftest import random_connected_graph, random_gains
 
 
 def small_system():
@@ -233,3 +238,151 @@ class TestTrajectoryCsv:
             + [f"v_{i}" for i in range(1, 11)]
             + [f"z_{i}" for i in range(1, 11)]
         )
+
+
+def reference_em(system, cfg, seed, every, burn_in):
+    """The dense per-step loop the modal block kernel replaced.
+
+    Steps ``I + A dt`` once per step with one length-N draw per step, records
+    every ``every``-th state and averages ``||x - mean(x)||^2 / N`` over those
+    past ``burn_in``.
+    """
+    n, dim = system.n, system.state_dim
+    steps = int(round(cfg.horizon / cfg.dt))
+    stepper = np.eye(dim) + cfg.dt * system.a
+    sigma = cfg.noise_intensity * math.sqrt(cfg.dt)
+    rng = np.random.default_rng(seed)
+    state = simulate._initial_state(system, cfg, rng)
+    noise = rng.standard_normal((steps, n))
+    records, acc, count = [state], 0.0, 0
+    for k in range(1, steps + 1):
+        state = stepper @ state
+        if sigma != 0.0:
+            state[n : 2 * n] += sigma * noise[k - 1]
+        if k % every == 0:
+            records.append(state)
+            if k * cfg.dt > burn_in:
+                y = state[:n] - state[:n].mean()
+                acc += y @ y
+                count += 1
+    return np.array(records), acc / (count * n)
+
+
+def _kernel_graphs():
+    rng = np.random.default_rng(2024)
+    return [
+        nc.build_ring(7, 1.0),
+        nc.build_path(6, 1.3),
+        nc.build_complete(5, 0.7),
+        nc.build_torus(3, 2, 1.1),
+    ] + [random_connected_graph(rng, max_nodes=9) for _ in range(3)]
+
+
+KERNEL_CASES = [
+    (kind, index, start, every)
+    for kind in ("p", "dapi", "fdpd")
+    for index in range(len(_kernel_graphs()))
+    for start, every in (("zero", 1), ("random_frequency_perturbation", 7), ("vector", 10))
+]
+
+
+def _kernel_case(kind, index, start, noise=1.0):
+    graph = _kernel_graphs()[index]
+    gains = random_gains(np.random.default_rng(index), kind)
+    system = nc.assemble(graph, kind, gains)
+    dt = nc.recommended_step(system)
+    init = start
+    if start == "vector":
+        init = np.random.default_rng(7).standard_normal(system.state_dim)
+    # 5 blocks less 3 steps; the burn-in ends inside the second block
+    steps = 5 * BLOCK - 3
+    cfg = nc.SimConfig(dt=dt, horizon=steps * dt, seed=0, burn_in=(BLOCK + 9.5) * dt,
+                       noise_intensity=noise, initial_state=init, perturbation_scale=1.0)
+    return system, cfg
+
+
+def _close(actual, expected, rtol=1e-9):
+    scale = np.abs(expected).max()
+    return np.abs(actual - expected).max() <= rtol * scale
+
+
+class TestModalBlockKernel:
+    @pytest.mark.parametrize("kind, index, start, every", KERNEL_CASES)
+    def test_matches_dense_reference(self, kind, index, start, every):
+        system, cfg = _kernel_case(kind, index, start)
+        seeds = [11, 12]
+        values = nc.ensemble_variance(system, cfg, seeds, accumulate_every=every)
+        expected = [reference_em(system, cfg, seed, every, cfg.burn_in) for seed in seeds]
+        for value, (_, ref_value) in zip(values, expected):
+            assert value == pytest.approx(ref_value, rel=1e-9)
+        traj = nc.simulate_em(system, dataclasses.replace(cfg, seed=seeds[0], record_every=every))
+        assert traj.states.shape == expected[0][0].shape
+        assert np.array_equal(traj.states[0], expected[0][0][0])
+        assert _close(traj.states, expected[0][0])
+
+    @pytest.mark.parametrize("kind", ["p", "dapi", "fdpd"])
+    def test_without_noise(self, kind):
+        system, cfg = _kernel_case(kind, 0, "zero", noise=0.0)
+        assert np.array_equal(nc.ensemble_variance(system, cfg, [1, 2], accumulate_every=7), [0.0, 0.0])
+        system, cfg = _kernel_case(kind, 1, "random_frequency_perturbation", noise=0.0)
+        states, value = reference_em(system, cfg, 3, 1, cfg.burn_in)
+        assert nc.ensemble_variance(system, dataclasses.replace(cfg, seed=3), [3], accumulate_every=1)[0] == (
+            pytest.approx(value, rel=1e-9))
+        assert _close(nc.simulate_em(system, dataclasses.replace(cfg, seed=3)).states, states)
+
+    def test_hand_built_system_takes_the_same_kernel(self, monkeypatch):
+        base = small_system()
+        hand = nc.ClosedLoopSystem(base.a, base.b, base.c, base.kind, base.n)
+        seen = []
+        kernel = simulate._em_blocks
+        monkeypatch.setattr(simulate, "_em_blocks", lambda *a, **k: seen.append(kernel(*a, **k)) or seen[-1])
+        cfg = nc.SimConfig(dt=0.01, horizon=1.37, seed=4, burn_in=0.205, initial_state="random_frequency_perturbation")
+        hand_values = nc.ensemble_variance(hand, cfg, [4, 5], accumulate_every=3)
+        modal_values = nc.ensemble_variance(base, cfg, [4, 5], accumulate_every=3)
+        traj = nc.simulate_em(hand, cfg)
+        assert [run[0].a.shape for run in seen] == [(1, 8, 8), (4, 2, 2), (1, 8, 8)]
+        states, _ = reference_em(hand, cfg, 4, 1, cfg.burn_in)
+        assert _close(traj.states, states)
+        for seed, value, modal in zip([4, 5], hand_values, modal_values):
+            _, expected = reference_em(hand, cfg, seed, 3, cfg.burn_in)
+            assert value == pytest.approx(expected, rel=1e-9)
+            assert modal == pytest.approx(expected, rel=1e-9)
+
+    def test_replaced_matrix_is_simulated_as_given(self):
+        base = small_system()
+        changed = dataclasses.replace(base, a=0.5 * base.a)
+        cfg = nc.SimConfig(dt=0.01, horizon=0.77, seed=2, initial_state="random_frequency_perturbation")
+        states, _ = reference_em(changed, cfg, 2, 1, 0.0)
+        assert _close(nc.simulate_em(changed, cfg).states, states)
+
+    def test_window_inside_the_last_partial_block(self):
+        system = small_system()
+        steps = 3 * BLOCK + 5
+        cfg = nc.SimConfig(dt=0.01, horizon=steps * 0.01, seed=0, burn_in=(steps - 1) * 0.01)
+        values = nc.ensemble_variance(system, cfg, [8], accumulate_every=1)
+        assert values[0] == pytest.approx(reference_em(system, cfg, 8, 1, cfg.burn_in)[1], rel=1e-9)
+        with pytest.raises(WindowError):
+            nc.ensemble_variance(system, cfg, [8], accumulate_every=10)
+
+
+class TestSlowModes:
+    def test_slowest_visible_mode_of_the_large_power_network(self):
+        system, kind, gains = scenario_system("dapi_path_100")
+        lam = nc.spectrum(nc.build_path(100, 1.0)).eigenvalues
+        eigs = np.linalg.eigvals(modal_matrices(kind, gains, lam[1:]))
+        expected = 1.0 / np.abs(eigs.real).min()
+        assert expected > 1.8e6
+        assert nc.slowest_time_constant(system) == pytest.approx(expected, rel=1e-9)
+
+    def test_marginal_network_average_is_dropped(self):
+        # droop control (f0 = 0): the network average drifts, every other mode decays
+        system, _, gains = scenario_system("p_path_10")
+        lam = nc.spectrum(nc.build_path(10, 1.0)).eigenvalues
+        eigs = np.linalg.eigvals(modal_matrices("p", gains, lam))
+        visible = np.concatenate([eigs[0][eigs[0].real < -1e-9], eigs[1:].ravel()])
+        assert nc.slowest_time_constant(system) == pytest.approx(1.0 / np.abs(visible.real).min(), rel=1e-12)
+
+    def test_marginal_relative_mode_is_unstable(self):
+        system = nc.assemble_p(nc.build_ring(6, 1.0), nc.PGains(f=0.0, g=1.0, f0=0.0, g0=1.0))
+        with pytest.raises(InstabilityError, match="mode 2 is not strictly stable"):
+            nc.slowest_time_constant(system)

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -439,3 +441,10 @@ class TestDisconnectedGraph:
         spec = nc.spectrum(nc.from_edge_list(TWO_PATHS))
         with pytest.raises(nc.DisconnectedGraphError):
             call(spec)
+
+
+def test_import_leaves_scipy_linalg_out():
+    # only the full oracle needs scipy.linalg, and it is most of the import time
+    code = "import sys, netcoh, netcoh.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
