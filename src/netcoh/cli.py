@@ -13,7 +13,7 @@ import numpy as np
 from . import __version__
 from .closed_loop import KIND_DAPI, assemble, parse_gains_config
 from .errors import CoherenceError, InvalidParameterError
-from .graphs import FAMILIES, build_family, from_edge_list, spectrum
+from .graphs import FAMILIES, build_family, family_spectrum, from_edge_list, spectrum
 from .scaling import run_scaling, write_scaling_csv
 from .simulate import (
     SCENARIOS,
@@ -32,14 +32,22 @@ from .tuning import (
 from .variance import dapi_variance, full_variance, modal_variance, variance_by_kind
 
 
-def _build_graph(args):
-    if args.graph:
-        return from_edge_list(Path(args.graph).read_text())
+def _member(args):
+    """``(family, n, weight)`` of ``--family``, read when no ``--graph`` is given."""
     if not args.family:
         raise InvalidParameterError("provide --graph FILE or --family NAME with --n")
     if args.n is None:
         raise InvalidParameterError("--family requires --n")
-    return build_family(args.family, args.n, args.l)
+    return args.family, args.n, args.l
+
+
+def _build_graph(args):
+    return from_edge_list(Path(args.graph).read_text()) if args.graph else build_family(*_member(args))
+
+
+def _spectrum(args):
+    """A family's closed-form spectrum, or the dense spectrum of a ``--graph`` file."""
+    return spectrum(_build_graph(args)) if args.graph else family_spectrum(*_member(args))
 
 
 def _load_gains(args):
@@ -71,15 +79,14 @@ def _add_graph_args(parser):
 
 
 def cmd_variance(args) -> int:
-    graph = _build_graph(args)
+    source = _build_graph(args) if args.method == "full" else _spectrum(args)
     kind, gains = _load_gains(args)
-    spec = spectrum(graph)
     if args.method == "closed":
-        report = variance_by_kind(spec, kind, gains)
+        report = variance_by_kind(source, kind, gains)
     elif args.method == "modal":
-        report = modal_variance(spec, kind, gains)
+        report = modal_variance(source, kind, gains)
     else:
-        report = full_variance(assemble(graph, kind, gains))
+        report = full_variance(assemble(source, kind, gains))
     with _output(args) as stream:
         stream.write(report.to_csv())
     return 0
@@ -110,16 +117,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    graph = _build_graph(args)
+    spec = _spectrum(args)
     kind, gains = _load_gains(args)
     if kind != KIND_DAPI:
         raise InvalidParameterError("tune optimizes the DAPI averaging gain; use dapi gains")
-    spec = spectrum(graph)
-    cfg = ScalarSearchConfig(
-        bracket_hi=args.bracket_hi,
-        abs_tolerance=args.tol,
-        grid_points=args.grid_points,
-    )
+    cfg = ScalarSearchConfig(bracket_hi=args.bracket_hi, abs_tolerance=args.tol,
+                             grid_points=args.grid_points)
     verdict = classify_c_star(spec, gains).verdict
     c_star, v_star = c_star_numeric(spec, gains, cfg)
 

@@ -65,13 +65,9 @@ def run_scaling(
             value = None
         points.append((spec.node_count, value))
     points = tuple(points)
-
     if window is not None:
-        exponent = fit_exponent(points, window)
-        return ScalingResult(family, kind, points, exponent, window)
-
-    exponent, used = _fit_default_window(points)
-    return ScalingResult(family, kind, points, exponent, used)
+        return ScalingResult(family, kind, points, fit_exponent(points, window), window)
+    return ScalingResult(family, kind, points, *_fit_default_window(points))
 
 
 def _fit_default_window(points):
@@ -112,9 +108,7 @@ def write_scaling_csv(result: ScalingResult, stream) -> None:
     window = result.fit_window
     for n, value in result.points:
         in_window = window is not None and window[0] <= n <= window[1]
-        if value is None:
-            stream.write(f"{n},,false,{str(in_window).lower()}\n")
-        else:
-            stream.write(f"{n},{value!r},true,{str(in_window).lower()}\n")
+        cells = ",false" if value is None else f"{value!r},true"
+        stream.write(f"{n},{cells},{str(in_window).lower()}\n")
     if result.fitted_exponent is not None:
         stream.write(f"exponent,{result.fitted_exponent!r},,\n")

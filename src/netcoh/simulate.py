@@ -19,7 +19,8 @@ which so leaves the statistic exactly.  A hand-built loop is one mode of size
 dim with ``U = I``.  Blocks of BLOCK steps are one batched GEMM over the modes
 with the map built from the powers of ``M_k = I + dt A_k`` and its impulse
 response (state-space form: a transfer-function filter loses DAPI's slow pole
-near 1), so Python loops once per block.  BLOCK is fixed and every step is
+near 1), so Python loops once per block.  Blocks are shorter only where a
+mode's map would pass 2^16 numbers (large hand-built loops); every step is
 computed, so no state depends on ``record_every`` or ``accumulate_every``.
 
 Note on step sizes: for a lightly damped oscillatory mode with eigenvalue xi
@@ -147,26 +148,23 @@ def _modes(system: ClosedLoopSystem) -> _Modes:
     return _Modes(basis, alpha + beta * lam[:, None, None], inject, output)
 
 
-def _stable_eigs(system: ClosedLoopSystem, modes: _Modes) -> np.ndarray:
-    """Strictly stable closed-loop eigenvalues.
+def _stable_eigs(modes: _Modes) -> np.ndarray:
+    """Strictly stable closed-loop eigenvalues, from the mode stack alone.
 
-    Dense eigenvalues within ``tol = 1e-6 * max(1, |xi|max)`` of the axis are
-    not resolved and are dropped.  The modes resolve them: in every mode but
-    mode 0 (the network average; all of a hand-built loop) they are kept at
-    their per-mode values and must have ``Re xi < 0``.
+    Mode 0 (the network average; all of a hand-built loop) drops the
+    eigenvalues within ``tol = 1e-6 * max(1, |xi|max)`` of the axis and
+    raises above it; every other mode must have ``Re xi < 0``.
     """
-    eigs = np.linalg.eigvals(system.a)
+    eigs = np.linalg.eigvals(modes.a)
     tol = 1e-6 * max(1.0, float(np.abs(eigs).max()))
     if np.any(eigs.real > tol):
         raise InstabilityError(
             f"closed loop is unstable (max eigenvalue real part {eigs.real.max():.3e})"
         )
-    slow = np.linalg.eigvals(modes.a[1:])
-    slow = np.where(np.abs(slow.real) <= tol, slow, np.nan)
-    marginal = np.flatnonzero(np.any(slow.real >= 0.0, axis=1))
+    marginal = np.flatnonzero(np.any(eigs[1:].real >= 0.0, axis=1))
     if marginal.size:
         raise InstabilityError(f"mode {marginal[0] + 2} is not strictly stable")
-    stable = np.concatenate([eigs[eigs.real < -tol], slow[~np.isnan(slow)]])
+    stable = np.concatenate([eigs[0][eigs[0].real < -tol], eigs[1:].ravel()])
     if stable.size == 0:
         raise InstabilityError("closed loop has no strictly stable dynamics")
     return stable
@@ -174,7 +172,7 @@ def _stable_eigs(system: ClosedLoopSystem, modes: _Modes) -> np.ndarray:
 
 def slowest_time_constant(system: ClosedLoopSystem) -> float:
     """1 / min |Re xi| over the strictly stable closed-loop eigenvalues."""
-    return float(1.0 / np.abs(_stable_eigs(system, _modes(system)).real).min())
+    return float(1.0 / np.abs(_stable_eigs(_modes(system)).real).min())
 
 
 def recommended_step(system: ClosedLoopSystem, bias_budget: float = 0.02) -> float:
@@ -183,7 +181,7 @@ def recommended_step(system: ClosedLoopSystem, bias_budget: float = 0.02) -> flo
     Uses dt = budget * min(2|Re xi| / |xi|^2) over stable modes, additionally
     capped below the 0.1 / max|Re xi| accuracy warning threshold.
     """
-    stable = _stable_eigs(system, _modes(system))
+    stable = _stable_eigs(_modes(system))
     variance_cap = bias_budget * float((2.0 * np.abs(stable.real) / np.abs(stable) ** 2).min())
     warn_cap = 0.099 / float(np.abs(stable.real).max())
     return min(variance_cap, warn_cap)
@@ -204,13 +202,13 @@ def _initial_state(system: ClosedLoopSystem, cfg: SimConfig, rng) -> np.ndarray:
     return state
 
 
-def _block_operator(step: np.ndarray, inject: np.ndarray) -> np.ndarray:
-    """(K, d + BLOCK r, BLOCK d) map of a mode's row ``[s_0, w_1 .. w_B]`` to
-    ``[s_1 .. s_B]``: the EM step ``s_j = M s_(j-1) + E w_j`` run on unit rows."""
+def _block_operator(step: np.ndarray, inject: np.ndarray, span: int) -> np.ndarray:
+    """(K, d + span r, span d) map of a mode's row ``[s_0, w_1 .. w_span]`` to
+    ``[s_1 .. s_span]``: the EM step ``s_j = M s_(j-1) + E w_j`` run on unit rows."""
     k, d, r = inject.shape
-    op = np.empty((k, d + BLOCK * r, BLOCK * d))
-    s = np.broadcast_to(np.eye(d + BLOCK * r, d), op.shape[:2] + (d,))
-    for j in range(BLOCK):
+    op = np.empty((k, d + span * r, span * d))
+    s = np.broadcast_to(np.eye(d + span * r, d), op.shape[:2] + (d,))
+    for j in range(span):
         s = s @ step.transpose(0, 2, 1)
         s[:, d + j * r : d + (j + 1) * r] += inject.transpose(0, 2, 1)
         op[:, :, j * d : (j + 1) * d] = s
@@ -222,7 +220,7 @@ def _em_blocks(system: ClosedLoopSystem, cfg: SimConfig, seeds, warn: bool = Fal
     states, blocks)``, where ``blocks`` yields ``(first, modal states (K, S,
     m, d) of steps first + 1 .. first + m)``."""
     modes = _modes(system)
-    stable = _stable_eigs(system, modes)
+    stable = _stable_eigs(modes)
     fastest = float(np.abs(stable.real).max())
     if cfg.dt * fastest > 1.0:
         raise StepSizeError(
@@ -243,13 +241,16 @@ def _em_blocks(system: ClosedLoopSystem, cfg: SimConfig, seeds, warn: bool = Fal
     states = np.stack([_initial_state(system, cfg, rng) for rng in rngs])
     (k, d, r), n, n_seeds = modes.inject.shape, system.n, len(rngs)
     sigma = cfg.noise_intensity * math.sqrt(cfg.dt)
-    op = _block_operator(np.eye(d) + cfg.dt * modes.a, sigma * modes.inject)
+    span = BLOCK  # halved while a mode's map would hold more than 2^16 numbers, down to 1
+    while span > 1 and (d + span * r) * span * d > 1 << 16:
+        span //= 2
+    op = _block_operator(np.eye(d) + cfg.dt * modes.a, sigma * modes.inject, span)
     chunk = BLOCK * max(1, min(_NOISE_CHUNK, (1 << 22) // (n * n_seeds)) // BLOCK)
 
     def blocks():
         draws = np.empty(n_seeds * chunk * n)
         rotated = np.empty_like(draws) if r == 1 else None
-        rows = np.empty((k, n_seeds, d + BLOCK * r))
+        rows = np.empty((k, n_seeds, d + span * r))
         rows[:, :, :d] = (states.reshape(n_seeds, d, -1) @ modes.basis).transpose(2, 0, 1)
         for done in range(0, steps, chunk):
             size = min(chunk, steps - done)
@@ -260,8 +261,8 @@ def _em_blocks(system: ClosedLoopSystem, cfg: SimConfig, seeds, warn: bool = Fal
             if r == 1:  # one draw per mode: xi U
                 w = np.matmul(modes.basis.T, w.T, out=rotated[: w.size].reshape(n, -1))
             w = w.reshape(k, n_seeds, size * r)
-            for t in range(0, size, BLOCK):
-                m = min(BLOCK, size - t)
+            for t in range(0, size, span):
+                m = min(span, size - t)
                 rows[:, :, d : d + m * r] = w[:, :, t * r : (t + m) * r]
                 block = np.matmul(rows[:, :, : d + m * r], op[:, : d + m * r, : m * d])
                 rows[:, :, :d] = block[:, :, -d:]

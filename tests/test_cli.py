@@ -1,10 +1,18 @@
 import argparse
 
 import pytest
+from test_golden import CASES, run_case
 
 import netcoh as nc
+from netcoh import cli, graphs
 from netcoh.cli import build_parser, main
 from netcoh.scaling import FAMILIES
+
+# golden cases of variance --method closed|modal and tune on a --family member
+FAMILY_SPECTRUM_CASES = sorted(
+    name for name, (argv, _) in CASES.items()
+    if argv[0] in ("variance", "tune") and "--family" in argv and "full" not in argv
+)
 
 
 @pytest.fixture
@@ -66,6 +74,66 @@ class TestVarianceCommand:
         main(["variance", "--family", "ring", "--n", "6", "--gains-file", p_gains_file,
               "--out", str(out)])
         assert out.read_text().startswith("n,lambda,s_n")
+
+
+class TestFamilySpectrum:
+    """variance (closed, modal) and tune take a family's closed-form spectrum."""
+
+    def test_no_graph_laplacian_or_dense_spectrum(self, monkeypatch, tmp_path, p_gains_file,
+                                                  dapi_gains_file):
+        def dense(*args, **kwargs):
+            raise AssertionError("dense route taken")
+
+        for module, name in ((graphs, "spectrum"), (graphs, "laplacian"), (cli, "spectrum"),
+                             (cli, "build_family")):
+            monkeypatch.setattr(module, name, dense)
+        out = str(tmp_path / "out.csv")
+        for method in ("closed", "modal"):
+            assert main(["variance", "--family", "torus2", "--n", "5", "--method", method,
+                         "--gains-file", p_gains_file, "--out", out]) == 0
+        assert main(["tune", "--family", "path", "--n", "7", "--grid-points", "8",
+                     "--gains-file", dapi_gains_file, "--out", out]) == 0
+
+    @pytest.mark.parametrize("name", FAMILY_SPECTRUM_CASES)
+    def test_golden_family_case_matches_dense_route(self, name, monkeypatch, tmp_path):
+        closed = run_case(name, tmp_path).splitlines()
+        monkeypatch.setattr(cli, "family_spectrum",
+                            lambda *member: graphs.spectrum(graphs.build_family(*member)))
+        dense = run_case(name, tmp_path).splitlines()
+        assert len(closed) == len(dense)
+        for line, expected in zip(closed, dense):
+            for cell, want in zip(line.split(","), expected.split(",")):
+                try:
+                    assert float(cell) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+                except ValueError:
+                    assert cell == want
+
+    def test_torus_beyond_a_dense_laplacian(self, tmp_path, p_gains_file):
+        out = tmp_path / "torus.csv"
+        assert main(["variance", "--family", "torus3", "--n", "40", "--gains-file", p_gains_file,
+                     "--out", str(out)]) == 0
+        footer = dict(line.split(",", 1) for line in out.read_text().splitlines()[-2:])
+        expected = nc.variance_by_kind(graphs.family_spectrum("torus3", 40, 1.0), "p",
+                                       nc.PGains(1.0, 1.0, 1.0, 0.0))
+        assert float(footer["V_N"]) == expected.v_n
+
+    @pytest.mark.parametrize("command", ["variance", "tune"])
+    @pytest.mark.parametrize("member, message", [
+        (["--family", "ring", "--n", "2"], "ring graph needs n >= 3, got 2"),
+        (["--family", "torus2", "--n", "4", "--l", "0"], "edge weight must be positive"),
+        (["--family", "path"], "--family requires --n"),
+        ([], "provide --graph FILE or --family NAME"),
+    ])
+    def test_bad_member_reported_before_bad_gains(self, command, member, message, capsys, tmp_path):
+        gains = tmp_path / "bad.cfg"
+        gains.write_text("controller = nope\n")
+        assert main([command, *member, "--gains-file", str(gains)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_unknown_family_rejected_by_the_parser(self, capsys, p_gains_file):
+        with pytest.raises(SystemExit):
+            main(["variance", "--family", "star", "--n", "5", "--gains-file", p_gains_file])
+        assert "invalid choice: 'star'" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

@@ -1,13 +1,14 @@
 """CLI output pinned byte for byte against reference CSVs.
 
-``tests/data/golden/<case>.csv`` holds the output of each case below as
-written by the per-mode-loop implementation of the closed forms.  The array
-implementation must reproduce it exactly; the only intended difference is
-the ``c`` column of ``tune``, which the loop version wrote as
-``np.float64(x)`` under numpy 2 and which is now a plain float ``repr``.
-The ring, path and torus ``scale_*`` sweeps, the torus and full-oracle
-``variance`` cases and ``tune_path12_dapi`` were captured from the per-family
-dispatch that the family table in ``graphs.py`` replaced.
+``tests/data/golden/<case>.csv`` holds the output of each case below.  The
+``--graph`` cases and the ``scale_complete_*`` sweeps were written by the
+per-mode-loop implementation of the closed forms; the ring, path and torus
+``scale_*`` sweeps and ``variance_ring8_fdpd_full`` were captured from the
+per-family dispatch that the family table in ``graphs.py`` replaced.  The
+``--family`` cases of ``variance --method closed|modal`` and ``tune`` were
+re-captured from the family's closed-form spectrum, which those commands
+take instead of a dense eigensolve (cells moved by at most 3.1e-15
+relative).  Every ``c`` cell of ``tune`` is a plain float ``repr``.
 
 Regenerate files only for a deliberate output change: the entry point
 writes the named cases, or every case when none is named::
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,9 +71,6 @@ CASES = {
     "tune_path12_dapi": (["tune", "--family", "path", "--n", "12", "--grid-points", "16"], "dapi"),
 }
 
-_NUMPY_SCALAR = re.compile(r"np\.float64\((.*)\)")
-
-
 def run_case(name: str, workdir: Path) -> str:
     argv, gains = CASES[name]
     graph = workdir / "graph.txt"
@@ -88,23 +85,9 @@ def run_case(name: str, workdir: Path) -> str:
     return out.read_text()
 
 
-def _plain_tune_column(text: str) -> str:
-    """Rewrite ``np.float64(x)`` cells of the tune grid's ``c`` column as ``x``."""
-    lines = text.splitlines(keepends=True)
-    for k, line in enumerate(lines[1:-1], start=1):
-        c, rest = line.split(",", 1)
-        found = _NUMPY_SCALAR.fullmatch(c)
-        if found:
-            lines[k] = f"{found.group(1)},{rest}"
-    return "".join(lines)
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, tmp_path):
-    expected = (GOLDEN_DIR / f"{name}.csv").read_text()
-    if name.startswith("tune_"):
-        expected = _plain_tune_column(expected)
-    assert run_case(name, tmp_path) == expected
+    assert run_case(name, tmp_path) == (GOLDEN_DIR / f"{name}.csv").read_text()
 
 
 def test_regenerate_writes_only_the_named_cases(tmp_path):

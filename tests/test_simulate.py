@@ -355,6 +355,22 @@ class TestModalBlockKernel:
         states, _ = reference_em(changed, cfg, 2, 1, 0.0)
         assert _close(nc.simulate_em(changed, cfg).states, states)
 
+    def test_large_hand_built_system_steps_one_step_per_block(self, monkeypatch):
+        base = nc.assemble(nc.build_path(50, 1.0), "dapi", random_gains(np.random.default_rng(50), "dapi"))
+        hand = nc.ClosedLoopSystem(base.a, base.b, base.c, base.kind, base.n)
+        maps = []
+        build = simulate._block_operator
+        monkeypatch.setattr(simulate, "_block_operator", lambda *a: maps.append(build(*a)) or maps[-1])
+        dt = nc.recommended_step(hand)
+        cfg = nc.SimConfig(dt=dt, horizon=1000 * dt, seed=6, burn_in=500.5 * dt,
+                           initial_state="random_frequency_perturbation")
+        states, _ = reference_em(hand, cfg, 6, 1, cfg.burn_in)
+        assert _close(nc.simulate_em(hand, cfg).states, states)
+        values = nc.ensemble_variance(hand, cfg, [6, 7], accumulate_every=3)
+        for seed, value in zip([6, 7], values):
+            assert value == pytest.approx(reference_em(hand, cfg, seed, 3, cfg.burn_in)[1], rel=1e-9)
+        assert [op.shape for op in maps] == [(1, 150 + 50, 150)] * 2
+
     def test_window_inside_the_last_partial_block(self):
         system = small_system()
         steps = 3 * BLOCK + 5
