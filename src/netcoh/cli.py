@@ -105,7 +105,9 @@ def cmd_simulate(args) -> int:
             raise InvalidParameterError("--dt and --horizon are required without --scenario")
         system = assemble(graph, kind, gains)
         cfg = SimConfig(args.dt, args.horizon, args.seed, args.burn_in, args.noise_intensity,
-                        record_every=args.record_every or 1)
+                        record_every=1 if args.record_every is None else args.record_every)
+    if args.with_aux and system.state_dim < 3 * system.n:
+        raise InvalidParameterError("--with-aux needs a dapi or fdpd loop; P control has no auxiliary state")
     traj = simulate_em(system, cfg)
     print(f"empirical_vn,{empirical_variance(traj)!r}")
     if args.out:

@@ -47,6 +47,7 @@ from .closed_loop import (
     droop_preset,
     power_preset,
 )
+from .csvrows import csv_lines
 from .errors import (
     InstabilityError,
     InvalidParameterError,
@@ -408,17 +409,28 @@ def run_scenario(name: str, seed: int, **options) -> Trajectory:
 def write_trajectory_csv(
     traj: Trajectory, stream, include_velocity: bool = False, include_aux: bool = False
 ) -> None:
-    """Write ``t,x_1..x_N`` rows, optionally with v and auxiliary blocks."""
+    """Write ``t,x_1..x_N`` rows, optionally with v and auxiliary blocks.
+
+    Every cell is the float's ``repr``.  Rows are written in blocks of about
+    :data:`netcoh.csvrows.BLOCK_CELLS` cells through orjson's Ryu formatter,
+    whose digits equal ``repr``'s; a row holding a cell that ``repr`` writes
+    in exponent form, or a non-finite cell, is joined from ``repr`` instead.
+    ``include_aux`` raises :class:`InvalidParameterError` for a trajectory
+    without an auxiliary block (P control).
+    """
     n, dim = traj.n, traj.state_dim
+    if include_aux and dim < 3 * n:
+        raise InvalidParameterError(
+            f"no auxiliary block to write: state dimension {dim} for {n} nodes (P control has none)"
+        )
     header = ["t"] + [f"x_{i}" for i in range(1, n + 1)]
     blocks = [traj.states[:, :n]]
     if include_velocity:
         header += [f"v_{i}" for i in range(1, n + 1)]
         blocks.append(traj.states[:, n : 2 * n])
-    if include_aux and dim >= 3 * n:
+    if include_aux:
         header += [f"z_{i}" for i in range(1, n + 1)]
         blocks.append(traj.states[:, 2 * n : 3 * n])
     stream.write(",".join(header) + "\n")
-    data = np.column_stack([traj.times] + blocks)
-    for row in data:
-        stream.write(",".join(map(repr, row.tolist())) + "\n")
+    for lines in csv_lines([traj.times] + blocks):
+        stream.write("\n".join(lines) + "\n")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .closed_loop import (
     modal_matrices,
     routh_hurwitz,
 )
+from .csvrows import csv_lines
 from .errors import (
     InstabilityError,
     InvalidParameterError,
@@ -90,10 +92,9 @@ class VarianceReport:
     stable: bool
 
     def to_csv(self) -> str:
-        lines = ["n,lambda,s_n"]
-        for n, lam, s in self.per_mode.tolist():
-            lines.append(f"{int(n)},{lam!r},{s!r}")
-        lines.append(f"V_N,{self.v_n!r}")
+        modes = self.per_mode[:, 0].astype(np.int64).tolist()
+        cells = chain.from_iterable(csv_lines([self.per_mode[:, 1:]]))
+        lines = ["n,lambda,s_n", *(f"{n},{row}" for n, row in zip(modes, cells)), f"V_N,{self.v_n!r}"]
         lines.append(f"bound,{self.bound!r}" if self.bound is not None else "bound,none")
         return "\n".join(lines) + "\n"
 

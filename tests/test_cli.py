@@ -168,6 +168,24 @@ class TestSimulateCommand:
                    "--gains-file", p_gains_file, "--seed", "0"])
         assert rc == 2
 
+    @pytest.mark.parametrize("source", ["family", "scenario"])
+    def test_record_every_zero_rejected(self, capsys, p_gains_file, source):
+        if source == "family":
+            argv = ["--family", "ring", "--n", "5", "--gains-file", p_gains_file]
+        else:
+            argv = ["--scenario", "p_path_10"]
+        rc = main(["simulate", *argv, "--dt", "0.01", "--horizon", "1", "--record-every", "0"])
+        assert rc == 2
+        assert "record_every must be >= 1" in capsys.readouterr().err
+
+    def test_with_aux_under_p_control_rejected(self, capsys, tmp_path, p_gains_file):
+        out = tmp_path / "traj.csv"
+        rc = main(["simulate", "--family", "ring", "--n", "5", "--gains-file", p_gains_file,
+                   "--dt", "0.01", "--horizon", "1", "--with-aux", "--out", str(out)])
+        assert rc == 2
+        assert "--with-aux" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPlainNumberCells:
     """Every numeric CSV cell is a plain float repr, never ``np.float64(x)``."""

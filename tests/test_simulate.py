@@ -1,11 +1,16 @@
 import dataclasses
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import netcoh as nc
-from netcoh import simulate
+from netcoh import csvrows, simulate
 from netcoh.closed_loop import modal_matrices
 from netcoh.errors import (
     InstabilityError,
@@ -238,6 +243,102 @@ class TestTrajectoryCsv:
             + [f"v_{i}" for i in range(1, 11)]
             + [f"z_{i}" for i in range(1, 11)]
         )
+
+    def test_aux_block_missing_under_p_control(self):
+        traj = nc.simulate_em(small_system(), nc.SimConfig(dt=0.01, horizon=0.1, seed=0))
+        with pytest.raises(InvalidParameterError, match="auxiliary"):
+            write_trajectory_csv(traj, io.StringIO(), include_aux=True)
+
+
+def reference_csv(traj, include_velocity=False, include_aux=False):
+    """The per-row ``repr`` writer that the block writer replaced."""
+    n = traj.n
+    header = ["t"] + [f"x_{i}" for i in range(1, n + 1)]
+    blocks = [traj.states[:, :n]]
+    if include_velocity:
+        header += [f"v_{i}" for i in range(1, n + 1)]
+        blocks.append(traj.states[:, n : 2 * n])
+    if include_aux:
+        header += [f"z_{i}" for i in range(1, n + 1)]
+        blocks.append(traj.states[:, 2 * n : 3 * n])
+    lines = [",".join(header)]
+    for row in np.column_stack([traj.times] + blocks):
+        lines.append(",".join(map(repr, row.tolist())))
+    return "\n".join(lines) + "\n"
+
+
+def assert_written_as_reference(traj, **blocks):
+    stream = io.StringIO()
+    write_trajectory_csv(traj, stream, **blocks)
+    text, reference = stream.getvalue(), reference_csv(traj, **blocks)
+    if text != reference:
+        # name the first differing line rather than diffing megabytes of text
+        for number, (line, expected) in enumerate(zip(text.splitlines(), reference.splitlines())):
+            assert line == expected, f"line {number}"
+        assert len(text) == len(reference)
+    return text
+
+
+@pytest.fixture(scope="module")
+def fdpd_ring30():
+    system = nc.assemble(nc.build_ring(30, 1.0), "fdpd", nc.FdpdGains(f=1.0, g=1.0, f0=1.0, k_d=1.0, tau=0.1))
+    return nc.simulate_em(system, nc.SimConfig(dt=0.005, horizon=12.0, seed=2017, burn_in=1.0))
+
+
+class TestTrajectoryBytes:
+    """The block writer's text equals the per-row ``repr`` writer's, byte for byte."""
+
+    def test_fdpd_ring_with_velocity(self, fdpd_ring30):
+        rows = csvrows.BLOCK_CELLS // (1 + 2 * 30)  # rows per block
+        assert fdpd_ring30.times.size > 2 * rows
+        assert fdpd_ring30.times.size % rows != 0
+        assert_written_as_reference(fdpd_ring30, include_velocity=True)
+
+    def test_dapi_with_aux(self):
+        traj = nc.run_scenario("dapi_path_10", seed=0, horizon=1.0, dt=0.01, record_every=1)
+        assert_written_as_reference(traj, include_velocity=True, include_aux=True)
+
+    @pytest.mark.parametrize("scale", ["band", 1e-9, 1e17])
+    def test_scaled_states(self, fdpd_ring30, scale):
+        states = fdpd_ring30.states
+        if scale == "band":
+            # every state cell in [1e-5, 1e-4), where Ryu writes 0.0000ddd and repr d.dde-05
+            states = np.copysign(1e-5 + 9e-5 * np.abs(states) / (np.abs(states).max() * 1.0001), states)
+        else:
+            states = states * scale
+        traj = dataclasses.replace(fdpd_ring30, states=states)
+        assert_written_as_reference(traj, include_velocity=True)
+
+    @pytest.mark.parametrize(
+        "value", [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e15, 9.999999999999999e-05, 3e-05]
+    )
+    def test_single_cell(self, fdpd_ring30, value):
+        states = fdpd_ring30.states.copy()
+        states[1500, 7] = value
+        traj = dataclasses.replace(fdpd_ring30, states=states)
+        text = assert_written_as_reference(traj, include_velocity=True)
+        assert text.splitlines()[1501].split(",")[8] == repr(float(value))
+
+    @pytest.mark.parametrize("edge", [1e-4, 1e16])
+    def test_cells_beside_the_ryu_range_edges(self, edge):
+        cells = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)])
+        data = np.column_stack([cells, -cells])
+        text = "\n".join(line for lines in csvrows.csv_lines([data]) for line in lines)
+        assert text == "\n".join(",".join(map(repr, row)) for row in data.tolist())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+            elements=st.floats(width=64, allow_nan=True, allow_infinity=True),
+        ),
+        st.integers(1, 40),
+    )
+    def test_any_float_matrix(self, data, cells):
+        with mock.patch.object(csvrows, "BLOCK_CELLS", cells):
+            lines = [line for chunk in csvrows.csv_lines([data]) for line in chunk]
+        assert lines == [",".join(map(repr, row)) for row in data.tolist()]
 
 
 def reference_em(system, cfg, seed, every, burn_in):

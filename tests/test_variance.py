@@ -377,6 +377,28 @@ class TestReportSerialization:
         report = nc.p_variance(spec, nc.PGains(1.0, 1.0, 1.0, 1.0))
         assert report.to_csv().strip().splitlines()[-1] == "bound,none"
 
+    @pytest.mark.parametrize(
+        "report",
+        [
+            # lambda down to 4.4e-6 (repr exponent form) over three row blocks
+            nc.p_variance(nc.ring_spectrum(3000, 1.0), nc.PGains(1.0, 1.0, 1.0, 1.0)),
+            nc.VarianceReport(
+                0.5,
+                np.array([[2.0, 1e-5, np.inf], [3.0, 3e-05, -0.0], [4.0, 1e16, np.nan], [5.0, 0.0, 1.5]]),
+                None,
+                "closed_form",
+                True,
+            ),
+        ],
+        ids=["ring3000", "edge_cells"],
+    )
+    def test_csv_matches_per_row_repr(self, report):
+        reference = ["n,lambda,s_n"]
+        for n, lam, s in report.per_mode.tolist():
+            reference.append(f"{int(n)},{lam!r},{s!r}")
+        reference += [f"V_N,{report.v_n!r}", "bound,none"]
+        assert report.to_csv().splitlines() == reference
+
     def test_lyapunov_shape_mismatch(self):
         with pytest.raises(nc.InvalidParameterError):
             nc.solve_lyapunov(np.eye(2), np.eye(3))
@@ -443,8 +465,17 @@ class TestDisconnectedGraph:
             call(spec)
 
 
+def loaded_by_import(module):
+    code = f"import sys, netcoh, netcoh.cli; print({module!r} in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return out.stdout.strip() == "True"
+
+
 def test_import_leaves_scipy_linalg_out():
     # only the full oracle needs scipy.linalg, and it is most of the import time
-    code = "import sys, netcoh, netcoh.cli; print('scipy.linalg' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert not loaded_by_import("scipy.linalg")
+
+
+def test_import_leaves_orjson_out():
+    # only the CSV writers need orjson
+    assert not loaded_by_import("orjson")
