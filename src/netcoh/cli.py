@@ -93,6 +93,8 @@ def cmd_variance(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if (args.with_velocity or args.with_aux) and not args.out:
+        raise InvalidParameterError("--with-velocity and --with-aux write to the --out trajectory CSV; give --out")
     if args.scenario:
         system, cfg = scenario_config(
             args.scenario, args.seed, dt=args.dt, horizon=args.horizon, burn_in=args.burn_in,

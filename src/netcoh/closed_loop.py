@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,8 +121,11 @@ class ClosedLoopSystem:
 
     States are stacked as x-block, v-block and (for dapi/fdpd) the auxiliary
     block; B injects unit-intensity noise into the v-block and C maps x to
-    its deviation from the network average.  :func:`assemble` also keeps the
-    Laplacian ``lap`` and ``coefficients`` table (the modal structure).
+    its deviation from the network average.  :func:`assemble` also stores
+    the modal form of ``L = U diag(lam) U^T``: ``U`` and the ``(N, d, d)``
+    stack ``alpha + beta * lam``, ``lam[0] = 0``.  That field cannot be
+    passed in and ``dataclasses.replace`` drops it: a hand-built or replaced
+    loop has none, and the simulator runs it as given.
     """
 
     a: np.ndarray
@@ -130,8 +133,7 @@ class ClosedLoopSystem:
     c: np.ndarray
     kind: str
     n: int
-    lap: np.ndarray | None = None
-    coefficients: np.ndarray | None = None
+    _modal: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def state_dim(self) -> int:
@@ -185,21 +187,20 @@ def assemble(graph: WeightedGraph, kind: str, gains) -> ClosedLoopSystem:
     """Block-matrix loop of controller ``kind`` ('p', 'dapi', 'fdpd') on a graph.
 
     Noise enters the v-block and the output is the x-block's deviation from
-    the network average.
+    the network average.  The Laplacian is diagonalized once, for the stored
+    modal form (see :class:`ClosedLoopSystem`).
     """
     table = _coefficient_table(kind, gains)
     require_connected(graph)
     n = graph.node_count
-    lap = laplacian(graph)
-    a = _block_matrix(table, lap)
+    lap, eye = laplacian(graph), np.eye(n)
+    a = np.block([[al * eye + be * lap for al, be in zip(*rows)] for rows in zip(*table)])
     b = np.eye(a.shape[0], n, -n)  # noise enters the v-block
-    return ClosedLoopSystem(a, b, _centering_output(n, a.shape[0]), kind, n, lap, table)
-
-
-def _block_matrix(table: np.ndarray, lap: np.ndarray) -> np.ndarray:
-    """Closed-loop matrix with blocks ``alpha[i, j] * I + beta[i, j] * L``."""
-    eye = np.eye(len(lap))
-    return np.block([[al * eye + be * lap for al, be in zip(*rows)] for rows in zip(*table)])
+    system = ClosedLoopSystem(a, b, _centering_output(n, a.shape[0]), kind, n)
+    lam, basis = np.linalg.eigh(lap)
+    lam[0] = 0.0  # the network average of a connected graph
+    object.__setattr__(system, "_modal", (basis, table[0] + table[1] * lam[:, None, None]))
+    return system
 
 
 def assemble_p(graph: WeightedGraph, gains: PGains) -> ClosedLoopSystem:
@@ -374,13 +375,7 @@ def parse_gains_config(text: str):
         raise InvalidParameterError("power preset applies to controller p or dapi only")
 
     gains_class, keys = _GAIN_KEYS[kind]
-    _reject_unknown(main, set(keys))
-    return kind, gains_class(**{field: value(main, key, default) for key, (field, default) in keys.items()})
-
-
-def _reject_unknown(section, allowed: set[str]) -> None:
-    unknown = {k for k in section if k != "controller"} - allowed
+    unknown = {key for key in main if key != "controller"} - set(keys)
     if unknown:
-        raise InvalidParameterError(
-            f"unknown gains keys for this controller: {sorted(unknown)}"
-        )
+        raise InvalidParameterError(f"unknown gains keys for this controller: {sorted(unknown)}")
+    return kind, gains_class(**{name: value(main, key, default) for key, (name, default) in keys.items()})

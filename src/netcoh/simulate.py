@@ -15,13 +15,15 @@ Laplacian eigenbasis ``L = U diag(lam) U^T``: mode k is ``A_k = alpha + beta
 lam_k`` from the controller's coefficient table (d = 2 or 3), its noise is
 ``sigma sqrt(dt) (xi U)_k`` (the same draws, rotated by one GEMM per chunk),
 and ``||y||^2`` sums ``x_hat_k^2`` over every mode but the network average,
-which so leaves the statistic exactly.  A hand-built loop is one mode of size
-dim with ``U = I``.  Blocks of BLOCK steps are one batched GEMM over the modes
-with the map built from the powers of ``M_k = I + dt A_k`` and its impulse
-response (state-space form: a transfer-function filter loses DAPI's slow pole
-near 1), so Python loops once per block.  Blocks are shorter only where a
-mode's map would pass 2^16 numbers (large hand-built loops); every step is
-computed, so no state depends on ``record_every`` or ``accumulate_every``.
+which so leaves the statistic exactly.  ``assemble`` stores ``U`` and the
+mode stack; a hand-built loop, or one that ``dataclasses.replace`` stripped of
+them, is one mode of size dim with ``U = I``.  Blocks of BLOCK steps are one
+batched GEMM over the modes with the map built from the powers of ``M_k = I +
+dt A_k`` and its impulse response (state-space form: a transfer-function
+filter loses DAPI's slow pole near 1), so Python loops once per block.  Blocks
+are shorter only where a mode's map would pass 2^16 numbers (large hand-built
+loops); every step is computed, so no state depends on ``record_every`` or
+``accumulate_every``.
 
 Note on step sizes: for a lightly damped oscillatory mode with eigenvalue xi
 the scheme inflates the stationary variance by roughly |xi|^2 dt / (2|Re xi|),
@@ -42,15 +44,16 @@ from .closed_loop import (
     ClosedLoopSystem,
     FdpdGains,
     PGains,
-    _block_matrix,
     assemble,
     droop_preset,
     power_preset,
+    routh_hurwitz,
 )
 from .csvrows import csv_lines
 from .errors import (
     InstabilityError,
     InvalidParameterError,
+    NumericalError,
     StepSizeError,
     WindowError,
 )
@@ -99,14 +102,16 @@ class SimConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise InvalidParameterError(f"dt must be positive, got {self.dt}")
-        if self.horizon <= self.dt:
-            raise InvalidParameterError("horizon must exceed dt")
+        if not 0.0 < self.dt < math.inf:  # comparisons reject nan too
+            raise InvalidParameterError(f"dt must be finite and positive, got {self.dt}")
+        if not self.dt < self.horizon < math.inf:
+            raise InvalidParameterError(f"horizon must be finite and exceed dt, got {self.horizon}")
         if self.burn_in is not None and not 0.0 <= self.burn_in < self.horizon:
             raise InvalidParameterError("burn_in must lie in [0, horizon)")
-        if self.noise_intensity < 0.0:
-            raise InvalidParameterError("noise_intensity must be >= 0")
+        if not 0.0 <= self.noise_intensity < math.inf:
+            raise InvalidParameterError(f"noise_intensity must be finite and >= 0, got {self.noise_intensity}")
+        if not math.isfinite(self.perturbation_scale):
+            raise InvalidParameterError(f"perturbation_scale must be finite, got {self.perturbation_scale}")
         if self.record_every < 1:
             raise InvalidParameterError("record_every must be >= 1")
 
@@ -136,17 +141,14 @@ class _Modes(NamedTuple):
 
 
 def _modes(system: ClosedLoopSystem) -> _Modes:
-    if system.lap is None or not np.array_equal(system.a, _block_matrix(system.coefficients, system.lap)):
-        # hand-built, or ``a`` replaced since assembly: one mode of size dim, U = I
+    if system._modal is None:  # hand-built or replaced: one mode of size dim, U = I
         return _Modes(np.ones((1, 1)), system.a[None], system.b[None], system.c.T[None])
-    lam, basis = np.linalg.eigh(system.lap)
-    lam[0] = 0.0  # the network average; assemble admits connected graphs only
-    alpha, beta = system.coefficients
-    inject = np.zeros((system.n, len(alpha), 1))
+    basis, a = system._modal
+    inject = np.zeros((system.n, a.shape[1], 1))
     inject[:, 1] = 1.0  # noise enters v
     output = np.zeros_like(inject)
     output[1:, 0] = 1.0  # y sees x of every mode but the network average
-    return _Modes(basis, alpha + beta * lam[:, None, None], inject, output)
+    return _Modes(basis, a, inject, output)
 
 
 def _stable_eigs(modes: _Modes) -> np.ndarray:
@@ -154,17 +156,21 @@ def _stable_eigs(modes: _Modes) -> np.ndarray:
 
     Mode 0 (the network average; all of a hand-built loop) drops the
     eigenvalues within ``tol = 1e-6 * max(1, |xi|max)`` of the axis and
-    raises above it; every other mode must have ``Re xi < 0``.
+    raises above it; every other mode must have ``Re xi < 0``, or raises
+    :class:`NumericalError` if Routh-Hurwitz calls it stable (a slow root
+    below eigenvalue resolution).
     """
     eigs = np.linalg.eigvals(modes.a)
     tol = 1e-6 * max(1.0, float(np.abs(eigs).max()))
     if np.any(eigs.real > tol):
-        raise InstabilityError(
-            f"closed loop is unstable (max eigenvalue real part {eigs.real.max():.3e})"
-        )
-    marginal = np.flatnonzero(np.any(eigs[1:].real >= 0.0, axis=1))
+        raise InstabilityError(f"closed loop is unstable (max eigenvalue real part {eigs.real.max():.3e})")
+    marginal = 1 + np.flatnonzero(np.any(eigs[1:].real >= 0.0, axis=1))
     if marginal.size:
-        raise InstabilityError(f"mode {marginal[0] + 2} is not strictly stable")
+        hurwitz = routh_hurwitz(modes.a[marginal])
+        if not hurwitz.all():
+            raise InstabilityError(f"mode {marginal[~hurwitz][0] + 1} is not strictly stable")
+        raise NumericalError(f"mode {marginal[0] + 1} is stable by Routh-Hurwitz, but its slowest root is below "
+                             f"eigenvalue resolution (computed real part {eigs[marginal[0]].real.max():.3e})")
     stable = np.concatenate([eigs[0][eigs[0].real < -tol], eigs[1:].ravel()])
     if stable.size == 0:
         raise InstabilityError("closed loop has no strictly stable dynamics")
@@ -224,16 +230,10 @@ def _em_blocks(system: ClosedLoopSystem, cfg: SimConfig, seeds, warn: bool = Fal
     stable = _stable_eigs(modes)
     fastest = float(np.abs(stable.real).max())
     if cfg.dt * fastest > 1.0:
-        raise StepSizeError(
-            f"dt * max|Re xi| = {cfg.dt * fastest:.3g} > 1; reduce dt below "
-            f"{1.0 / fastest:.3g}"
-        )
+        raise StepSizeError(f"dt * max|Re xi| = {cfg.dt * fastest:.3g} > 1; reduce dt below {1.0 / fastest:.3g}")
     if warn and cfg.dt * fastest > 0.1:
-        warnings.warn(
-            f"dt * max|Re xi| = {cfg.dt * fastest:.3g} > 0.1; expect noticeable "
-            "discretization bias",
-            stacklevel=3,
-        )
+        warnings.warn(f"dt * max|Re xi| = {cfg.dt * fastest:.3g} > 0.1; expect noticeable discretization bias",
+                      stacklevel=3)
     steps = int(round(cfg.horizon / cfg.dt))
     burn_in = cfg.burn_in
     if burn_in is None:  # five slowest time constants, capped at half the horizon

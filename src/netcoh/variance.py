@@ -6,8 +6,7 @@ Three independent evaluation routes are provided and cross-checked in tests:
   with the uniform-in-N upper bounds for the latter two;
 * a modal oracle -- the small Lyapunov equation of every Laplacian
   eigenvalue, all solved at once: the stacked modal matrices get one
-  Routh-Hurwitz test, one batched eigenvalue check and one stacked solve of
-  their Kronecker systems;
+  Routh-Hurwitz test and one stacked solve of their Kronecker systems;
 * a full-system oracle -- one real Schur form of the assembled block matrix,
   after deflating the marginal, unobservable network-average directions,
   gives both the eigenvalue checks and a triangular Sylvester solve.
@@ -211,18 +210,21 @@ def variance_by_kind(spec: LaplacianSpectrum, kind: str, gains) -> VarianceRepor
 # ---------------------------------------------------------------------------
 
 
-def _lyapunov_stack(a: np.ndarray, q: np.ndarray):
+def _lyapunov_stack(a: np.ndarray, q: np.ndarray, hurwitz=None):
     """Solve A_k^T P_k + P_k A_k = -Q for a ``(k, d, d)`` stack, in one batch.
 
     Returns the symmetrized solutions and, in check order, ``(failed mask,
-    error for index i)`` pairs: eigenvalue Hurwitz test, singular Kronecker
-    system, residual above the backward-error bound
+    error for index i)`` pairs: ``hurwitz`` (default: an eigenvalue test),
+    singular Kronecker system, residual above the backward-error bound
     1e-10 * max(2 ||A_k|| ||P_k|| + ||Q||, 1) in max-abs norms.
     """
     k, d, _ = a.shape
-    finite = np.isfinite(a).all(axis=(1, 2))  # eigvals rejects a whole stack with one inf or nan
-    eigs = np.full((k, d), np.nan + 0j)
-    eigs[finite] = np.linalg.eigvals(a[finite])
+    if hurwitz is None:
+        finite = np.isfinite(a).all(axis=(1, 2))  # eigvals rejects a whole stack with one inf or nan
+        eigs = np.full((k, d), np.nan + 0j)
+        eigs[finite] = np.linalg.eigvals(a[finite])
+        hurwitz = (~finite | np.any(eigs.real >= 0.0, axis=1), lambda i: InstabilityError(
+            f"matrix is not Hurwitz (max real part {eigs[i].real.max():.3e})"))
     at = a.swapaxes(1, 2)
     eye = np.eye(d)
     # np.kron(I, A^T) + np.kron(A^T, I) for every matrix of the stack
@@ -246,8 +248,7 @@ def _lyapunov_stack(a: np.ndarray, q: np.ndarray):
         scale = 2.0 * np.abs(a).max(axis=(1, 2)) * np.abs(p).max(axis=(1, 2)) + np.abs(q).max()
     tol = 1e-10 * np.maximum(scale, 1.0)
     return p, [
-        (~finite | np.any(eigs.real >= 0.0, axis=1), lambda i: InstabilityError(
-            f"matrix is not Hurwitz (max real part {eigs[i].real.max():.3e})")),
+        hurwitz,
         (np.isin(np.arange(k), list(singular)), lambda i: NumericalError(
             f"singular Kronecker system: {singular[i]}")),
         (~(residual <= tol) | np.isinf(tol), lambda i: NumericalError(
@@ -285,7 +286,7 @@ def modal_variance(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
     The network-average mode n = 1 produces no output and is excluded.
     F-DPD with tau = 0 is routed through the equivalent P subsystems.  All
     modes are solved at once; the lowest failing mode raises, its checks in
-    the order Routh-Hurwitz, eigenvalues, solve, residual.  Then V_N is
+    the order Routh-Hurwitz (the only Hurwitz test), solve, residual.  Then V_N is
     returned only if its estimated forward error is at most
     ``MODAL_FORWARD_TOL``; otherwise :class:`NumericalError` names the worst
     mode.
@@ -296,9 +297,9 @@ def modal_variance(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
     lam = spec.connected_modes()
     a = modal_matrices(sub_kind, sub_gains, lam)
     q = np.diag(np.eye(a.shape[-1])[0])  # C^T C: the output reads the x-component
-    p, checks = _lyapunov_stack(a, q)
-    _raise_first([(~routh_hurwitz(a), lambda i: InstabilityError(
-        f"mode {i + 2} (lambda={lam[i]:.6g}) is not Hurwitz", mode_index=i + 2))] + checks)
+    p, checks = _lyapunov_stack(a, q, (~routh_hurwitz(a), lambda i: InstabilityError(
+        f"mode {i + 2} (lambda={lam[i]:.6g}) is not Hurwitz", mode_index=i + 2)))
+    _raise_first(checks)
     terms = 2.0 * p[:, 1, 1]
     # The residual test bounds only the backward error; a slow mode can pass
     # it with P_k wrong in every digit.  Term k's relative forward error is

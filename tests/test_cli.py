@@ -187,6 +187,15 @@ class TestSimulateCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flag", ["--with-velocity", "--with-aux"])
+    def test_trajectory_flag_without_out_rejected(self, capsys, monkeypatch, flag):
+        monkeypatch.setattr(cli, "simulate_em", lambda *a: pytest.fail("simulated before the check"))
+        rc = main(["simulate", "--scenario", "dapi_path_10", "--dt", "0.01", "--horizon", "1", flag])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--out" in captured.err and captured.out == ""
+
+
 class TestPlainNumberCells:
     """Every numeric CSV cell is a plain float repr, never ``np.float64(x)``."""
 

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import netcoh as nc
@@ -98,24 +98,30 @@ def test_stacked_modal_matrices_match_subsystems_and_reference(kg, values):
 
 @PROPERTY
 @given(kind_and_gains(), st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=40))
+@example(("p", nc.PGains(0.0, 0.0, 1.0, 9.66e-273)), [1.0])
 def test_batched_terms_match_looped_solves(kg, values):
     kind, gains = kg
     assume(kind != "p" or (gains.f > 0.0 or gains.f0 > 0.0) and (gains.g > 0.0 or gains.g0 > 0.0))
     assume(kind != "dapi" or gains.c >= 1e-3)
     spec = nc.LaplacianSpectrum(np.array([0.0] + values), 1e-9)
     # the per-mode loop the batch replaced, errors included, and the
-    # estimated forward error of V_N that modal_variance checks afterwards
+    # estimated forward error of V_N that modal_variance checks afterwards.
+    # Routh-Hurwitz is the modal route's only Hurwitz test, so each mode is
+    # solved as solve_lyapunov solves it less its eigenvalue check, which
+    # called the example's stable mode (damping 9.66e-273) unstable
     looped, estimates, expected = [], [], None
     for n, lam in enumerate(spec.connected_modes().tolist(), start=2):
         sub = nc.modal_subsystem(kind, gains, lam, n)
         if not nc.is_stable_mode(sub):
             expected = (InstabilityError, f"mode {n} (lambda={lam:.6g}) is not Hurwitz")
             break
+        p, checks = variance._lyapunov_stack(sub.a[None], sub.c.T @ sub.c, (np.zeros(1, bool), None))
         try:
-            p = nc.solve_lyapunov(sub.a, sub.c.T @ sub.c)
-        except (InstabilityError, NumericalError) as exc:  # near-marginal or slow modes
+            variance._raise_first(checks)
+        except NumericalError as exc:  # near-marginal or slow modes
             expected = (type(exc), str(exc))
             break
+        p = p[0]
         looped.append(2.0 * float(sub.b[:, 0] @ p @ sub.b[:, 0]))
         with np.errstate(over="ignore"):
             estimates.append(np.finfo(float).eps * np.abs(sub.a).max() * np.abs(p).max() * abs(looped[-1]))

@@ -11,10 +11,11 @@ from hypothesis.extra import numpy as hnp
 
 import netcoh as nc
 from netcoh import csvrows, simulate
-from netcoh.closed_loop import modal_matrices
+from netcoh.closed_loop import modal_matrices, routh_hurwitz
 from netcoh.errors import (
     InstabilityError,
     InvalidParameterError,
+    NumericalError,
     StepSizeError,
     WindowError,
 )
@@ -105,6 +106,16 @@ class TestSimulateEm:
             nc.SimConfig(dt=0.1, horizon=1.0, seed=0, burn_in=2.0)
         with pytest.raises(InvalidParameterError):
             nc.SimConfig(dt=0.1, horizon=1.0, seed=0, record_every=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dt", math.nan), ("dt", math.inf), ("horizon", math.nan), ("horizon", math.inf),
+        ("noise_intensity", math.nan), ("noise_intensity", math.inf), ("perturbation_scale", math.nan),
+    ])
+    def test_non_finite_config_rejected(self, field, value):
+        # nan slipped past every comparison (a bare ValueError later, or a nan
+        # variance) and an infinite horizon overflowed the step count
+        with pytest.raises(InvalidParameterError, match=f"{field} must be finite"):
+            nc.SimConfig(**{"dt": 0.01, "horizon": 1.0, "seed": 0, field: value})
 
 
 class TestEmpiricalVariance:
@@ -449,6 +460,23 @@ class TestModalBlockKernel:
             assert value == pytest.approx(expected, rel=1e-9)
             assert modal == pytest.approx(expected, rel=1e-9)
 
+    def test_replaced_noise_input_is_simulated_as_given(self):
+        base = small_system()
+        silent = dataclasses.replace(base, b=0.0 * base.b)
+        assert nc.ensemble_variance(silent, nc.SimConfig(0.01, 5.0, 1), [1]).tolist() == [0.0]
+
+    def test_assembly_solves_the_eigenproblem_once(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        system = nc.assemble(nc.build_ring(6, 1.0), "dapi", random_gains(np.random.default_rng(6), "dapi"))
+        dt = nc.recommended_step(system)
+        tau = nc.slowest_time_constant(system)
+        cfg = nc.SimConfig(dt=dt, horizon=3 * BLOCK * dt, seed=0, burn_in=min(tau, BLOCK * dt))
+        nc.ensemble_variance(system, cfg, [0, 1], accumulate_every=1)
+        nc.simulate_em(system, cfg)
+        assert len(calls) == 1
+
     def test_replaced_matrix_is_simulated_as_given(self):
         base = small_system()
         changed = dataclasses.replace(base, a=0.5 * base.a)
@@ -498,6 +526,17 @@ class TestSlowModes:
         eigs = np.linalg.eigvals(modal_matrices("p", gains, lam))
         visible = np.concatenate([eigs[0][eigs[0].real < -1e-9], eigs[1:].ravel()])
         assert nc.slowest_time_constant(system) == pytest.approx(1.0 / np.abs(visible.real).min(), rel=1e-12)
+
+    def test_unresolved_slow_root_of_a_stable_mode_is_not_called_unstable(self):
+        # Routh-Hurwitz proves all 63 relative modes stable (dapi_variance is
+        # finite), but mode 2's slowest root computes with real part >= 0
+        gains = nc.DapiGains(f=0.01, g=0.0, g0=100.0, k_i=50.0, c=1e-6)
+        system = nc.assemble(nc.build_path(64, 1.0), "dapi", gains)
+        lam = nc.spectrum(nc.build_path(64, 1.0)).connected_modes()
+        assert routh_hurwitz(modal_matrices("dapi", gains, lam)).all()
+        for check in (nc.slowest_time_constant, nc.recommended_step):
+            with pytest.raises(NumericalError, match="mode 2 .* below eigenvalue resolution"):
+                check(system)
 
     def test_marginal_relative_mode_is_unstable(self):
         system = nc.assemble_p(nc.build_ring(6, 1.0), nc.PGains(f=0.0, g=1.0, f0=0.0, g0=1.0))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import netcoh as nc
+from netcoh.closed_loop import modal_matrices, routh_hurwitz
 from netcoh.errors import (
     InstabilityError,
     MarginalModeObservableError,
@@ -167,6 +168,18 @@ class TestModalOracle:
         gains = nc.DapiGains(f=1.0, g=0.0, g0=1.0, k_i=1.0, c=0.1)
         report = nc.modal_variance(spec, "dapi", gains)
         assert report.v_n == pytest.approx(nc.dapi_variance(spec, gains).v_n, rel=1e-8)
+
+    def test_eigenvalue_threshold_does_not_override_routh_hurwitz(self):
+        # path 64: Routh-Hurwitz proves every mode stable, yet a batched eigvals
+        # check called mode 2 unstable (real part ~1e-14); the modal route now
+        # has no Hurwitz test but Routh-Hurwitz, and its forward-error guard
+        # refuses this ill-conditioned mode
+        spec = nc.spectrum(nc.build_path(64, 1.0))
+        gains = nc.DapiGains(f=0.01, g=0.0, g0=100.0, k_i=50.0, c=1e-6)
+        assert routh_hurwitz(modal_matrices("dapi", gains, spec.connected_modes())).all()
+        assert nc.dapi_variance(spec, gains).v_n == pytest.approx(9.938e-05, rel=1e-3)
+        with pytest.raises(NumericalError, match="forward error estimate .* mode 2 "):
+            nc.modal_variance(spec, "dapi", gains)
 
     @pytest.mark.parametrize(
         "spec",
