@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .closed_loop import KIND_DAPI, assemble, parse_gains_config
@@ -23,13 +21,8 @@ from .simulate import (
     simulate_em,
     write_trajectory_csv,
 )
-from .tuning import (
-    ScalarSearchConfig,
-    c_star_numeric,
-    classify_c_star,
-    default_bracket_hi,
-)
-from .variance import dapi_variance, full_variance, modal_variance, variance_by_kind
+from .tuning import ScalarSearchConfig, _search, classify_c_star
+from .variance import full_variance, modal_variance, variance_by_kind
 
 
 def _member(args):
@@ -128,14 +121,10 @@ def cmd_tune(args) -> int:
     cfg = ScalarSearchConfig(bracket_hi=args.bracket_hi, abs_tolerance=args.tol,
                              grid_points=args.grid_points)
     verdict = classify_c_star(spec, gains).verdict
-    c_star, v_star = c_star_numeric(spec, gains, cfg)
-
-    hi = cfg.bracket_hi if cfg.bracket_hi is not None else default_bracket_hi(spec, gains)
-    grid = np.concatenate([[0.0], np.geomspace(hi * 1e-4, hi, cfg.grid_points - 1)])
+    grid, values, c_star, v_star = _search(spec, gains, cfg)
     with _output(args) as stream:
         stream.write("c,gridscan_vn\n")
-        for c in grid.tolist():
-            value = dapi_variance(spec, replace(gains, c=c)).v_n
+        for c, value in zip(grid.tolist(), values.tolist()):
             stream.write(f"{c!r},{value!r}\n")
         stream.write(f"c_star,{c_star!r},v_star,{v_star!r},verdict,{verdict}\n")
     return 0
@@ -144,24 +133,29 @@ def cmd_tune(args) -> int:
 def cmd_scale(args) -> int:
     kind, gains = _load_gains(args)
     sizes = _parse_sizes(args.sizes)
-    window = None
-    if args.window:
-        lo, hi = args.window.split(":")
-        window = (int(lo), int(hi))
+    window = _fields(args.window, "--window", "lo:hi", int, int) if args.window else None
     result = run_scaling(args.family, kind, gains, sizes, weight=args.l, window=window)
     with _output(args) as stream:
         write_scaling_csv(result, stream)
     return 0
 
 
+def _fields(text: str, option: str, form: str, *types) -> tuple:
+    """The ':'-separated fields of ``text``, one per type and converted by it."""
+    parts = text.split(":")
+    try:
+        if len(parts) == len(types):
+            return tuple(kind(part) for kind, part in zip(types, parts))
+    except ValueError:
+        pass
+    raise InvalidParameterError(f"bad {option} value {text!r}; use {form}")
+
+
 def _parse_sizes(text: str) -> list[int]:
     if text.startswith("geometric:"):
-        parts = text.split(":")
-        if len(parts) != 4:
-            raise InvalidParameterError("use geometric:start:stop:factor")
-        start, stop, factor = int(parts[1]), int(parts[2]), float(parts[3])
-        if start < 1 or stop < start or factor <= 1.0:
-            raise InvalidParameterError("need start >= 1, stop >= start, factor > 1")
+        _, start, stop, factor = _fields(text, "--sizes", "geometric:start:stop:factor", str, int, int, float)
+        if start < 1 or stop < start or not 1.0 < factor < math.inf:
+            raise InvalidParameterError("need start >= 1, stop >= start, finite factor > 1")
         sizes = []
         value = float(start)
         while round(value) <= stop:

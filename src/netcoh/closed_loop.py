@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IdealPdRedirectError, InvalidParameterError
-from .graphs import WeightedGraph, laplacian, require_connected
+from .graphs import LaplacianSpectrum, WeightedGraph, default_zero_tolerance, laplacian
 
 __all__ = [
     "KIND_P",
@@ -187,19 +187,20 @@ def assemble(graph: WeightedGraph, kind: str, gains) -> ClosedLoopSystem:
     """Block-matrix loop of controller ``kind`` ('p', 'dapi', 'fdpd') on a graph.
 
     Noise enters the v-block and the output is the x-block's deviation from
-    the network average.  The Laplacian is diagonalized once, for the stored
-    modal form (see :class:`ClosedLoopSystem`).
+    the network average.  The Laplacian is diagonalized once: its spectrum
+    decides connectivity, as :func:`~netcoh.graphs.spectrum` would, and gives
+    the stored modal form (see :class:`ClosedLoopSystem`).
     """
     table = _coefficient_table(kind, gains)
-    require_connected(graph)
     n = graph.node_count
     lap, eye = laplacian(graph), np.eye(n)
+    lam, basis = np.linalg.eigh(lap)
+    modes = LaplacianSpectrum(lam, default_zero_tolerance(lam[-1]))
+    modes.connected_modes()  # a disconnected graph raises, as it does for spectrum()
     a = np.block([[al * eye + be * lap for al, be in zip(*rows)] for rows in zip(*table)])
     b = np.eye(a.shape[0], n, -n)  # noise enters the v-block
     system = ClosedLoopSystem(a, b, _centering_output(n, a.shape[0]), kind, n)
-    lam, basis = np.linalg.eigh(lap)
-    lam[0] = 0.0  # the network average of a connected graph
-    object.__setattr__(system, "_modal", (basis, table[0] + table[1] * lam[:, None, None]))
+    object.__setattr__(system, "_modal", (basis, table[0] + table[1] * modes.eigenvalues[:, None, None]))
     return system
 
 

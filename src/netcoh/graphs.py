@@ -193,14 +193,12 @@ def from_edge_list(text: str) -> WeightedGraph:
 
 def laplacian(graph: WeightedGraph) -> np.ndarray:
     """Weighted graph Laplacian: degree on the diagonal, -weight off it."""
-    n = graph.node_count
-    lap = np.zeros((n, n))
-    for i, j, w in graph.edges:
-        a, b = i - 1, j - 1
-        lap[a, b] -= w
-        lap[b, a] -= w
-        lap[a, a] += w
-        lap[b, b] += w
+    edges = np.fromiter(itertools.chain.from_iterable(graph.edges), float, 3 * graph.edge_count)
+    ends, w = edges.reshape(-1, 3)[:, :2].astype(np.intp) - 1, edges[2::3]
+    lap = np.zeros((graph.node_count,) * 2)
+    lap[ends[:, 0], ends[:, 1]] = lap[ends[:, 1], ends[:, 0]] = -w
+    # ends.ravel() is (i1, j1, i2, j2, ...): each degree adds up in edge order
+    np.add.at(lap, (ends.ravel(),) * 2, np.repeat(w, 2))
     return lap
 
 
@@ -238,13 +236,6 @@ def is_connected(graph: WeightedGraph) -> bool:
                 seen[nxt] = True
                 stack.append(nxt)
     return all(seen)
-
-
-def require_connected(graph: WeightedGraph) -> None:
-    if not is_connected(graph):
-        raise DisconnectedGraphError(
-            f"graph with {graph.node_count} nodes and {graph.edge_count} edges is disconnected"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ which is far more restrictive than the stability limit when |Im xi| >> |Re xi|.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -112,8 +113,10 @@ class SimConfig:
             raise InvalidParameterError(f"noise_intensity must be finite and >= 0, got {self.noise_intensity}")
         if not math.isfinite(self.perturbation_scale):
             raise InvalidParameterError(f"perturbation_scale must be finite, got {self.perturbation_scale}")
-        if self.record_every < 1:
-            raise InvalidParameterError("record_every must be >= 1")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:  # numpy's bare ValueError otherwise
+            raise InvalidParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not isinstance(self.record_every, numbers.Integral) or self.record_every < 1:
+            raise InvalidParameterError(f"record_every must be >= 1 and an integer, got {self.record_every!r}")
 
 
 @dataclass(frozen=True)

@@ -68,10 +68,10 @@ class ScalarSearchConfig:
     grid_points: int = 64
 
     def __post_init__(self):
-        if self.bracket_hi is not None and self.bracket_hi <= 0.0:
-            raise InvalidParameterError("bracket_hi must be positive")
-        if self.abs_tolerance <= 0.0:
-            raise InvalidParameterError("abs_tolerance must be positive")
+        if self.bracket_hi is not None and not 0.0 < self.bracket_hi < math.inf:  # nan fails too
+            raise InvalidParameterError(f"bracket_hi must be finite and positive, got {self.bracket_hi}")
+        if not 0.0 < self.abs_tolerance < math.inf:
+            raise InvalidParameterError(f"abs_tolerance must be finite and positive, got {self.abs_tolerance}")
         if self.max_iterations < 1:
             raise InvalidParameterError("max_iterations must be >= 1")
         if self.grid_points < 4:
@@ -131,6 +131,14 @@ def c_star_numeric(
     the best grid point; golden-section refinement runs to ``abs_tolerance``.
     Returns ``(c_star, variance_at_c_star)``.
     """
+    return _search(spec, gains, config)[2:]
+
+
+def _search(spec: LaplacianSpectrum, gains: DapiGains, config: ScalarSearchConfig | None):
+    """The search of :func:`c_star_numeric`: ``(grid, values, c_star, v_star)``.
+
+    ``values[k]`` is V_N at ``c = grid[k]``, ``inf`` where it is unbounded.
+    """
     lam = spec.connected_modes()
     if config is None:
         config = ScalarSearchConfig()
@@ -177,7 +185,7 @@ def c_star_numeric(
             c2 = a + _GOLDEN * (b - a)
             f2 = objective(c2)
     c_best = 0.5 * (a + b)
-    return c_best, objective(c_best)
+    return grid, values, c_best, objective(c_best)
 
 
 def fdpd_dv_dtau(spec: LaplacianSpectrum, gains: FdpdGains) -> float:

@@ -1,10 +1,10 @@
 import argparse
 
 import pytest
-from test_golden import CASES, run_case
+from test_golden import CASES, GOLDEN_DIR, run_case
 
 import netcoh as nc
-from netcoh import cli, graphs
+from netcoh import cli, graphs, variance
 from netcoh.cli import build_parser, main
 from netcoh.scaling import FAMILIES
 
@@ -241,6 +241,16 @@ class TestTuneCommand:
         grid_rows = lines[1:-1]
         assert len(grid_rows) == 64
 
+    def test_grid_rows_are_the_search_scan(self, monkeypatch, tmp_path):
+        # the rows come from c_star_numeric's own scan, not from a second
+        # round of dapi_variance calls
+        def closed_form(*args):
+            raise AssertionError("grid re-evaluated")
+
+        monkeypatch.setattr(variance, "_closed_form", closed_form)
+        golden = (GOLDEN_DIR / "tune_ring16_dapi.csv").read_text()
+        assert run_case("tune_ring16_dapi", tmp_path) == golden
+
     def test_requires_dapi_gains(self, capsys, p_gains_file):
         rc = main(["tune", "--family", "complete", "--n", "4",
                    "--gains-file", p_gains_file])
@@ -273,6 +283,18 @@ class TestScaleCommand:
         rc = main(["scale", "--family", "ring", "--gains-file", p_gains_file,
                    "--sizes", "geometric:64:32:2"])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--sizes", "8,16", "--window", "5"], "bad --window value '5'"),
+        (["--sizes", "8,16", "--window", "a:b"], "bad --window value 'a:b'"),
+        (["--sizes", "geometric:a:b:2"], "bad --sizes value 'geometric:a:b:2'"),
+        (["--sizes", "geometric:8:64:nan"], "finite factor > 1"),
+    ])
+    def test_unparsable_argument_is_an_error_not_a_traceback(self, capsys, p_gains_file, argv, message):
+        rc = main(["scale", "--family", "ring", "--gains-file", p_gains_file, *argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestTopLevel:

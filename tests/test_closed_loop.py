@@ -48,6 +48,21 @@ class TestAssembleP:
         with pytest.raises(DisconnectedGraphError):
             nc.assemble_p(g, nc.PGains(1.0, 1.0, 1.0, 1.0))
 
+    def test_connectivity_is_the_spectrum_verdict(self):
+        # reachable by edges, but lambda_2 = 1.5e-12 is below the zero tolerance
+        weak_bridge = nc.WeightedGraph(3, ((1, 2, 1.0), (2, 3, 1e-12)))
+        assert not nc.spectrum(weak_bridge).is_connected
+        with pytest.raises(DisconnectedGraphError, match="more than one zero mode"):
+            nc.assemble_p(weak_bridge, nc.PGains(1.0, 1.0, 1.0, 1.0))
+
+    def test_no_breadth_first_search(self, monkeypatch):
+        def bfs(graph):
+            raise AssertionError("assemble ran a BFS")
+
+        monkeypatch.setattr(nc.graphs, "is_connected", bfs)
+        system = nc.assemble_p(nc.build_ring(6, 1.0), nc.PGains(1.0, 1.0, 1.0, 1.0))
+        assert system.n == 6
+
 
 class TestAssembleDapi:
     def test_zero_averaging_third_row(self):

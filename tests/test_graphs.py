@@ -271,7 +271,26 @@ class TestEdgeListParsing:
         assert err.value.message == "self-loop at node 4"
 
 
+def looped_laplacian(graph):
+    """The per-edge loop that ``laplacian`` replaced, kept as its reference."""
+    lap = np.zeros((graph.node_count, graph.node_count))
+    for i, j, w in graph.edges:
+        a, b = i - 1, j - 1
+        lap[a, b] -= w
+        lap[b, a] -= w
+        lap[a, a] += w
+        lap[b, b] += w
+    return lap
+
+
 class TestLaplacian:
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists())
+    def test_scatter_equals_the_per_edge_loop(self, case):
+        # degrees add up in edge order, so the sums are the loop's bit for bit
+        graph = nc.WeightedGraph(*case)
+        assert np.array_equal(nc.laplacian(graph), looped_laplacian(graph))
+
     def test_path3(self):
         lap = nc.laplacian(nc.build_path(3, 1.0))
         assert np.array_equal(lap, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])

@@ -117,6 +117,14 @@ class TestSimulateEm:
         with pytest.raises(InvalidParameterError, match=f"{field} must be finite"):
             nc.SimConfig(**{"dt": 0.01, "horizon": 1.0, "seed": 0, field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("record_every", 2.5), ("record_every", math.nan), ("seed", -1), ("seed", 1.5),
+    ])
+    def test_non_integer_config_rejected(self, field, value):
+        # simulate_em raised a bare TypeError or numpy's ValueError on these
+        with pytest.raises(InvalidParameterError, match=f"{field} must be"):
+            nc.SimConfig(**{"dt": 0.01, "horizon": 1.0, "seed": 0, field: value})
+
 
 class TestEmpiricalVariance:
     def test_zero_trajectory(self):

@@ -118,6 +118,15 @@ class TestCStarNumeric:
         with pytest.raises(SearchError):
             default_bracket_hi(spec, gains)
 
+    @pytest.mark.parametrize("field, value", [
+        ("abs_tolerance", math.nan), ("abs_tolerance", math.inf),
+        ("bracket_hi", math.nan), ("bracket_hi", math.inf),
+    ])
+    def test_non_finite_search_config_rejected(self, field, value):
+        # a nan tolerance skipped the golden-section refinement without an error
+        with pytest.raises(InvalidParameterError, match=f"{field} must be finite"):
+            nc.ScalarSearchConfig(**{field: value})
+
     def test_convergence_error_on_tiny_budget(self):
         spec = nc.spectrum(nc.build_complete(4, 1.0))
         gains = nc.DapiGains(f=4.0, g=0.0, g0=1.0, k_i=1.0, c=0.0)
