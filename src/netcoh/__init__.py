@@ -11,7 +11,6 @@ from .closed_loop import (
     ClosedLoopSystem,
     DapiGains,
     FdpdGains,
-    ModalSubsystem,
     PGains,
     assemble,
     assemble_dapi,
@@ -19,8 +18,6 @@ from .closed_loop import (
     assemble_p,
     droop_preset,
     ideal_pd_equivalent,
-    is_stable_mode,
-    modal_subsystem,
     parse_gains_config,
     power_preset,
     zero_averaging_equivalent,
@@ -52,7 +49,6 @@ from .graphs import (
     build_torus,
     complete_spectrum,
     from_edge_list,
-    is_connected,
     laplacian,
     path_spectrum,
     ring_spectrum,

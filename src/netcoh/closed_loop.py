@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,15 +27,12 @@ __all__ = [
     "DapiGains",
     "FdpdGains",
     "ClosedLoopSystem",
-    "ModalSubsystem",
     "assemble",
     "assemble_p",
     "assemble_dapi",
     "assemble_fdpd",
     "modal_matrices",
-    "modal_subsystem",
     "routh_hurwitz",
-    "is_stable_mode",
     "power_preset",
     "droop_preset",
     "ideal_pd_equivalent",
@@ -55,6 +53,11 @@ def _nonneg(name: str, value: float) -> None:
 def _positive(name: str, value: float) -> None:
     if not math.isfinite(value) or value <= 0.0:
         raise InvalidParameterError(f"{name} must be finite and > 0, got {value}")
+
+
+def _integer(name: str, value, least: int) -> None:
+    if not isinstance(value, numbers.Integral) or value < least:  # numpy integers pass
+        raise InvalidParameterError(f"{name} must be >= {least} and an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -140,18 +143,6 @@ class ClosedLoopSystem:
         return self.a.shape[0]
 
 
-@dataclass(frozen=True)
-class ModalSubsystem:
-    """Per-mode subsystem (A_n, B_n, C_n) for Laplacian eigenvalue lam."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    lam: float
-    index: int
-    kind: str
-
-
 def _centering_output(n: int, state_dim: int) -> np.ndarray:
     c = np.zeros((n, state_dim))
     c[:, :n] = np.eye(n) - np.ones((n, n)) / n
@@ -233,13 +224,6 @@ def modal_matrices(kind: str, gains, lam: np.ndarray) -> np.ndarray:
     return alpha + beta * lam[:, None, None]
 
 
-def modal_subsystem(kind: str, gains, lam: float, index: int) -> ModalSubsystem:
-    """Decoupled subsystem for one Laplacian eigenvalue (one modal matrix)."""
-    a = modal_matrices(kind, gains, np.array([lam]))[0]
-    d = a.shape[0]
-    return ModalSubsystem(a, np.eye(d)[:, 1:2], np.eye(d)[:1], float(lam), index, kind)
-
-
 def routh_hurwitz(a: np.ndarray) -> np.ndarray:
     """Hurwitz verdict per matrix of a ``(k, d, d)`` stack, d = 2 or 3.
 
@@ -261,11 +245,6 @@ def routh_hurwitz(a: np.ndarray) -> np.ndarray:
         coeffs.append(-det)
     stable = np.all([(c > 0.0) & np.isfinite(c) for c in coeffs], axis=0)
     return stable if d == 2 else stable & (coeffs[0] * coeffs[1] > coeffs[2])
-
-
-def is_stable_mode(sub: ModalSubsystem) -> bool:
-    """Hurwitz verdict for one modal subsystem (Routh-Hurwitz, any kind)."""
-    return bool(routh_hurwitz(sub.a[None])[0])
 
 
 def power_preset(

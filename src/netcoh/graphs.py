@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
@@ -37,7 +38,6 @@ __all__ = [
     "from_edge_list",
     "laplacian",
     "spectrum",
-    "is_connected",
     "family_spectrum",
     "path_spectrum",
     "ring_spectrum",
@@ -88,14 +88,6 @@ class WeightedGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def neighbor_lists(self) -> list[list[int]]:
-        """Adjacency lists indexed 0-based (node k at position k-1)."""
-        adj: list[list[int]] = [[] for _ in range(self.node_count)]
-        for i, j, _ in self.edges:
-            adj[i - 1].append(j - 1)
-            adj[j - 1].append(i - 1)
-        return adj
 
 
 @dataclass(frozen=True)
@@ -223,21 +215,6 @@ def spectrum(graph: WeightedGraph, zero_tolerance: float | None = None) -> Lapla
     return LaplacianSpectrum(vals, zero_tolerance)
 
 
-def is_connected(graph: WeightedGraph) -> bool:
-    """Breadth-first reachability of all nodes from node 1."""
-    adj = graph.neighbor_lists()
-    seen = [False] * graph.node_count
-    seen[0] = True
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for nxt in adj[node]:
-            if not seen[nxt]:
-                seen[nxt] = True
-                stack.append(nxt)
-    return all(seen)
-
-
 # ---------------------------------------------------------------------------
 # The graph families, registered once in _FAMILIES.  Every builder and
 # closed-form spectrum goes through _member, which checks size and weight.
@@ -335,6 +312,8 @@ def _member(family: str, size: int, weight: float) -> _Family:
     if family not in _FAMILIES:
         raise InvalidParameterError(f"unknown family {family!r}; choose from {FAMILIES}")
     entry = _FAMILIES[family]
+    if not isinstance(size, numbers.Integral):
+        raise InvalidSizeError(f"{family} size must be an integer, got {size!r}")
     if size < entry.min_size:
         what = "torus needs side" if family.startswith("torus") else f"{family} graph needs n"
         raise InvalidSizeError(f"{what} >= {entry.min_size}, got {size}")

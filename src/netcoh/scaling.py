@@ -14,13 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, InvalidParameterError, UnboundedVarianceError
-from .graphs import FAMILIES, family_spectrum
+from .graphs import family_spectrum
 from .variance import variance_by_kind
 
 __all__ = [
-    "FAMILIES",
     "ScalingResult",
-    "family_spectrum",
     "run_scaling",
     "fit_exponent",
     "write_scaling_csv",

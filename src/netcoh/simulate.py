@@ -34,7 +34,6 @@ which is far more restrictive than the stability limit when |Im xi| >> |Re xi|.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -45,6 +44,7 @@ from .closed_loop import (
     ClosedLoopSystem,
     FdpdGains,
     PGains,
+    _integer,
     assemble,
     droop_preset,
     power_preset,
@@ -113,10 +113,8 @@ class SimConfig:
             raise InvalidParameterError(f"noise_intensity must be finite and >= 0, got {self.noise_intensity}")
         if not math.isfinite(self.perturbation_scale):
             raise InvalidParameterError(f"perturbation_scale must be finite, got {self.perturbation_scale}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:  # numpy's bare ValueError otherwise
-            raise InvalidParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not isinstance(self.record_every, numbers.Integral) or self.record_every < 1:
-            raise InvalidParameterError(f"record_every must be >= 1 and an integer, got {self.record_every!r}")
+        _integer("seed", self.seed, 0)  # numpy's bare ValueError otherwise
+        _integer("record_every", self.record_every, 1)
 
 
 @dataclass(frozen=True)
@@ -333,6 +331,9 @@ def ensemble_variance(
     seeds = list(seeds)
     if not seeds:
         raise InvalidParameterError("need at least one seed")
+    for seed in seeds:
+        _integer("seed", seed, 0)
+    _integer("accumulate_every", accumulate_every, 1)
     modes, _, burn_in, _, blocks = _em_blocks(system, cfg, seeds)
     acc, count = np.zeros(len(seeds)), 0
     for first, block in blocks:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closed_loop import DapiGains, FdpdGains
+from .closed_loop import DapiGains, FdpdGains, _integer, _nonneg, _positive
 from .errors import (
     ConvergenceError,
     InvalidParameterError,
@@ -72,10 +72,8 @@ class ScalarSearchConfig:
             raise InvalidParameterError(f"bracket_hi must be finite and positive, got {self.bracket_hi}")
         if not 0.0 < self.abs_tolerance < math.inf:
             raise InvalidParameterError(f"abs_tolerance must be finite and positive, got {self.abs_tolerance}")
-        if self.max_iterations < 1:
-            raise InvalidParameterError("max_iterations must be >= 1")
-        if self.grid_points < 4:
-            raise InvalidParameterError("grid_points must be >= 4")
+        _integer("max_iterations", self.max_iterations, 1)
+        _integer("grid_points", self.grid_points, 4)
 
 
 def classify_c_star(spec: LaplacianSpectrum, gains: DapiGains) -> CStarClassification:
@@ -102,12 +100,11 @@ def c_star_complete(n: int, l: float, f: float, g: float, g0: float) -> float:
 
         c* = max(0, sqrt(f / (N l)) - g - g0 / (N l))
     """
-    if n < 2:
-        raise InvalidParameterError(f"complete graph needs n >= 2, got {n}")
-    if l <= 0.0 or f <= 0.0:
-        raise InvalidParameterError("need l > 0 and f > 0")
-    if g < 0.0 or g0 < 0.0:
-        raise InvalidParameterError("need g >= 0 and g0 >= 0")
+    _integer("n", n, 2)
+    _positive("l", l)
+    _positive("f", f)
+    _nonneg("g", g)
+    _nonneg("g0", g0)
     lam = n * l
     return max(0.0, math.sqrt(f / lam) - g - g0 / lam)
 

@@ -88,7 +88,6 @@ class VarianceReport:
     per_mode: np.ndarray
     bound: float | None
     method: str
-    stable: bool
 
     def to_csv(self) -> str:
         modes = self.per_mode[:, 0].astype(np.int64).tolist()
@@ -101,7 +100,7 @@ class VarianceReport:
 def _mode_sum_report(lam, s, n, bound, method) -> VarianceReport:
     per_mode = np.column_stack((np.arange(2.0, lam.size + 2.0), lam, s))
     per_mode.setflags(write=False)
-    return VarianceReport(math.fsum(s.tolist()) / (2.0 * n), per_mode, bound, method, True)
+    return VarianceReport(math.fsum(s.tolist()) / (2.0 * n), per_mode, bound, method)
 
 
 def _reciprocal(lam: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
@@ -385,4 +384,4 @@ def full_variance(
     if residual > 1e-8 * max(1.0, float(np.abs(x).max())) * scale:
         raise NumericalError(f"full-oracle residual {residual:.3e} too large")
     v = float(np.trace(c_red @ x @ c_red.T))
-    return VarianceReport(v / n, _NO_MODES, None, METHOD_FULL_LYAPUNOV, True)
+    return VarianceReport(v / n, _NO_MODES, None, METHOD_FULL_LYAPUNOV)

@@ -6,7 +6,7 @@ from test_golden import CASES, GOLDEN_DIR, run_case
 import netcoh as nc
 from netcoh import cli, graphs, variance
 from netcoh.cli import build_parser, main
-from netcoh.scaling import FAMILIES
+from netcoh.graphs import FAMILIES
 
 # golden cases of variance --method closed|modal and tune on a --family member
 FAMILY_SPECTRUM_CASES = sorted(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import netcoh as nc
-from netcoh.closed_loop import ModalSubsystem, modal_matrices, routh_hurwitz
+from netcoh.closed_loop import modal_matrices, routh_hurwitz
 from netcoh.errors import (
     DisconnectedGraphError,
     IdealPdRedirectError,
@@ -55,14 +55,6 @@ class TestAssembleP:
         with pytest.raises(DisconnectedGraphError, match="more than one zero mode"):
             nc.assemble_p(weak_bridge, nc.PGains(1.0, 1.0, 1.0, 1.0))
 
-    def test_no_breadth_first_search(self, monkeypatch):
-        def bfs(graph):
-            raise AssertionError("assemble ran a BFS")
-
-        monkeypatch.setattr(nc.graphs, "is_connected", bfs)
-        system = nc.assemble_p(nc.build_ring(6, 1.0), nc.PGains(1.0, 1.0, 1.0, 1.0))
-        assert system.n == 6
-
 
 class TestAssembleDapi:
     def test_zero_averaging_third_row(self):
@@ -104,48 +96,71 @@ class TestAssembleFdpd:
             nc.assemble_fdpd(g, nc.FdpdGains(f=1.0, g=1.0, f0=1.0, k_d=1.0, tau=0.0))
 
 
+def one_mode(kind, gains, lam):
+    """The modal matrix of one Laplacian eigenvalue, as a one-row stack."""
+    return modal_matrices(kind, gains, np.array([lam]))
+
+
+def modal_term(kind, gains, lam):
+    """s_2 of the modal oracle on the spectrum {0, lam}."""
+    return nc.modal_variance(nc.LaplacianSpectrum(np.array([0.0, lam]), 1e-9), kind, gains).per_mode[0, 2]
+
+
+def closed_term(kind, gains, lam):
+    """s_2 of the closed form on the same spectrum."""
+    return nc.variance_by_kind(nc.LaplacianSpectrum(np.array([0.0, lam]), 1e-9), kind, gains).per_mode[0, 2]
+
+
 class TestModalSubsystem:
+    """The per-mode block of each controller: its matrix, input and output."""
+
     def test_p_substitution(self):
-        sub = nc.modal_subsystem("p", nc.PGains(1.0, 1.0, 1.0, 1.0), lam=2.0, index=2)
-        assert np.array_equal(sub.a, [[0, 1], [-3, -3]])
-        assert np.array_equal(sub.b, [[0], [1]])
-        assert np.array_equal(sub.c, [[1, 0]])
+        a = one_mode("p", nc.PGains(1.0, 1.0, 1.0, 1.0), 2.0)[0]
+        assert np.array_equal(a, [[0, 1], [-3, -3]])
 
     def test_dapi_average_mode(self):
         gains = nc.DapiGains(f=1.0, g=0.5, g0=0.8, k_i=1.5, c=0.3)
-        sub = nc.modal_subsystem("dapi", gains, lam=0.0, index=1)
-        assert np.array_equal(sub.a, [[0, 1, 0], [0, -0.8, 1.5], [0, -1, 0]])
-        assert np.array_equal(sub.b, [[0], [1], [0]])
-        assert np.array_equal(sub.c, [[1, 0, 0]])
+        a = one_mode("dapi", gains, 0.0)[0]
+        assert np.array_equal(a, [[0, 1, 0], [0, -0.8, 1.5], [0, -1, 0]])
+
+    @pytest.mark.parametrize("kind, gains", [
+        ("p", nc.PGains(1.3, 0.7, 0.2, 0.5)),
+        ("dapi", nc.DapiGains(f=1.0, g=0.5, g0=0.8, k_i=1.5, c=0.3)),
+        ("fdpd", nc.FdpdGains(f=1.0, g=0.5, f0=0.3, k_d=1.2, tau=0.4)),
+    ])
+    def test_noise_enters_v_and_output_reads_x(self, kind, gains):
+        # the input and output columns the removed per-mode record carried:
+        # B = e_v, C = e_x, so s_n = 2 e_v^T P e_v with A^T P + P A = -e_x e_x^T
+        a = one_mode(kind, gains, 1.5)[0]
+        e_x, e_v = np.eye(len(a))[:2]
+        p = nc.solve_lyapunov(a, np.outer(e_x, e_x))
+        assert modal_term(kind, gains, 1.5) == pytest.approx(2.0 * e_v @ p @ e_v, rel=1e-12)
+        assert modal_term(kind, gains, 1.5) == pytest.approx(closed_term(kind, gains, 1.5), rel=1e-10)
 
     def test_fdpd_substitution(self):
         gains = nc.FdpdGains(f=1.0, g=1.0, f0=1.0, k_d=1.0, tau=0.1)
-        sub = nc.modal_subsystem("fdpd", gains, lam=1.0, index=3)
-        assert np.allclose(sub.a, [[0, 1, 0], [-2, -1, 1], [0, -10, -10]])
+        a = one_mode("fdpd", gains, 1.0)[0]
+        assert np.allclose(a, [[0, 1, 0], [-2, -1, 1], [0, -10, -10]])
 
     def test_fdpd_zero_tau_redirects(self):
         with pytest.raises(IdealPdRedirectError):
-            nc.modal_subsystem(
-                "fdpd", nc.FdpdGains(f=1.0, g=1.0, f0=1.0, k_d=1.0, tau=0.0), 1.0, 2
-            )
+            one_mode("fdpd", nc.FdpdGains(f=1.0, g=1.0, f0=1.0, k_d=1.0, tau=0.0), 1.0)
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(InvalidParameterError):
-            nc.modal_subsystem("p", nc.PGains(1.0, 1.0), -0.5, 2)
+            one_mode("p", nc.PGains(1.0, 1.0), -0.5)
 
 
 class TestStability:
     def test_p_examples(self):
-        stable = nc.modal_subsystem("p", nc.PGains(f=1.0, g=1.0), lam=1.0, index=2)
-        assert nc.is_stable_mode(stable)
-        marginal = nc.modal_subsystem("p", nc.PGains(f=1.0, g=1.0), lam=0.0, index=1)
-        assert not nc.is_stable_mode(marginal)
+        stack = modal_matrices("p", nc.PGains(f=1.0, g=1.0), np.array([1.0, 0.0]))
+        assert routh_hurwitz(stack).tolist() == [True, False]
 
     def test_fdpd_example_against_eigenvalues(self):
         gains = nc.FdpdGains(f=1.0, g=1.0, f0=1.0, k_d=1.0, tau=0.1)
-        sub = nc.modal_subsystem("fdpd", gains, lam=1.0, index=2)
-        assert nc.is_stable_mode(sub)
-        assert np.all(np.linalg.eigvals(sub.a).real < 0)
+        a = one_mode("fdpd", gains, 1.0)
+        assert routh_hurwitz(a)[0]
+        assert np.all(np.linalg.eigvals(a[0]).real < 0)
 
     def test_p_modes_stable_whenever_coefficients_positive(self):
         rng = np.random.default_rng(3)
@@ -157,9 +172,8 @@ class TestStability:
                 g0=float(rng.uniform(0, 2)),
             )
             lam = float(rng.uniform(0.01, 10))
-            sub = nc.modal_subsystem("p", gains, lam, 2)
             positive = (gains.f0 + gains.f * lam > 0) and (gains.g0 + gains.g * lam > 0)
-            assert nc.is_stable_mode(sub) == positive
+            assert routh_hurwitz(one_mode("p", gains, lam))[0] == positive
 
     def test_routh_hurwitz_agrees_with_eigenvalues_on_1000_draws(self):
         rng = np.random.default_rng(11)
@@ -173,24 +187,16 @@ class TestStability:
                     k_d=float(rng.uniform(0.05, 3)),
                     tau=float(rng.uniform(0.01, 2)),
                 )
-                sub = nc.modal_subsystem("fdpd", gains, float(rng.uniform(0, 10)), 2)
+                matrix = one_mode("fdpd", gains, float(rng.uniform(0, 10)))[0]
             else:
                 # same filtered-PD structure with arbitrary, possibly
                 # destabilizing entries
                 a, b, d, e = rng.uniform(-3, 3, size=4)
                 matrix = np.array([[0.0, 1.0, 0.0], [a, b, 1.0], [0.0, d, e]])
-                sub = ModalSubsystem(
-                    matrix,
-                    np.array([[0.0], [1.0], [0.0]]),
-                    np.array([[1.0, 0.0, 0.0]]),
-                    1.0,
-                    2,
-                    "fdpd",
-                )
-            eigs = np.linalg.eigvals(sub.a)
+            eigs = np.linalg.eigvals(matrix)
             if np.abs(eigs.real).min() < 1e-9:  # boundary, verdicts may differ
                 continue
-            assert nc.is_stable_mode(sub) == bool(np.all(eigs.real < 0))
+            assert routh_hurwitz(matrix[None])[0] == bool(np.all(eigs.real < 0))
             checked += 1
 
     def test_dapi_modes_numerically_stable_for_valid_gains(self):
@@ -203,15 +209,13 @@ class TestStability:
                 k_i=float(rng.uniform(0.05, 3)),
                 c=float(rng.uniform(0.01, 2)),
             )
-            sub = nc.modal_subsystem("dapi", gains, float(rng.uniform(0.01, 10)), 2)
-            assert nc.is_stable_mode(sub)
+            assert routh_hurwitz(one_mode("dapi", gains, float(rng.uniform(0.01, 10))))[0]
 
     def test_slow_dapi_mode_on_ring_1200_is_stable(self):
         # the slow root is about -f*c*lam^2/k_i = -7.5e-11, below the old
         # eigenvalue threshold of 1e-10 times the spectral radius
         lam2 = float(nc.ring_spectrum(1200, 1.0).eigenvalues[1])
-        sub = nc.modal_subsystem("dapi", DAPI_README, lam2, 2)
-        assert nc.is_stable_mode(sub)
+        assert routh_hurwitz(one_mode("dapi", DAPI_README, lam2))[0]
 
     @pytest.mark.parametrize("c", [1e-6, 1e-3, 0.1, 2.0])
     def test_every_dapi_mode_stable_on_families_up_to_4096(self, c):
@@ -224,12 +228,9 @@ class TestStability:
             nc.torus_spectrum(16, 3, 1.0),
         ]
         for spec in spectra:
-            modes = spec.connected_modes().tolist()
-            assert all(
-                nc.is_stable_mode(nc.modal_subsystem("dapi", gains, lam, n))
-                for n, lam in enumerate(modes, start=2)
-            )
-            assert routh_hurwitz(modal_matrices("dapi", gains, spec.connected_modes())).all()
+            stack = modal_matrices("dapi", gains, spec.connected_modes())
+            assert all(routh_hurwitz(a[None])[0] for a in stack)  # each mode on its own
+            assert routh_hurwitz(stack).all()
 
 
 def eigenvalue_multisets_match(full, parts, tol):
@@ -280,10 +281,7 @@ class TestBlockDiagonalization:
                 )
             system = nc.assemble(graph, kind, gains)
             spec = nc.spectrum(graph)
-            modal_eigs = []
-            for n, lam in enumerate(spec.eigenvalues, start=1):
-                sub = nc.modal_subsystem(kind, gains, max(float(lam), 0.0), n)
-                modal_eigs.extend(np.linalg.eigvals(sub.a))
+            modal_eigs = np.linalg.eigvals(modal_matrices(kind, gains, spec.eigenvalues)).ravel()
             scale = max(1.0, np.abs(modal_eigs).max())
             eigenvalue_multisets_match(
                 np.linalg.eigvals(system.a), modal_eigs, tol=1e-8 * scale

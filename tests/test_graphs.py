@@ -29,7 +29,7 @@ class TestBuilders:
         g = nc.build_path(100, 0.3)
         assert g.edge_count == 99
         assert all(w == 0.3 for _, _, w in g.edges)
-        assert nc.is_connected(g)
+        assert nc.spectrum(g).is_connected
 
     def test_ring(self):
         assert nc.build_ring(3, 1.0).edge_count == 3
@@ -86,11 +86,11 @@ class TestTorus:
     def test_degrees(self):
         g = nc.build_torus(3, 2, 1.0)
         assert g.node_count == 9 and g.edge_count == 18
-        degrees = [len(nbrs) for nbrs in g.neighbor_lists()]
-        assert degrees == [4] * 9
+        degrees = np.diag(nc.laplacian(g))  # unit weights: the degree is the neighbour count
+        assert degrees.tolist() == [4.0] * 9
         g3 = nc.build_torus(4, 3, 1.0)
         assert g3.node_count == 64
-        assert all(len(nbrs) == 6 for nbrs in g3.neighbor_lists())
+        assert np.all(np.diag(nc.laplacian(g3)) == 6.0)
 
 
 class TestFamilyRegistry:
@@ -118,6 +118,20 @@ class TestFamilyRegistry:
                 make(family, smallest - 1, 1.0)
             with pytest.raises(InvalidSizeError):
                 make(family, smallest, float("inf"))
+
+    @pytest.mark.parametrize("make, size", [
+        (nc.ring_spectrum, 3.5), (nc.path_spectrum, 4.5), (nc.build_path, 2.5), (nc.build_ring, 4.0),
+        (nc.complete_spectrum, np.float64(5.0)),
+    ])
+    def test_non_integral_size_rejected(self, make, size):
+        # ring_spectrum(3.5) gave a 4-eigenvalue spectrum, path_spectrum(4.5) a
+        # finite V_N, and build_path(2.5) a bare TypeError
+        with pytest.raises(InvalidSizeError, match="size must be an integer"):
+            make(size, 1.0)
+
+    def test_numpy_integer_sizes_pass(self):
+        assert nc.build_ring(np.int64(5), 1.0) == nc.build_ring(5, 1.0)
+        assert np.array_equal(nc.path_spectrum(np.int32(6), 1.0).eigenvalues, nc.path_spectrum(6, 1.0).eigenvalues)
 
     def test_errors_name_the_family(self):
         for make in (lambda: build_family("ring", 2, 1.0), lambda: nc.build_ring(2, 1.0),
@@ -353,28 +367,30 @@ class TestSpectrum:
 
 
 class TestConnectivity:
+    """Connectivity is the spectrum's verdict: one zero Laplacian mode."""
+
     def test_examples(self):
-        assert nc.is_connected(nc.build_path(5, 1.0))
-        assert nc.is_connected(nc.build_complete(3, 1.0))
+        assert nc.spectrum(nc.build_path(5, 1.0)).is_connected
+        assert nc.spectrum(nc.build_complete(3, 1.0)).is_connected
         two_pairs = nc.WeightedGraph(4, ((1, 2, 1.0), (3, 4, 1.0)))
-        assert not nc.is_connected(two_pairs)
+        assert not nc.spectrum(two_pairs).is_connected
 
     def test_agrees_with_spectral_gap(self):
         cases = [
-            nc.build_path(6, 0.5),
-            nc.build_ring(8, 1.0),
-            nc.build_torus(3, 2, 1.0),
-            nc.WeightedGraph(4, ((1, 2, 1.0), (3, 4, 1.0))),
-            nc.WeightedGraph(5, ((1, 2, 1.0), (2, 3, 1.0), (4, 5, 1.0))),
+            (nc.build_path(6, 0.5), True),
+            (nc.build_ring(8, 1.0), True),
+            (nc.build_torus(3, 2, 1.0), True),
+            (nc.WeightedGraph(4, ((1, 2, 1.0), (3, 4, 1.0))), False),
+            (nc.WeightedGraph(5, ((1, 2, 1.0), (2, 3, 1.0), (4, 5, 1.0))), False),
         ]
-        for g in cases:
-            assert nc.is_connected(g) == nc.spectrum(g).is_connected
+        for g, connected in cases:
+            assert nc.spectrum(g).is_connected is connected
 
     def test_one_node_graph_is_connected_both_ways(self):
         graph = nc.WeightedGraph(1, ())
         spec = nc.spectrum(graph)
-        assert nc.is_connected(graph)
         assert spec.is_connected
+        assert nc.assemble_p(graph, nc.PGains(1.0, 1.0, 1.0, 1.0)).n == 1  # assemble's own eigh agrees
         assert spec.connected_modes().size == 0
         assert nc.p_variance(spec, nc.PGains(1.0, 1.0, 1.0, 1.0)).v_n == 0.0
 

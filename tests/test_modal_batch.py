@@ -92,7 +92,7 @@ def test_stacked_modal_matrices_match_subsystems_and_reference(kg, values):
     kind, gains = kg
     stack = modal_matrices(kind, gains, np.array(values))
     for k, lam in enumerate(values):
-        assert np.array_equal(stack[k], nc.modal_subsystem(kind, gains, lam, k + 2).a)
+        assert np.array_equal(stack[k], modal_matrices(kind, gains, np.array([lam]))[0])
         assert np.array_equal(stack[k], reference_modal(kind, gains, lam))
 
 
@@ -111,20 +111,21 @@ def test_batched_terms_match_looped_solves(kg, values):
     # called the example's stable mode (damping 9.66e-273) unstable
     looped, estimates, expected = [], [], None
     for n, lam in enumerate(spec.connected_modes().tolist(), start=2):
-        sub = nc.modal_subsystem(kind, gains, lam, n)
-        if not nc.is_stable_mode(sub):
+        a = modal_matrices(kind, gains, np.array([lam]))  # one mode: noise enters v, the output reads x
+        e_x, e_v = np.eye(a.shape[-1])[:2]
+        if not routh_hurwitz(a)[0]:
             expected = (InstabilityError, f"mode {n} (lambda={lam:.6g}) is not Hurwitz")
             break
-        p, checks = variance._lyapunov_stack(sub.a[None], sub.c.T @ sub.c, (np.zeros(1, bool), None))
+        p, checks = variance._lyapunov_stack(a, np.outer(e_x, e_x), (np.zeros(1, bool), None))
         try:
             variance._raise_first(checks)
         except NumericalError as exc:  # near-marginal or slow modes
             expected = (type(exc), str(exc))
             break
         p = p[0]
-        looped.append(2.0 * float(sub.b[:, 0] @ p @ sub.b[:, 0]))
+        looped.append(2.0 * float(e_v @ p @ e_v))
         with np.errstate(over="ignore"):
-            estimates.append(np.finfo(float).eps * np.abs(sub.a).max() * np.abs(p).max() * abs(looped[-1]))
+            estimates.append(np.finfo(float).eps * np.abs(a).max() * np.abs(p).max() * abs(looped[-1]))
     ill_conditioned = np.sum(estimates) > MODAL_FORWARD_TOL * abs(np.sum(looped))
     try:
         terms = nc.modal_variance(spec, kind, gains).per_mode[:, 2]

@@ -5,8 +5,8 @@ import pytest
 
 import netcoh as nc
 from netcoh.errors import FitError, InvalidParameterError
-from netcoh.graphs import build_family
-from netcoh.scaling import FAMILIES, family_spectrum, write_scaling_csv
+from netcoh.graphs import FAMILIES, build_family, family_spectrum
+from netcoh.scaling import write_scaling_csv
 
 # one size per family (the lattice side for a torus)
 DENSE_CHECK_SIZES = {"path": 200, "ring": 256, "complete": 64, "torus1": 50, "torus2": 7, "torus3": 5}

@@ -148,6 +148,20 @@ class TestEmpiricalVariance:
             single = nc.empirical_variance(nc.simulate_em(system, cfg_single))
             assert single == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("options, message", [
+        ({"seeds": [-1]}, "seed must be >= 0"), ({"seeds": [1.5]}, "seed must be >= 0"),
+        ({"seeds": [0, np.int64(-2)]}, "seed must be >= 0"),
+        ({"accumulate_every": 0}, "accumulate_every must be >= 1"),
+        ({"accumulate_every": -1}, "accumulate_every must be >= 1"),
+        ({"accumulate_every": 2.5}, "accumulate_every must be >= 1"),
+    ], ids=["seed-1", "seed1.5", "numpy_seed-2", "every0", "every-1", "every2.5"])
+    def test_bad_ensemble_arguments_rejected(self, options, message):
+        # numpy's bare ValueError or TypeError for these seeds; a stride below 1
+        # returned a variance (dividing by zero at 0), and 2.5 was a float modulus
+        cfg = nc.SimConfig(dt=0.01, horizon=5.0, seed=0)
+        with pytest.raises(InvalidParameterError, match=message):
+            nc.ensemble_variance(small_system(), cfg, **{"seeds": [0], **options})
+
 
 def batch_means_std_error(values, batches=16):
     usable = len(values) - len(values) % batches

@@ -82,6 +82,21 @@ class TestCStarComplete:
         with pytest.raises(InvalidParameterError):
             nc.c_star_complete(4, 0.0, 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("args, message", [
+        ((10, math.nan, 1.0, 0.0, 0.0), "l must be finite"),
+        ((10, math.inf, 1.0, 0.0, 0.0), "l must be finite"),
+        ((10, 1.0, math.nan, 0.0, 0.0), "f must be finite"),
+        ((10, 1.0, math.inf, 0.0, 0.0), "f must be finite"),
+        ((10, 1.0, 1.0, math.nan, 0.0), "g must be finite"),
+        ((10, 1.0, 1.0, 0.0, math.nan), "g0 must be finite"),
+        ((2.5, 1.0, 1.0, 0.0, 0.0), "n must be >= 2 and an integer"),
+    ], ids=["nan_l", "inf_l", "nan_f", "inf_f", "nan_g", "nan_g0", "fractional_n"])
+    def test_undefined_input_is_not_an_answer(self, args, message):
+        # each returned a number: 0.0 for a nan or infinite l, a nan f, g or
+        # g0, inf for an infinite f, and a c* for n = 2.5 nodes
+        with pytest.raises(InvalidParameterError, match=message):
+            nc.c_star_complete(*args)
+
 
 class TestCStarNumeric:
     def test_complete4_against_closed_form_and_grid(self):
@@ -125,6 +140,15 @@ class TestCStarNumeric:
     def test_non_finite_search_config_rejected(self, field, value):
         # a nan tolerance skipped the golden-section refinement without an error
         with pytest.raises(InvalidParameterError, match=f"{field} must be finite"):
+            nc.ScalarSearchConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("grid_points", 10.5), ("grid_points", 3), ("max_iterations", 2.5), ("max_iterations", 0),
+    ])
+    def test_non_integer_search_config_rejected(self, field, value):
+        # a fractional grid_points ended in np.geomspace's bare TypeError, and
+        # a fractional max_iterations was accepted
+        with pytest.raises(InvalidParameterError, match=f"{field} must be >= "):
             nc.ScalarSearchConfig(**{field: value})
 
     def test_convergence_error_on_tiny_budget(self):

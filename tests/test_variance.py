@@ -22,10 +22,12 @@ from conftest import random_connected_graph, random_gains
 class TestPVariance:
     def test_complete2_all_unit_gains(self):
         spec = nc.spectrum(nc.build_complete(2, 1.0))
-        report = nc.p_variance(spec, nc.PGains(1.0, 1.0, 1.0, 1.0))
+        gains = nc.PGains(1.0, 1.0, 1.0, 1.0)
+        report = nc.p_variance(spec, gains)
         assert report.v_n == pytest.approx(1.0 / 36.0, rel=1e-12)
         assert report.bound is None
-        assert report.stable
+        # a report exists only for a stable loop: every relative mode is Hurwitz
+        assert routh_hurwitz(modal_matrices("p", gains, spec.connected_modes())).all()
 
     def test_ring4_relative_only(self):
         spec = nc.spectrum(nc.build_ring(4, 1.0))
@@ -400,7 +402,6 @@ class TestReportSerialization:
                 np.array([[2.0, 1e-5, np.inf], [3.0, 3e-05, -0.0], [4.0, 1e16, np.nan], [5.0, 0.0, 1.5]]),
                 None,
                 "closed_form",
-                True,
             ),
         ],
         ids=["ring3000", "edge_cells"],
