@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
@@ -47,12 +48,17 @@ __all__ = [
 
 
 def _canonical_edges(node_count: int, edges) -> tuple:
-    """Sorted ``(min, max, float w)`` edges; rejects self-loops, out-of-range
-    endpoints, non-positive or non-finite weights and duplicates, giving the
-    offending edge's position as the error's ``edge_index``."""
+    """Sorted ``(min, max, float w)`` edges; rejects non-integer endpoints,
+    self-loops, out-of-range endpoints, non-positive or non-finite weights and
+    duplicates, giving the offending edge's position as the error's
+    ``edge_index``."""
     canonical = []
     seen = set()
     for index, (i, j, w) in enumerate(edges):
+        try:  # numpy integers pass; an ABC isinstance test would double this loop's time
+            i, j = operator.index(i), operator.index(j)
+        except TypeError:
+            raise GraphFormatError(0, f"edge ({i},{j}) has a non-integer endpoint", index) from None
         if i == j:
             raise GraphFormatError(0, f"self-loop at node {i}", index)
         if not (1 <= i <= node_count and 1 <= j <= node_count):
@@ -73,14 +79,17 @@ class WeightedGraph:
     """Undirected graph with strictly positive edge weights.
 
     Edges are stored once as ``(i, j, weight)`` with ``i < j`` (1-based).
-    Construction rejects self-loops, duplicate edges, non-positive weights
-    and out-of-range endpoints.
+    Construction rejects a non-integer node count, non-integer endpoints,
+    self-loops, duplicate edges, non-positive weights and out-of-range
+    endpoints.
     """
 
     node_count: int
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
+        if not isinstance(self.node_count, numbers.Integral):
+            raise InvalidSizeError(f"node_count must be an integer, got {self.node_count!r}")
         if self.node_count < 1:
             raise InvalidSizeError(f"node_count must be >= 1, got {self.node_count}")
         object.__setattr__(self, "edges", _canonical_edges(self.node_count, self.edges))

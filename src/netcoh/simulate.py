@@ -13,7 +13,7 @@ trajectories are comparable in distribution across implementations.
 One kernel steps every run.  An assembled loop is block-diagonal in the
 Laplacian eigenbasis ``L = U diag(lam) U^T``: mode k is ``A_k = alpha + beta
 lam_k`` from the controller's coefficient table (d = 2 or 3), its noise is
-``sigma sqrt(dt) (xi U)_k`` (the same draws, rotated by one GEMM per chunk),
+``sigma sqrt(dt) (xi U)_k`` (the same draws, rotated by GEMMs chunk by chunk),
 and ``||y||^2`` sums ``x_hat_k^2`` over every mode but the network average,
 which so leaves the statistic exactly.  ``assemble`` stores ``U`` and the
 mode stack; a hand-built loop, or one that ``dataclasses.replace`` stripped of
@@ -25,6 +25,18 @@ are shorter only where a mode's map would pass 2^16 numbers (large hand-built
 loops); every step is computed, so no state depends on ``record_every`` or
 ``accumulate_every``.
 
+The draws come in chunks of at most 512 steps for every seed.  Each kernel
+call starts one producer thread that fills chunk j + 1, seed by seed, into the
+second of two draw buffers while the calling thread rotates and steps chunk j
+(PCG64 ``standard_normal(out=...)`` and the GEMMs release the GIL).  The
+rotation runs as GEMMs small enough for OpenBLAS to keep on the calling
+thread, so no BLAS worker spins on the CPU the producer needs.  Each
+generator is used by one thread at a time, in the same order, so the draws
+are those of a sequential run, bit for bit.  Each chunk's buffer is handed
+to the kernel once and back once; the thread is joined when the run ends,
+stops early or raises, and an error it meets is raised in the caller as it
+was raised.
+
 Note on step sizes: for a lightly damped oscillatory mode with eigenvalue xi
 the scheme inflates the stationary variance by roughly |xi|^2 dt / (2|Re xi|),
 which is far more restrictive than the stability limit when |Im xi| >> |Re xi|.
@@ -34,6 +46,8 @@ which is far more restrictive than the stability limit when |Im xi| >> |Re xi|.
 from __future__ import annotations
 
 import math
+import queue
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -79,7 +93,15 @@ INIT_ZERO = "zero"
 INIT_FREQUENCY_PERTURBATION = "random_frequency_perturbation"
 
 BLOCK = 32  # EM steps per kernel block: a constant, so no state depends on a stride
-_NOISE_CHUNK = 1024  # steps drawn per generator call, at most 2^22 draws in all
+# Caps on one noise chunk: its steps, and its draws for all seeds (16 MiB) unless one
+# BLOCK of steps needs more.  Three chunks are held at once: the draws the producer
+# thread fills, the draws the kernel reads, and their rotation into the modes.
+_NOISE_CHUNK = 512
+_NOISE_DRAWS = 1 << 21
+# OpenBLAS runs a GEMM with m n k <= 2^18 on the calling thread.  A larger one wakes
+# its workers, which then spin between calls on the CPU the producer thread needs,
+# so the rotation is made in GEMMs of this size where N <= 256 allows it.
+_SERIAL_GEMM = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -247,28 +269,58 @@ def _em_blocks(system: ClosedLoopSystem, cfg: SimConfig, seeds, warn: bool = Fal
     while span > 1 and (d + span * r) * span * d > 1 << 16:
         span //= 2
     op = _block_operator(np.eye(d) + cfg.dt * modes.a, sigma * modes.inject, span)
-    chunk = BLOCK * max(1, min(_NOISE_CHUNK, (1 << 22) // (n * n_seeds)) // BLOCK)
+    chunk = BLOCK * max(1, min(_NOISE_CHUNK, _NOISE_DRAWS // (n * n_seeds)) // BLOCK)
+    sizes = [min(chunk, steps - done) for done in range(0, steps, chunk)]
+    rotate = _SERIAL_GEMM // (n * n)  # draw rows per rotation GEMM
+    if rotate < 4:  # N > 256: narrower GEMMs re-read U for every few rows and cost more
+        rotate = n_seeds * chunk
+
+    def produce(free, filled):
+        try:
+            for size in sizes:
+                draws = free.get()
+                if draws is None:  # the kernel stopped early
+                    return
+                for rng, out in zip(rngs, draws[: n_seeds * size * n].reshape(n_seeds, size, n)):
+                    rng.standard_normal(out=out)
+                filled.put(draws)
+        except BaseException as exc:  # the kernel re-raises it as it was raised
+            filled.put(exc)
 
     def blocks():
-        draws = np.empty(n_seeds * chunk * n)
-        rotated = np.empty_like(draws) if r == 1 else None
+        free, filled = queue.SimpleQueue(), queue.SimpleQueue()
+        for _ in range(2):
+            free.put(np.empty(n_seeds * chunk * n))
+        rotated = np.empty(n_seeds * chunk * n) if r == 1 else None
         rows = np.empty((k, n_seeds, d + span * r))
         rows[:, :, :d] = (states.reshape(n_seeds, d, -1) @ modes.basis).transpose(2, 0, 1)
-        for done in range(0, steps, chunk):
-            size = min(chunk, steps - done)
-            xi = draws[: n_seeds * size * n].reshape(n_seeds, size, n)
-            for rng, out in zip(rngs, xi):
-                rng.standard_normal(out=out)
-            w = xi.reshape(-1, n)
-            if r == 1:  # one draw per mode: xi U
-                w = np.matmul(modes.basis.T, w.T, out=rotated[: w.size].reshape(n, -1))
-            w = w.reshape(k, n_seeds, size * r)
-            for t in range(0, size, span):
-                m = min(span, size - t)
-                rows[:, :, d : d + m * r] = w[:, :, t * r : (t + m) * r]
-                block = np.matmul(rows[:, :, : d + m * r], op[:, : d + m * r, : m * d])
-                rows[:, :, :d] = block[:, :, -d:]
-                yield done + t, block.reshape(k, n_seeds, m, d)
+        # a daemon, so a generator that is never closed cannot hold up interpreter exit
+        producer = threading.Thread(target=produce, args=(free, filled), name="netcoh-em-draws", daemon=True)
+        producer.start()
+        try:
+            for done, size in zip(range(0, steps, chunk), sizes):
+                draws = filled.get()
+                if isinstance(draws, BaseException):
+                    raise draws
+                w = draws[: n_seeds * size * n].reshape(-1, n)
+                if r == 1:  # one draw per mode: xi U; the producer may refill the draws now
+                    into = rotated[: w.size].reshape(n, -1)
+                    for lo in range(0, len(w), rotate):
+                        np.matmul(modes.basis.T, w[lo : lo + rotate].T, out=into[:, lo : lo + rotate])
+                    w = into
+                    free.put(draws)
+                w = w.reshape(k, n_seeds, size * r)
+                for t in range(0, size, span):
+                    m = min(span, size - t)
+                    rows[:, :, d : d + m * r] = w[:, :, t * r : (t + m) * r]
+                    block = np.matmul(rows[:, :, : d + m * r], op[:, : d + m * r, : m * d])
+                    rows[:, :, :d] = block[:, :, -d:]
+                    yield done + t, block.reshape(k, n_seeds, m, d)
+                if r != 1:  # the blocks read the draws themselves
+                    free.put(draws)
+        finally:
+            free.put(None)
+            producer.join()
 
     return modes, steps, burn_in, states, blocks()
 
@@ -326,7 +378,10 @@ def ensemble_variance(
     block kernel of the module docstring.  ``||y||^2 / N``, the sum of
     ``x_hat_k^2`` over every mode but the network average, is accumulated
     every ``accumulate_every``-th step past burn-in; no trajectory is stored,
-    and no state depends on ``accumulate_every``.
+    and no state depends on ``accumulate_every``.  The draws of the next chunk
+    are made on one helper thread, started and joined within the call, while
+    this one steps the current chunk; the values are those of a sequential
+    run, bit for bit.
     """
     seeds = list(seeds)
     if not seeds:

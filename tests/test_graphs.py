@@ -427,6 +427,25 @@ class TestWeightedGraphInvariants:
         with pytest.raises(GraphFormatError):
             nc.WeightedGraph(3, ((1, 4, 1.0),))
 
+    @pytest.mark.parametrize("edges, index", [
+        (((1.5, 3, 1.0), (1, 2, 1.0)), 0),  # truncated to node 1, it would add an edge (1, 3) never given
+        (((1, 2, 1.0), (2, 3.0, 1.0)), 1),
+        (((1, 2, 1.0), (2, 3, 1.0), ("1", 3, 1.0)), 2),
+    ])
+    def test_rejects_non_integer_endpoints(self, edges, index):
+        with pytest.raises(GraphFormatError, match="non-integer endpoint") as err:
+            nc.WeightedGraph(3, edges)
+        assert err.value.edge_index == index
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, "3", None])
+    def test_rejects_non_integer_node_count(self, count):
+        with pytest.raises(InvalidSizeError, match="node_count must be an integer"):
+            nc.WeightedGraph(count, ((1, 2, 1.0),))
+
+    def test_numpy_integers_are_integers(self):
+        g = nc.WeightedGraph(np.int64(3), ((np.int64(2), np.int32(1), 1.0), (2, 3, 1.0)))
+        assert g.edges == ((1, 2, 1.0), (2, 3, 1.0))
+
     def test_canonical_edge_storage(self):
         g = nc.WeightedGraph(3, ((3, 1, 2.0), (2, 1, 1.0)))
         assert g.edges == ((1, 2, 1.0), (1, 3, 2.0))

@@ -1,6 +1,8 @@
 import dataclasses
 import io
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -530,6 +532,88 @@ class TestModalBlockKernel:
         assert values[0] == pytest.approx(reference_em(system, cfg, 8, 1, cfg.burn_in)[1], rel=1e-9)
         with pytest.raises(WindowError):
             nc.ensemble_variance(system, cfg, [8], accumulate_every=10)
+
+
+class _FailingGenerator:
+    """A generator whose second ``standard_normal`` call raises."""
+
+    def __init__(self, rng, error):
+        self._rng, self._error, self._calls = rng, error, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self._calls += 1
+        if self._calls == 2:
+            raise self._error
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+class TestNoiseChunks:
+    """The draws of chunk j + 1 are made on a producer thread while chunk j steps."""
+
+    @pytest.mark.parametrize("nodes, hand_built", [(4, False), (4, True), (40, False)],
+                             ids=["modal", "hand_built", "rotated_in_several_gemms"])
+    def test_several_chunks_and_a_partial_one(self, nodes, hand_built):
+        system = nc.assemble_p(nc.build_ring(nodes, 1.0), nc.PGains(1.0, 1.0, 1.0, 1.0))
+        if hand_built:  # its blocks read the draw buffer itself, not the rotated copy
+            system = nc.ClosedLoopSystem(system.a, system.b, system.c, system.kind, system.n)
+        steps = 3 * simulate._NOISE_CHUNK + BLOCK + 5
+        cfg = nc.SimConfig(dt=0.01, horizon=steps * 0.01, seed=5, burn_in=(steps // 2 + 0.5) * 0.01,
+                           initial_state="random_frequency_perturbation")
+        seeds = [5, 6]
+        values = nc.ensemble_variance(system, cfg, seeds, accumulate_every=3)
+        assert np.array_equal(values, nc.ensemble_variance(system, cfg, seeds, accumulate_every=3))
+        for seed, value in zip(seeds, values):
+            assert value == pytest.approx(reference_em(system, cfg, seed, 3, cfg.burn_in)[1], rel=1e-9)
+        traj = nc.simulate_em(system, cfg)
+        assert np.array_equal(traj.states, nc.simulate_em(system, cfg).states)
+        assert _close(traj.states, reference_em(system, cfg, 5, 1, cfg.burn_in)[0])
+
+    def test_closing_the_kernel_early_joins_its_thread(self):
+        baseline = threading.active_count()
+        cfg = nc.SimConfig(dt=0.01, horizon=10 * simulate._NOISE_CHUNK * 0.01, seed=0)
+        *_, blocks = simulate._em_blocks(small_system(), cfg, [0, 1])
+        assert threading.active_count() == baseline  # nothing starts before the first block
+        first, _ = next(blocks)
+        assert first == 0
+        assert threading.active_count() == baseline + 1
+        blocks.close()
+        assert threading.active_count() == baseline
+
+    def test_a_draw_error_reaches_the_caller_as_raised(self, monkeypatch):
+        error = RuntimeError("draw failed")
+        make = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _FailingGenerator(make(seed), error))
+        baseline = threading.active_count()
+        # a zero start draws nothing up front: call 2 fills chunk 1, on the producer thread
+        cfg = nc.SimConfig(dt=0.01, horizon=3 * simulate._NOISE_CHUNK * 0.01, seed=0)
+        with pytest.raises(RuntimeError) as err:
+            nc.ensemble_variance(small_system(), cfg, [0])
+        assert err.value is error
+        assert threading.active_count() == baseline
+
+    def test_concurrent_calls_match_sequential_ones(self):
+        system = small_system()
+        cfg = nc.SimConfig(dt=0.01, horizon=(2 * simulate._NOISE_CHUNK + 7) * 0.01, seed=0)
+        seeds = [[k, k + 1] for k in range(6)]
+        expected = [nc.ensemble_variance(system, cfg, pair) for pair in seeds]
+        results = [None] * len(seeds)
+
+        def run(index):
+            results[index] = nc.ensemble_variance(system, cfg, seeds[index])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=run, args=(i,)) for i in range(len(seeds))]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, expected):
+            assert np.array_equal(got, want)
 
 
 class TestSlowModes:
