@@ -13,7 +13,7 @@ trajectories are comparable in distribution across implementations.
 One kernel steps every run.  An assembled loop is block-diagonal in the
 Laplacian eigenbasis ``L = U diag(lam) U^T``: mode k is ``A_k = alpha + beta
 lam_k`` from the controller's coefficient table (d = 2 or 3), its noise is
-``sigma sqrt(dt) (xi U)_k`` (the same draws, rotated by GEMMs chunk by chunk),
+``sigma sqrt(dt) (xi U)_k`` (the same draws, rotated by one GEMM per chunk),
 and ``||y||^2`` sums ``x_hat_k^2`` over every mode but the network average,
 which so leaves the statistic exactly.  ``assemble`` stores ``U`` and the
 mode stack; a hand-built loop, or one that ``dataclasses.replace`` stripped of
@@ -28,9 +28,7 @@ loops); every step is computed, so no state depends on ``record_every`` or
 The draws come in chunks of at most 512 steps for every seed.  Each kernel
 call starts one producer thread that fills chunk j + 1, seed by seed, into the
 second of two draw buffers while the calling thread rotates and steps chunk j
-(PCG64 ``standard_normal(out=...)`` and the GEMMs release the GIL).  The
-rotation runs as GEMMs small enough for OpenBLAS to keep on the calling
-thread, so no BLAS worker spins on the CPU the producer needs.  Each
+(PCG64 ``standard_normal(out=...)`` and the GEMMs release the GIL).  Each
 generator is used by one thread at a time, in the same order, so the draws
 are those of a sequential run, bit for bit.  Each chunk's buffer is handed
 to the kernel once and back once; the thread is joined when the run ends,
@@ -49,6 +47,7 @@ import math
 import queue
 import threading
 import warnings
+from contextlib import closing
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -98,10 +97,6 @@ BLOCK = 32  # EM steps per kernel block: a constant, so no state depends on a st
 # thread fills, the draws the kernel reads, and their rotation into the modes.
 _NOISE_CHUNK = 512
 _NOISE_DRAWS = 1 << 21
-# OpenBLAS runs a GEMM with m n k <= 2^18 on the calling thread.  A larger one wakes
-# its workers, which then spin between calls on the CPU the producer thread needs,
-# so the rotation is made in GEMMs of this size where N <= 256 allows it.
-_SERIAL_GEMM = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -271,9 +266,6 @@ def _em_blocks(system: ClosedLoopSystem, cfg: SimConfig, seeds, warn: bool = Fal
     op = _block_operator(np.eye(d) + cfg.dt * modes.a, sigma * modes.inject, span)
     chunk = BLOCK * max(1, min(_NOISE_CHUNK, _NOISE_DRAWS // (n * n_seeds)) // BLOCK)
     sizes = [min(chunk, steps - done) for done in range(0, steps, chunk)]
-    rotate = _SERIAL_GEMM // (n * n)  # draw rows per rotation GEMM
-    if rotate < 4:  # N > 256: narrower GEMMs re-read U for every few rows and cost more
-        rotate = n_seeds * chunk
 
     def produce(free, filled):
         try:
@@ -304,10 +296,7 @@ def _em_blocks(system: ClosedLoopSystem, cfg: SimConfig, seeds, warn: bool = Fal
                     raise draws
                 w = draws[: n_seeds * size * n].reshape(-1, n)
                 if r == 1:  # one draw per mode: xi U; the producer may refill the draws now
-                    into = rotated[: w.size].reshape(n, -1)
-                    for lo in range(0, len(w), rotate):
-                        np.matmul(modes.basis.T, w[lo : lo + rotate].T, out=into[:, lo : lo + rotate])
-                    w = into
+                    w = np.matmul(modes.basis.T, w.T, out=rotated[: w.size].reshape(n, -1))
                     free.put(draws)
                 w = w.reshape(k, n_seeds, size * r)
                 for t in range(0, size, span):
@@ -338,13 +327,14 @@ def simulate_em(system: ClosedLoopSystem, cfg: SimConfig) -> Trajectory:
     n, every = system.n, cfg.record_every
     records = np.empty((1 + steps // every, system.state_dim))
     records[0] = states[0]
-    for first, block in blocks:
-        k, _, m, d = block.shape
-        at = np.flatnonzero((first + 1 + np.arange(m)) % every == 0)
-        if at.size:
-            full = (modes.basis @ block[:, 0].reshape(k, m * d)).reshape(-1, m, d)
-            row = (first + 1 + at[0]) // every
-            records[row : row + at.size] = full.transpose(1, 2, 0).reshape(m, -1)[at]
+    with closing(blocks):  # joins the producer thread however the loop ends
+        for first, block in blocks:
+            k, _, m, d = block.shape
+            at = np.flatnonzero((first + 1 + np.arange(m)) % every == 0)
+            if at.size:
+                full = (modes.basis @ block[:, 0].reshape(k, m * d)).reshape(-1, m, d)
+                row = (first + 1 + at[0]) // every
+                records[row : row + at.size] = full.transpose(1, 2, 0).reshape(m, -1)[at]
     times = (np.arange(len(records)) * every) * cfg.dt
     x = records[:, :n]
     output_y = x - x.mean(axis=1, keepdims=True)
@@ -391,14 +381,15 @@ def ensemble_variance(
     _integer("accumulate_every", accumulate_every, 1)
     modes, _, burn_in, _, blocks = _em_blocks(system, cfg, seeds)
     acc, count = np.zeros(len(seeds)), 0
-    for first, block in blocks:
-        k, n_seeds, m, d = block.shape
-        step = first + 1 + np.arange(m)
-        at = np.flatnonzero((step % accumulate_every == 0) & (step * cfg.dt > burn_in))
-        if at.size:
-            y = np.matmul(block[:, :, at].reshape(k, -1, d), modes.output).reshape(k, n_seeds, -1)
-            acc += (y * y).sum(axis=(0, 2))
-            count += at.size
+    with closing(blocks):  # joins the producer thread however the loop ends
+        for first, block in blocks:
+            k, n_seeds, m, d = block.shape
+            step = first + 1 + np.arange(m)
+            at = np.flatnonzero((step % accumulate_every == 0) & (step * cfg.dt > burn_in))
+            if at.size:
+                y = np.matmul(block[:, :, at].reshape(k, -1, d), modes.output).reshape(k, n_seeds, -1)
+                acc += (y * y).sum(axis=(0, 2))
+                count += at.size
     if count == 0:
         raise WindowError(f"no accumulation samples after burn-in {burn_in:.6g}")
     return acc / (count * system.n)

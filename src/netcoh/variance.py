@@ -90,15 +90,11 @@ class VarianceReport:
     method: str
 
     def to_csv(self) -> str:
-        import orjson  # only the CSV writers need it
-
-        modes = self.per_mode[:, 0].astype(np.int64)
-        cells = ["", ",", "", "\n"] * len(modes)  # per mode: n, ",", "lambda,s_n", newline
-        if len(modes):  # "".split(",") is [""]
-            cells[0::4] = orjson.dumps(modes, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-            cells[2::4] = chain.from_iterable(csv_lines([self.per_mode[:, 1:]]))
-        bound = "none" if self.bound is None else repr(self.bound)
-        return f"n,lambda,s_n\n{''.join(cells)}V_N,{self.v_n!r}\nbound,{bound}\n"
+        modes = self.per_mode[:, 0].astype(np.int64).tolist()
+        cells = chain.from_iterable(csv_lines([self.per_mode[:, 1:]]))
+        lines = ["n,lambda,s_n", *(f"{n},{row}" for n, row in zip(modes, cells)), f"V_N,{self.v_n!r}"]
+        lines.append(f"bound,{self.bound!r}" if self.bound is not None else "bound,none")
+        return "\n".join(lines) + "\n"
 
 
 def _mode_sum_report(lam, s, n, bound, method) -> VarianceReport:

@@ -551,7 +551,7 @@ class TestNoiseChunks:
     """The draws of chunk j + 1 are made on a producer thread while chunk j steps."""
 
     @pytest.mark.parametrize("nodes, hand_built", [(4, False), (4, True), (40, False)],
-                             ids=["modal", "hand_built", "rotated_in_several_gemms"])
+                             ids=["modal", "hand_built", "ring40"])
     def test_several_chunks_and_a_partial_one(self, nodes, hand_built):
         system = nc.assemble_p(nc.build_ring(nodes, 1.0), nc.PGains(1.0, 1.0, 1.0, 1.0))
         if hand_built:  # its blocks read the draw buffer itself, not the rotated copy
@@ -577,6 +577,28 @@ class TestNoiseChunks:
         assert first == 0
         assert threading.active_count() == baseline + 1
         blocks.close()
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("run", [
+        lambda system, cfg: nc.ensemble_variance(system, cfg, [0, 1]),
+        lambda system, cfg: nc.simulate_em(system, cfg),
+    ], ids=["ensemble_variance", "simulate_em"])
+    def test_an_error_in_the_consuming_loop_joins_the_thread(self, monkeypatch, run):
+        error = KeyboardInterrupt()
+        baseline = threading.active_count()
+        find = np.flatnonzero
+
+        def flatnonzero(a):  # raises in the loop over the blocks, while the producer runs
+            if threading.active_count() > baseline:
+                raise error
+            return find(a)
+
+        monkeypatch.setattr(np, "flatnonzero", flatnonzero)
+        cfg = nc.SimConfig(dt=0.01, horizon=10 * simulate._NOISE_CHUNK * 0.01, seed=0)
+        with pytest.raises(KeyboardInterrupt) as err:
+            run(small_system(), cfg)
+        assert err.value is error
+        # the traceback still holds the caller's frame, and so the generator
         assert threading.active_count() == baseline
 
     def test_a_draw_error_reaches_the_caller_as_raised(self, monkeypatch):
