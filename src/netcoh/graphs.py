@@ -101,7 +101,12 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class LaplacianSpectrum:
-    """Sorted Laplacian eigenvalues with the tolerance used to clamp lambda_1."""
+    """Sorted Laplacian eigenvalues with the tolerance used to clamp lambda_1.
+
+    The eigenvalues are stored as an ascending read-only copy.  Input that is
+    already ascending, as ``eigvalsh`` and the family spectra return it, is
+    only copied; other input is sorted once.
+    """
 
     eigenvalues: np.ndarray
     zero_tolerance: float
@@ -114,13 +119,14 @@ class LaplacianSpectrum:
             raise GraphFormatError(0, "zero_tolerance must be positive")
         if not np.isfinite(vals).all():
             raise NumericalError("spectrum has non-finite eigenvalues")
-        vals = np.sort(vals)
+        # one comparison pass is far cheaper than np.sort on sorted input
+        vals = vals.copy() if (vals[:-1] <= vals[1:]).all() else np.sort(vals)
         if abs(vals[0]) > self.zero_tolerance:
             raise NumericalError(
                 f"smallest eigenvalue {vals[0]:.3e} exceeds zero tolerance "
                 f"{self.zero_tolerance:.3e}"
             )
-        vals[0] = 0.0  # np.sort returned a copy
+        vals[0] = 0.0  # a copy, never the caller's array
         vals.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
 
@@ -345,6 +351,7 @@ def _sin2(x: np.ndarray) -> np.ndarray:
 def _analytic(vals: np.ndarray) -> LaplacianSpectrum:
     # The zero mode is exact, so a tolerance below lambda_2 counts one zero
     # mode; the relative default would swallow lambda_2 of large rings.
-    vals = np.sort(np.maximum(vals, 0.0))
+    vals = np.maximum(vals, 0.0)
+    vals.sort()
     tolerance = min(default_zero_tolerance(float(vals[-1])), 0.5 * float(vals[1]))
     return LaplacianSpectrum(vals, tolerance)

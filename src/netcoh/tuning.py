@@ -20,11 +20,12 @@ from .closed_loop import DapiGains, FdpdGains, _integer, _nonneg, _positive
 from .errors import (
     ConvergenceError,
     InvalidParameterError,
+    NumericalError,
     SearchError,
     UnboundedVarianceError,
 )
 from .graphs import LaplacianSpectrum
-from .variance import _dapi_terms
+from .variance import _dapi_terms, _mode_sum
 
 __all__ = [
     "VERDICT_POSITIVE",
@@ -134,7 +135,8 @@ def c_star_numeric(
 def _search(spec: LaplacianSpectrum, gains: DapiGains, config: ScalarSearchConfig | None):
     """The search of :func:`c_star_numeric`: ``(grid, values, c_star, v_star)``.
 
-    ``values[k]`` is V_N at ``c = grid[k]``, ``inf`` where it is unbounded.
+    ``values[k]`` is V_N at ``c = grid[k]``, ``inf`` where it is unbounded or
+    a term or the sum is not finite.
     """
     lam = spec.connected_modes()
     if config is None:
@@ -146,8 +148,8 @@ def _search(spec: LaplacianSpectrum, gains: DapiGains, config: ScalarSearchConfi
     def objective(c: float) -> float:
         try:
             s = _dapi_terms(lam, replace(gains, c=c))
-            return math.fsum(s.tolist()) / (2.0 * spec.node_count)
-        except UnboundedVarianceError:
+            return _mode_sum(s) / (2.0 * spec.node_count)
+        except (UnboundedVarianceError, NumericalError):
             return math.inf
 
     grid = np.concatenate(
@@ -212,4 +214,4 @@ def fdpd_dv_dtau(spec: LaplacianSpectrum, gains: FdpdGains) -> float:
         + k_d
     )
     terms = k_d * tau * (tau * g * lam + 2.0) / (q * q)
-    return math.fsum(terms.tolist()) / (2.0 * spec.node_count)
+    return _mode_sum(terms) / (2.0 * spec.node_count)

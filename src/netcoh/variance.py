@@ -13,7 +13,9 @@ Three independent evaluation routes are provided and cross-checked in tests:
 
 The closed forms are numpy array expressions over the eigenvalues of modes
 n >= 2, with no loop over modes.  Their terms, like the modal oracle's, are
-summed with ``math.fsum``, so each sum is correctly rounded at any N.
+summed exactly in numpy and rounded once, so each sum is correctly rounded
+at any N and equals ``math.fsum`` of the terms bit for bit.  A non-finite
+term or an overflowing sum raises :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -72,6 +74,14 @@ MODAL_FORWARD_TOL = 1e-8
 _NO_MODES = np.empty((0, 3))
 _NO_MODES.setflags(write=False)
 
+# _mode_sum's exact summation.  np.frexp writes a term as frac * 2**exp with
+# 0.5 <= |frac| < 1, so frac * 2**53 is an integer below 2**53 in magnitude.
+# Its high 27 and low 26 bits, summed per exponent over a chunk of 2**16
+# terms, give float64 bins below 2**43, so bincount adds them exactly.
+_SUM_CHUNK = 1 << 16
+_SUBNORMAL_EXP = -1073  # np.frexp's exponent of the smallest subnormal, 2**-1074
+_SUM_SCALE = 1 << 1126  # 2**(53 - _SUBNORMAL_EXP), so that every shift is >= 0
+
 
 @dataclass(frozen=True, eq=False)
 class VarianceReport:
@@ -97,10 +107,40 @@ class VarianceReport:
         return "\n".join(lines) + "\n"
 
 
+def _mode_sum(terms: np.ndarray) -> float:
+    """The correctly rounded sum of the terms of modes n = 2, 3, ...
+
+    Equals ``math.fsum(terms.tolist())`` bit for bit: the terms are added
+    exactly as one Python int in units of 2**-1126, and one int division
+    rounds it half to even.  Raises :class:`NumericalError` naming the
+    first mode whose term is not finite, and when the sum overflows.
+    """
+    bad = np.flatnonzero(~np.isfinite(terms))
+    if bad.size:
+        n = int(bad[0]) + 2
+        raise NumericalError(f"mode {n} has a non-finite term {float(terms[n - 2])!r}")
+    total = 0
+    for start in range(0, terms.size, _SUM_CHUNK):
+        frac, exp = np.frexp(terms[start:start + _SUM_CHUNK])
+        first = int(exp.min())
+        exp -= first
+        hi = np.trunc(frac * 2.0**27)
+        frac *= 2.0**53
+        frac -= hi * 2.0**26  # the low 26 bits, signed like the term
+        bins = zip(np.bincount(exp, hi).tolist(), np.bincount(exp, frac).tolist())
+        for shift, (h, lo) in enumerate(bins, first - _SUBNORMAL_EXP):
+            if h or lo:
+                total += ((int(h) << 26) + int(lo)) << shift
+    try:
+        return total / _SUM_SCALE
+    except OverflowError:
+        raise NumericalError(f"the sum of {terms.size} mode terms overflows") from None
+
+
 def _mode_sum_report(lam, s, n, bound, method) -> VarianceReport:
     per_mode = np.column_stack((np.arange(2.0, lam.size + 2.0), lam, s))
     per_mode.setflags(write=False)
-    return VarianceReport(math.fsum(s.tolist()) / (2.0 * n), per_mode, bound, method)
+    return VarianceReport(_mode_sum(s) / (2.0 * n), per_mode, bound, method)
 
 
 def _reciprocal(lam: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:

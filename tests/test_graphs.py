@@ -153,6 +153,14 @@ class TestSpectrumValidation:
         with pytest.raises(NumericalError):
             nc.p_variance(nc.LaplacianSpectrum(np.array([0.0, 1.0, bad]), 1e-9), nc.PGains(1, 1, 1, 1))
 
+    @pytest.mark.parametrize("given", [[1e-12, 2.0, 1.0, 3.0], [1e-12, 1.0, 2.0, 3.0]], ids=["unsorted", "sorted"])
+    def test_stores_a_sorted_read_only_copy(self, given):
+        vals = np.array(given)
+        spec = nc.LaplacianSpectrum(vals, 1e-9)
+        assert spec.eigenvalues.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert not spec.eigenvalues.flags.writeable
+        assert vals.tolist() == given and vals.flags.writeable  # the caller's array is untouched
+
 
 @st.composite
 def edge_lists(draw):

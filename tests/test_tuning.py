@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import netcoh as nc
-from netcoh.errors import ConvergenceError, InvalidParameterError, SearchError
+from netcoh.errors import ConvergenceError, InvalidParameterError, NumericalError, SearchError
 from netcoh.tuning import (
     VERDICT_INDETERMINATE,
     VERDICT_POSITIVE,
     VERDICT_ZERO,
+    _search,
     default_bracket_hi,
 )
 
@@ -126,6 +127,25 @@ class TestCStarNumeric:
         # frozen from a dense grid scan at resolution 1e-4: boundary optimum
         assert c_star <= 1e-4
         assert v_star == pytest.approx(0.1936068, rel=1e-5)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_sum_is_an_infinite_objective(self):
+        # at c = 0 every term is about 1e307 / (lambda + 2): finite, but 127 of them overflow
+        spec = nc.ring_spectrum(128, 1.0)
+        gains = nc.DapiGains(f=1.0, g=0.0, g0=1e-307, k_i=2.0, c=0.0)
+        grid, values, c_star, v_star = _search(spec, gains, None)
+        assert grid[0] == 0.0 and values[0] == math.inf
+        assert np.isfinite(values[1:]).all()
+        assert c_star > 0.0 and v_star == nc.dapi_variance(spec, replace(gains, c=c_star)).v_n
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_terms_are_an_infinite_objective(self):
+        # from c of about 1e298 the DAPI ratio is inf / inf
+        spec = nc.ring_spectrum(16, 1.0)
+        gains = nc.DapiGains(f=1e10, g=0.0, g0=1.0, k_i=1.0, c=0.0)
+        _, values, _, v_star = _search(spec, gains, nc.ScalarSearchConfig(bracket_hi=1e300))
+        assert not np.isnan(values).any()
+        assert values[-1] == math.inf and np.isfinite(values[0]) and math.isfinite(v_star)
 
     def test_search_error_without_spectral_gap(self):
         spec = nc.LaplacianSpectrum(np.array([0.0, 0.0, 1.0]), 1e-9)
@@ -257,6 +277,12 @@ class TestTauDerivative:
             )
             fd = central_difference(spec, gains, tau, 1e-5 * max(tau, 1.0))
             assert nc.fdpd_dv_dtau(spec, gains) == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_term_names_its_mode(self):
+        gains = nc.FdpdGains(f=1.0, g=1.0, f0=1.0, k_d=1.0, tau=1e300)
+        with pytest.raises(NumericalError, match="^mode 2 has a non-finite term nan$"):
+            nc.fdpd_dv_dtau(nc.ring_spectrum(8, 1.0), gains)
 
     def test_variance_nondecreasing_in_tau(self):
         rng = np.random.default_rng(71)

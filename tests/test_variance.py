@@ -5,6 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import netcoh as nc
 from netcoh.closed_loop import modal_matrices, routh_hurwitz
@@ -15,6 +18,7 @@ from netcoh.errors import (
     OracleSizeError,
     UnboundedVarianceError,
 )
+from netcoh.variance import _SUM_CHUNK, _mode_sum
 
 from conftest import random_connected_graph, random_gains
 
@@ -456,6 +460,78 @@ class TestArrayLayer:
         assert str(err.value) == (
             "mode 2 (lambda=0.5) has zero denominator under P control"
         )
+
+
+def fsum_or_exact(terms: np.ndarray) -> float | None:
+    """``math.fsum`` of the terms or, where fsum's partial sums overflow, the
+    exact sum in Python ints of 2**-1074 rounded once; None when it overflows."""
+    try:
+        return math.fsum(terms.tolist())
+    except OverflowError:
+        ratios = map(float.as_integer_ratio, terms.tolist())  # denominators are powers of two
+        units = sum(num << (1075 - den.bit_length()) for num, den in ratios)
+        try:
+            return units / (1 << 1074)
+        except OverflowError:
+            return None
+
+
+# any finite float64: +-0.0, subnormals and every exponent up to the largest
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# short arrays, and lengths on both sides of one and two chunk boundaries
+SUM_LENGTHS = st.one_of(
+    st.integers(0, 40),
+    st.sampled_from([_SUM_CHUNK - 1, _SUM_CHUNK, _SUM_CHUNK + 1, 2 * _SUM_CHUNK + 5]),
+)
+
+
+class TestExactModeSum:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=hnp.arrays(np.float64, st.integers(1, 24), elements=FINITE),
+        length=SUM_LENGTHS,
+        rest=hnp.arrays(np.float64, st.integers(0, 3), elements=FINITE),
+        cancel=st.booleans(),
+    )
+    @example(base=np.array([1.0]), length=0, rest=np.array([]), cancel=False)
+    @example(base=np.array([-0.0]), length=3, rest=np.array([-0.0]), cancel=False)
+    @example(base=np.array([5e-324, -2.0**-1022]), length=_SUM_CHUNK + 1, rest=np.array([]), cancel=False)
+    @example(base=np.array([1.0, 2.0**-53]), length=2, rest=np.array([]), cancel=False)
+    @example(base=np.array([1.0 + 2.0**-52, -1.0]), length=2, rest=np.array([]), cancel=False)  # high halves cancel
+    @example(base=np.array([1.0, 2.0**-53]), length=2, rest=np.array([2.0**-200]), cancel=False)
+    @example(base=np.array([1e308, 3.0]), length=2 * _SUM_CHUNK + 5, rest=np.array([-5e-324]), cancel=True)
+    def test_equals_fsum_bit_for_bit(self, base, length, rest, cancel):
+        body = np.resize(base, length)
+        # with `cancel` the sum is that of `rest` alone, after partial sums of any size
+        terms = np.concatenate([body, rest, -body[::-1]] if cancel else [body, rest])
+        expected = fsum_or_exact(terms)
+        if expected is None:
+            with pytest.raises(NumericalError, match="overflows"):
+                _mode_sum(terms)
+        else:
+            assert _mode_sum(terms).hex() == expected.hex()
+
+    def test_p_variance_on_a_2_20_ring_is_the_fsum_of_its_terms(self):
+        n = 2**20
+        report = nc.p_variance(nc.ring_spectrum(n, 1.0), nc.PGains(f=1.0, g=1.0, f0=1.0, g0=0.0))
+        assert report.v_n == math.fsum(report.per_mode[:, 2].tolist()) / (2.0 * n)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_term_names_its_mode(self):
+        # lambda_2^2 is subnormal, so 1 / lambda_2^2 overflows
+        with pytest.raises(NumericalError, match="^mode 2 has a non-finite term inf$"):
+            nc.p_variance(nc.ring_spectrum(8, 1e-160), nc.PGains(f=1.0, g=1.0))
+
+    def test_overflowing_sum_raises(self):
+        # every term is finite, their sum is not
+        with pytest.raises(NumericalError, match="^the sum of 7 mode terms overflows$"):
+            nc.p_variance(nc.ring_spectrum(8, 1.5e-154), nc.PGains(f=1.0, g=1.0))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_term_names_its_mode(self):
+        gains = nc.DapiGains(f=1e300, g=1e300, g0=1.0, k_i=1.0, c=1e300)
+        with pytest.raises(NumericalError, match="^mode 2 has a non-finite term nan$"):
+            nc.dapi_variance(nc.ring_spectrum(8, 1.0), gains)
 
 
 class TestDisconnectedGraph:
