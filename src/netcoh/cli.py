@@ -159,6 +159,8 @@ def _parse_sizes(text: str) -> list[int]:
         sizes = []
         value = float(start)
         while round(value) <= stop:
+            if sizes and round(value) == sizes[-1]:  # a factor this close to 1 could repeat it for ever
+                raise InvalidParameterError(f"factor {factor!r} repeats size {sizes[-1]}; use a larger factor")
             sizes.append(int(round(value)))
             value *= factor
         return sizes

@@ -149,6 +149,15 @@ def _centering_output(n: int, state_dim: int) -> np.ndarray:
     return c
 
 
+def _check_gains(kind: str, gains) -> None:
+    """Raise :class:`InvalidParameterError` unless ``gains`` is the gains class of controller ``kind``."""
+    if kind not in _GAIN_KEYS:
+        raise InvalidParameterError(f"unknown controller kind {kind!r}")
+    expected = _GAIN_KEYS[kind][0]
+    if not isinstance(gains, expected):
+        raise InvalidParameterError(f"controller {kind!r} takes {expected.__name__}, got {type(gains).__name__}")
+
+
 def _coefficient_table(kind: str, gains) -> np.ndarray:
     """Block coefficients ``(alpha, beta)`` of a controller, shape (2, d, d).
 
@@ -156,21 +165,20 @@ def _coefficient_table(kind: str, gains) -> np.ndarray:
     * L``; rows and columns are the x, v and (DAPI, F-DPD) auxiliary blocks.
     Assembly, the modal matrices and the stability test all derive from it.
     """
+    _check_gains(kind, gains)
     if kind == KIND_P:
         alpha = [[0, 1], [-gains.f0, -gains.g0]]
         beta = [[0, 0], [-gains.f, -gains.g]]
     elif kind == KIND_DAPI:
         alpha = [[0, 1, 0], [0, -gains.g0, gains.k_i], [0, -1, 0]]
         beta = [[0, 0, 0], [-gains.f, -gains.g, 0], [0, 0, -gains.c]]
-    elif kind == KIND_FDPD:
+    else:  # F-DPD
         if gains.tau == 0.0:
             raise IdealPdRedirectError(
                 "tau = 0 is ideal PD: use kind 'p' (assemble_p) with gains ideal_pd_equivalent(...)"
             )
         alpha = [[0, 1, 0], [-gains.f0, 0, 1], [0, -gains.k_d / gains.tau, -1 / gains.tau]]
         beta = [[0, 0, 0], [-gains.f, -gains.g, 0], [0, 0, 0]]
-    else:
-        raise InvalidParameterError(f"unknown controller kind {kind!r}")
     return np.array([alpha, beta], dtype=float)
 
 
@@ -292,8 +300,17 @@ _GAIN_KEYS = {
 }
 
 
+def _reject_unknown(names, known, what: str) -> None:
+    unknown = set(names) - set(known)
+    if unknown:
+        raise InvalidParameterError(f"unknown {what}: {sorted(unknown)}")
+
+
 def parse_gains_config(text: str):
     """Parse a gains config into ``(kind, gains)``.
+
+    A section other than ``[power]``, or a key that the controller's form
+    does not read, raises :class:`InvalidParameterError`.
 
     Plain form::
 
@@ -326,6 +343,7 @@ def parse_gains_config(text: str):
         raise InvalidParameterError(f"bad gains config: {exc}") from exc
     if "gains" not in parser:
         raise InvalidParameterError("gains config must start with key = value lines")
+    _reject_unknown(parser.sections(), ("gains", "power"), "gains config sections")
     main = parser["gains"]
     kind = main.get("controller", "").strip().lower()
     if kind not in _GAIN_KEYS:
@@ -346,16 +364,17 @@ def parse_gains_config(text: str):
             ) from None
 
     if "power" in parser:
+        if kind == KIND_FDPD:
+            raise InvalidParameterError("power preset applies to controller p or dapi only")
         power = parser["power"]
+        _reject_unknown(power, ("m", "d", "b", "l"), "[power] keys")
+        _reject_unknown(main, ("controller", "ki", "c") if kind == KIND_DAPI else ("controller",),
+                        "gains keys for this controller beside [power]")
         m, d, b, l = (value(power, key) for key in ("m", "d", "b", "l"))
         if kind == KIND_DAPI:
             return kind, power_preset(m, d, b, l, value(main, "ki"), value(main, "c", 0.0))
-        if kind == KIND_P:
-            return kind, droop_preset(m, d, b, l)
-        raise InvalidParameterError("power preset applies to controller p or dapi only")
+        return kind, droop_preset(m, d, b, l)
 
     gains_class, keys = _GAIN_KEYS[kind]
-    unknown = {key for key in main if key != "controller"} - set(keys)
-    if unknown:
-        raise InvalidParameterError(f"unknown gains keys for this controller: {sorted(unknown)}")
+    _reject_unknown(main, ("controller", *keys), "gains keys for this controller")
     return kind, gains_class(**{name: value(main, key, default) for key, (name, default) in keys.items()})

@@ -115,8 +115,8 @@ class LaplacianSpectrum:
         vals = np.asarray(self.eigenvalues, dtype=float)
         if vals.ndim != 1 or vals.size < 1:
             raise InvalidSizeError("spectrum needs at least one eigenvalue")
-        if self.zero_tolerance <= 0.0:
-            raise GraphFormatError(0, "zero_tolerance must be positive")
+        if not 0.0 < self.zero_tolerance < math.inf:  # comparisons reject nan too
+            raise GraphFormatError(0, f"zero_tolerance must be finite and positive, got {self.zero_tolerance}")
         if not np.isfinite(vals).all():
             raise NumericalError("spectrum has non-finite eigenvalues")
         # one comparison pass is far cheaper than np.sort on sorted input

@@ -25,15 +25,16 @@ are shorter only where a mode's map would pass 2^16 numbers (large hand-built
 loops); every step is computed, so no state depends on ``record_every`` or
 ``accumulate_every``.
 
-The draws come in chunks of at most 512 steps for every seed.  Each kernel
-call starts one producer thread that fills chunk j + 1, seed by seed, into the
-second of two draw buffers while the calling thread rotates and steps chunk j
-(PCG64 ``standard_normal(out=...)`` and the GEMMs release the GIL).  Each
-generator is used by one thread at a time, in the same order, so the draws
-are those of a sequential run, bit for bit.  Each chunk's buffer is handed
-to the kernel once and back once; the thread is joined when the run ends,
-stops early or raises, and an error it meets is raised in the caller as it
-was raised.
+The draws come in chunks of at most 512 steps for every seed, made by a
+one-worker thread pool while the calling thread steps (PCG64
+``standard_normal(out=...)`` and the GEMMs release the GIL).  Each job fills
+one chunk for every seed, in seed order, into one of two draw buffers; the
+one worker runs the jobs first in, first out, so the draws are those of a
+sequential run, bit for bit.  The kernel copies a chunk out of its buffer,
+rotated into the modes or, for a hand-built loop, as drawn, and only then
+submits the fill of chunk j + 2 into that buffer.  The pool is shut down, its
+queued fills cancelled, when the run ends, stops early or raises; a draw
+error is raised in the caller as it was raised.
 
 Note on step sizes: for a lightly damped oscillatory mode with eigenvalue xi
 the scheme inflates the stationary variance by roughly |xi|^2 dt / (2|Re xi|),
@@ -44,9 +45,8 @@ which is far more restrictive than the stability limit when |Im xi| >> |Re xi|.
 from __future__ import annotations
 
 import math
-import queue
-import threading
 import warnings
+from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -58,6 +58,7 @@ from .closed_loop import (
     FdpdGains,
     PGains,
     _integer,
+    _positive,
     assemble,
     droop_preset,
     power_preset,
@@ -93,8 +94,8 @@ INIT_FREQUENCY_PERTURBATION = "random_frequency_perturbation"
 
 BLOCK = 32  # EM steps per kernel block: a constant, so no state depends on a stride
 # Caps on one noise chunk: its steps, and its draws for all seeds (16 MiB) unless one
-# BLOCK of steps needs more.  Three chunks are held at once: the draws the producer
-# thread fills, the draws the kernel reads, and their rotation into the modes.
+# BLOCK of steps needs more.  Three chunks are held at once: the two draw buffers that
+# the draw worker fills in turn, and the copy of one that the kernel steps.
 _NOISE_CHUNK = 512
 _NOISE_DRAWS = 1 << 21
 
@@ -136,17 +137,22 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded samples: times, full states, and the centered x-output."""
+    """Recorded samples: times and full states; the centered x-output derives from them."""
 
     times: np.ndarray
     states: np.ndarray
-    output_y: np.ndarray
     n: int
     burn_in: float
 
     @property
     def state_dim(self) -> int:
         return int(self.states.shape[1])
+
+    @property
+    def output_y(self) -> np.ndarray:
+        """Each record's x-block less its network average."""
+        x = self.states[:, : self.n]
+        return x - x.mean(axis=1, keepdims=True)
 
 
 class _Modes(NamedTuple):
@@ -205,7 +211,9 @@ def recommended_step(system: ClosedLoopSystem, bias_budget: float = 0.02) -> flo
 
     Uses dt = budget * min(2|Re xi| / |xi|^2) over stable modes, additionally
     capped below the 0.1 / max|Re xi| accuracy warning threshold.
+    ``bias_budget`` must be finite and positive.
     """
+    _positive("bias_budget", bias_budget)
     stable = _stable_eigs(_modes(system))
     variance_cap = bias_budget * float((2.0 * np.abs(stable.real) / np.abs(stable) ** 2).min())
     warn_cap = 0.099 / float(np.abs(stable.real).max())
@@ -267,49 +275,39 @@ def _em_blocks(system: ClosedLoopSystem, cfg: SimConfig, seeds, warn: bool = Fal
     chunk = BLOCK * max(1, min(_NOISE_CHUNK, _NOISE_DRAWS // (n * n_seeds)) // BLOCK)
     sizes = [min(chunk, steps - done) for done in range(0, steps, chunk)]
 
-    def produce(free, filled):
-        try:
-            for size in sizes:
-                draws = free.get()
-                if draws is None:  # the kernel stopped early
-                    return
-                for rng, out in zip(rngs, draws[: n_seeds * size * n].reshape(n_seeds, size, n)):
-                    rng.standard_normal(out=out)
-                filled.put(draws)
-        except BaseException as exc:  # the kernel re-raises it as it was raised
-            filled.put(exc)
+    def fill(draws, size):
+        for rng, out in zip(rngs, draws[: n_seeds * size * n].reshape(n_seeds, size, n)):
+            rng.standard_normal(out=out)
+        return draws
 
     def blocks():
-        free, filled = queue.SimpleQueue(), queue.SimpleQueue()
-        for _ in range(2):
-            free.put(np.empty(n_seeds * chunk * n))
-        rotated = np.empty(n_seeds * chunk * n) if r == 1 else None
+        from concurrent.futures import ThreadPoolExecutor
+
+        rotated = np.empty(n_seeds * chunk * n)
         rows = np.empty((k, n_seeds, d + span * r))
         rows[:, :, :d] = (states.reshape(n_seeds, d, -1) @ modes.basis).transpose(2, 0, 1)
-        # a daemon, so a generator that is never closed cannot hold up interpreter exit
-        producer = threading.Thread(target=produce, args=(free, filled), name="netcoh-em-draws", daemon=True)
-        producer.start()
+        # one worker runs the fills first in, first out: each generator draws in the sequential order
+        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="netcoh-em-draws")
         try:
-            for done, size in zip(range(0, steps, chunk), sizes):
-                draws = filled.get()
-                if isinstance(draws, BaseException):
-                    raise draws
-                w = draws[: n_seeds * size * n].reshape(-1, n)
-                if r == 1:  # one draw per mode: xi U; the producer may refill the draws now
-                    w = np.matmul(modes.basis.T, w.T, out=rotated[: w.size].reshape(n, -1))
-                    free.put(draws)
+            fills = deque(pool.submit(fill, np.empty(n_seeds * chunk * n), size) for size in sizes[:2])
+            for j, size in enumerate(sizes):
+                draws = fills.popleft().result()
+                w = rotated[: n_seeds * size * n]
+                if r == 1:  # one draw per mode: xi U
+                    np.matmul(modes.basis.T, draws[: w.size].reshape(-1, n).T, out=w.reshape(n, -1))
+                else:  # one mode that reads every draw
+                    w[:] = draws[: w.size]
+                if j + 2 < len(sizes):  # the draws are copied out: refill their buffer
+                    fills.append(pool.submit(fill, draws, sizes[j + 2]))
                 w = w.reshape(k, n_seeds, size * r)
                 for t in range(0, size, span):
                     m = min(span, size - t)
                     rows[:, :, d : d + m * r] = w[:, :, t * r : (t + m) * r]
                     block = np.matmul(rows[:, :, : d + m * r], op[:, : d + m * r, : m * d])
                     rows[:, :, :d] = block[:, :, -d:]
-                    yield done + t, block.reshape(k, n_seeds, m, d)
-                if r != 1:  # the blocks read the draws themselves
-                    free.put(draws)
+                    yield j * chunk + t, block.reshape(k, n_seeds, m, d)
         finally:
-            free.put(None)
-            producer.join()
+            pool.shutdown(cancel_futures=True)
 
     return modes, steps, burn_in, states, blocks()
 
@@ -327,7 +325,7 @@ def simulate_em(system: ClosedLoopSystem, cfg: SimConfig) -> Trajectory:
     n, every = system.n, cfg.record_every
     records = np.empty((1 + steps // every, system.state_dim))
     records[0] = states[0]
-    with closing(blocks):  # joins the producer thread however the loop ends
+    with closing(blocks):  # shuts the draw pool down however the loop ends
         for first, block in blocks:
             k, _, m, d = block.shape
             at = np.flatnonzero((first + 1 + np.arange(m)) % every == 0)
@@ -336,9 +334,7 @@ def simulate_em(system: ClosedLoopSystem, cfg: SimConfig) -> Trajectory:
                 row = (first + 1 + at[0]) // every
                 records[row : row + at.size] = full.transpose(1, 2, 0).reshape(m, -1)[at]
     times = (np.arange(len(records)) * every) * cfg.dt
-    x = records[:, :n]
-    output_y = x - x.mean(axis=1, keepdims=True)
-    return Trajectory(times=times, states=records, output_y=output_y, n=n, burn_in=burn_in)
+    return Trajectory(times=times, states=records, n=n, burn_in=burn_in)
 
 
 def empirical_variance(traj: Trajectory, burn_in: float | None = None) -> float:
@@ -369,9 +365,9 @@ def ensemble_variance(
     ``x_hat_k^2`` over every mode but the network average, is accumulated
     every ``accumulate_every``-th step past burn-in; no trajectory is stored,
     and no state depends on ``accumulate_every``.  The draws of the next chunk
-    are made on one helper thread, started and joined within the call, while
-    this one steps the current chunk; the values are those of a sequential
-    run, bit for bit.
+    are made by a one-worker thread pool, started and shut down within the
+    call, while this thread steps the current chunk; the values are those of
+    a sequential run, bit for bit.
     """
     seeds = list(seeds)
     if not seeds:
@@ -381,7 +377,7 @@ def ensemble_variance(
     _integer("accumulate_every", accumulate_every, 1)
     modes, _, burn_in, _, blocks = _em_blocks(system, cfg, seeds)
     acc, count = np.zeros(len(seeds)), 0
-    with closing(blocks):  # joins the producer thread however the loop ends
+    with closing(blocks):  # shuts the draw pool down however the loop ends
         for first, block in blocks:
             k, n_seeds, m, d = block.shape
             step = first + 1 + np.arange(m)

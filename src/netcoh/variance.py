@@ -34,6 +34,7 @@ from .closed_loop import (
     DapiGains,
     FdpdGains,
     PGains,
+    _check_gains,
     ideal_pd_equivalent,
     modal_matrices,
     routh_hurwitz,
@@ -175,6 +176,7 @@ def _fdpd_terms(lam: np.ndarray, gains: FdpdGains) -> np.ndarray:
 
 
 def _closed_form(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
+    _check_gains(kind, gains)
     lam = spec.connected_modes()
     s = _TERMS[kind](lam, gains)
     return _mode_sum_report(lam, s, spec.node_count, _bound(kind, gains), METHOD_CLOSED_FORM)
@@ -239,8 +241,6 @@ def fdpd_variance(spec: LaplacianSpectrum, gains: FdpdGains) -> VarianceReport:
 
 def variance_by_kind(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
     """Closed-form dispatch on controller kind."""
-    if kind not in _TERMS:
-        raise InvalidParameterError(f"unknown controller kind {kind!r}")
     return _closed_form(spec, kind, gains)
 
 
@@ -330,6 +330,7 @@ def modal_variance(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
     ``MODAL_FORWARD_TOL``; otherwise :class:`NumericalError` names the worst
     mode.
     """
+    _check_gains(kind, gains)
     sub_kind, sub_gains = kind, gains
     if kind == KIND_FDPD and gains.tau == 0.0:
         sub_kind, sub_gains = KIND_P, ideal_pd_equivalent(gains)

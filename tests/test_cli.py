@@ -284,6 +284,12 @@ class TestScaleCommand:
                    "--sizes", "geometric:64:32:2"])
         assert rc == 2
 
+    @pytest.mark.parametrize("text", ["geometric:256:4096:1.0000000000000002", "geometric:1:10:1.1"])
+    def test_geometric_factor_that_repeats_a_size(self, text):
+        # one ulp above 1 moves 256 by one ulp a step: ~9e12 copies of 256 before it ends
+        with pytest.raises(nc.InvalidParameterError, match="repeats size"):
+            cli._parse_sizes(text)
+
     @pytest.mark.parametrize("argv, message", [
         (["--sizes", "8,16", "--window", "5"], "bad --window value '5'"),
         (["--sizes", "8,16", "--window", "a:b"], "bad --window value 'a:b'"),

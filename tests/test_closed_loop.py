@@ -350,6 +350,26 @@ class TestGainValidation:
         with pytest.raises(InvalidParameterError):
             nc.FdpdGains(f=1.0, g=0.0, f0=1.0, k_d=1.0, tau=-0.1)
 
+    @pytest.mark.parametrize("call", [
+        lambda kind, gains: nc.assemble(nc.build_ring(4, 1.0), kind, gains),
+        lambda kind, gains: nc.variance_by_kind(nc.ring_spectrum(4, 1.0), kind, gains),
+        lambda kind, gains: nc.modal_variance(nc.ring_spectrum(4, 1.0), kind, gains),
+        lambda kind, gains: nc.run_scaling("ring", kind, gains, [4, 8, 16, 32]),
+        lambda kind, gains: {"p": nc.p_variance, "dapi": nc.dapi_variance, "fdpd": nc.fdpd_variance}[kind](
+            nc.ring_spectrum(4, 1.0), gains),
+    ], ids=["assemble", "variance_by_kind", "modal_variance", "run_scaling", "closed_form_of_the_kind"])
+    @pytest.mark.parametrize("kind, gains", [
+        ("p", DAPI_README),
+        ("fdpd", DAPI_README),
+        ("dapi", nc.PGains(1.0, 1.0, 1.0, 1.0)),
+        ("fdpd", nc.PGains(1.0, 1.0, 1.0, 1.0)),
+        ("p", nc.FdpdGains(1.0, 1.0, 1.0, 1.0, 0.1)),
+    ], ids=["p-dapi", "fdpd-dapi", "dapi-p", "fdpd-p", "p-fdpd"])
+    def test_gains_of_another_controller_rejected(self, call, kind, gains):
+        # a bare AttributeError before the check, or a result from the wrong fields
+        with pytest.raises(InvalidParameterError, match=f"controller '{kind}' takes"):
+            call(kind, gains)
+
 
 class TestGainsConfig:
     def test_p_config(self):
@@ -396,6 +416,11 @@ class TestGainsConfig:
             "controller = p\nf = abc\n",
             "controller = p\nkd = 1\n",  # wrong key for controller
             "controller = fdpd\n[power]\nm = 1\nd = 1\nb = 1\nl = 1\n",
+            "controller = p\nf = 3.0\n[power]\nm = 1\nd = 1\nb = 1\nl = 1\n",  # keys beside [power]
+            "controller = p\nbogus = 1\n[power]\nm = 1\nd = 1\nb = 1\nl = 1\n",
+            "controller = dapi\nki = 1\nf = 3.0\n[power]\nm = 1\nd = 1\nb = 1\nl = 1\n",
+            "controller = p\n[power]\nm = 1\nd = 1\nb = 1\nl = 1\nzz = 9\n",  # key inside [power]
+            "controller = p\nf = 1\n[powr]\nm = 1\nd = 1\nb = 1\nl = 1\n",  # unknown section
         ],
     )
     def test_bad_configs(self, text):

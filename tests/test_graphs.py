@@ -153,6 +153,12 @@ class TestSpectrumValidation:
         with pytest.raises(NumericalError):
             nc.p_variance(nc.LaplacianSpectrum(np.array([0.0, 1.0, bad]), 1e-9), nc.PGains(1, 1, 1, 1))
 
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-9, math.nan, math.inf])
+    def test_zero_tolerance_must_be_finite_and_positive(self, tolerance):
+        # nan and inf were taken, and inf then called a connected spectrum disconnected
+        with pytest.raises(GraphFormatError, match="zero_tolerance must be finite and positive"):
+            nc.LaplacianSpectrum(np.array([0.0, 1.0, 2.0]), tolerance)
+
     @pytest.mark.parametrize("given", [[1e-12, 2.0, 1.0, 3.0], [1e-12, 1.0, 2.0, 3.0]], ids=["unsorted", "sorted"])
     def test_stores_a_sorted_read_only_copy(self, given):
         vals = np.array(given)

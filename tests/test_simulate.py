@@ -136,6 +136,14 @@ class TestEmpiricalVariance:
         )
         assert nc.empirical_variance(traj, burn_in=0.0) == 0.0
 
+    def test_output_follows_the_states(self):
+        system = nc.assemble_p(nc.build_ring(5, 1.0), nc.PGains(1.0, 1.0, 1.0, 1.0))
+        traj = nc.simulate_em(system, nc.SimConfig(dt=0.01, horizon=20.0, seed=1, burn_in=2.0))
+        assert nc.empirical_variance(traj) > 0.0
+        zeroed = dataclasses.replace(traj, states=np.zeros_like(traj.states))
+        assert np.array_equal(zeroed.output_y, np.zeros((len(traj.times), 5)))
+        assert nc.empirical_variance(zeroed) == 0.0
+
     def test_empty_window(self):
         traj = nc.simulate_em(small_system(), nc.SimConfig(dt=0.01, horizon=2.0, seed=0))
         with pytest.raises(WindowError):
@@ -197,6 +205,12 @@ class TestStatisticalProperties:
         dt = nc.recommended_step(system)
         eigs = np.linalg.eigvals(system.a)
         assert dt * np.abs(eigs.real).max() <= 0.1
+
+    @pytest.mark.parametrize("budget", [-1.0, 0.0, math.nan, math.inf])
+    def test_recommended_step_rejects_a_bad_bias_budget(self, budget):
+        # -1, 0 and nan gave a step of -0.55, 0.0 and nan
+        with pytest.raises(InvalidParameterError, match="bias_budget must be finite and > 0"):
+            nc.recommended_step(small_system(), bias_budget=budget)
 
     @pytest.mark.slow
     def test_power_network_scenario_matches_closed_form(self):
