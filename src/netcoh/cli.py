@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
@@ -55,13 +55,8 @@ def _load_gains(args):
     return kind, gains
 
 
-@contextmanager
 def _output(args):
-    if args.out and args.out != "-":
-        with open(args.out, "w") as stream:
-            yield stream
-    else:
-        yield sys.stdout
+    return open(args.out, "w") if args.out and args.out != "-" else nullcontext(sys.stdout)
 
 
 def _add_graph_args(parser):
@@ -151,6 +146,9 @@ def _fields(text: str, option: str, form: str, *types) -> tuple:
     raise InvalidParameterError(f"bad {option} value {text!r}; use {form}")
 
 
+_MAX_SIZES = 10_000
+
+
 def _parse_sizes(text: str) -> list[int]:
     if text.startswith("geometric:"):
         _, start, stop, factor = _fields(text, "--sizes", "geometric:start:stop:factor", str, int, int, float)
@@ -161,6 +159,8 @@ def _parse_sizes(text: str) -> list[int]:
         while round(value) <= stop:
             if sizes and round(value) == sizes[-1]:  # a factor this close to 1 could repeat it for ever
                 raise InvalidParameterError(f"factor {factor!r} repeats size {sizes[-1]}; use a larger factor")
+            if len(sizes) == _MAX_SIZES:  # a factor this close to 1 could list billions of sizes
+                raise InvalidParameterError(f"geometric sweep lists more than {_MAX_SIZES} sizes; use a larger factor")
             sizes.append(int(round(value)))
             value *= factor
         return sizes

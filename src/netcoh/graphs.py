@@ -214,20 +214,18 @@ def default_zero_tolerance(lambda_max: float) -> float:
     return 1e-9 * max(1.0, lambda_max)
 
 
-def spectrum(graph: WeightedGraph, zero_tolerance: float | None = None) -> LaplacianSpectrum:
+def spectrum(graph: WeightedGraph) -> LaplacianSpectrum:
     """Full symmetric eigendecomposition of the Laplacian, sorted ascending.
 
-    The smallest eigenvalue is clamped to exactly 0 when within the
-    tolerance (default ``1e-9 * max(1, lambda_max)``).
+    The smallest eigenvalue is clamped to exactly 0 within the tolerance
+    ``default_zero_tolerance(lambda_max)``, the rule ``assemble`` uses too.
     """
     lap = laplacian(graph)
     try:
         vals = np.linalg.eigvalsh(lap)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
-    if zero_tolerance is None:
-        zero_tolerance = default_zero_tolerance(float(vals[-1]))
-    return LaplacianSpectrum(vals, zero_tolerance)
+    return LaplacianSpectrum(vals, default_zero_tolerance(float(vals[-1])))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,8 @@ def run_scaling(
     side**d.  Divergent configurations appear as ``None`` values.
     """
     sizes = [int(s) for s in sizes]
+    if not sizes:
+        raise InvalidParameterError("sizes must not be empty")
     if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
         raise InvalidParameterError("sizes must be strictly ascending")
     points = []
@@ -69,15 +71,13 @@ def run_scaling(
 
 
 def _fit_default_window(points):
-    ns = [n for n, _ in points]
-    # upper half first, widened downward until the fit has enough points
-    for start in range(len(ns) // 2, -1, -1):
-        window = (ns[start], ns[-1])
-        try:
-            return fit_exponent(points, window), window
-        except FitError:
-            continue
-    return None, None
+    usable = [i for i, (_, value) in enumerate(points) if value is not None and value > 0.0]
+    if len(usable) < _MIN_FIT_POINTS:
+        return None, None
+    # upper half, widened down to the fourth-last usable point if it holds fewer;
+    # N strictly ascends, so window (N[i], N[-1]) holds exactly the points from i on
+    window = (points[min(len(points) // 2, usable[-_MIN_FIT_POINTS])][0], points[-1][0])
+    return fit_exponent(points, window), window
 
 
 def fit_exponent(points, window: tuple[int, int]) -> float:

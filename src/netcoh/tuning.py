@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closed_loop import DapiGains, FdpdGains, _integer, _nonneg, _positive
+from .closed_loop import KIND_DAPI, KIND_FDPD, DapiGains, FdpdGains, _check_gains, _integer, _nonneg, _positive
 from .errors import (
     ConvergenceError,
     InvalidParameterError,
@@ -84,6 +84,7 @@ def classify_c_star(spec: LaplacianSpectrum, gains: DapiGains) -> CStarClassific
     ZeroOptimum when it fails everywhere (variance non-decreasing in c),
     Indeterminate otherwise.  The current ``gains.c`` is ignored.
     """
+    _check_gains(KIND_DAPI, gains)
     lam = spec.connected_modes()
     witness = gains.f > (gains.g * lam + gains.g0) ** 2 / lam
     if witness.all():
@@ -112,6 +113,7 @@ def c_star_complete(n: int, l: float, f: float, g: float, g0: float) -> float:
 
 def default_bracket_hi(spec: LaplacianSpectrum, gains: DapiGains) -> float:
     """10 x the complete-graph form evaluated at the smallest mode lambda_2."""
+    _check_gains(KIND_DAPI, gains)
     lam2 = spec.lambda2
     if lam2 <= 0.0:
         raise SearchError("spectrum has no positive lambda_2; cannot bracket")
@@ -138,6 +140,7 @@ def _search(spec: LaplacianSpectrum, gains: DapiGains, config: ScalarSearchConfi
     ``values[k]`` is V_N at ``c = grid[k]``, ``inf`` where it is unbounded or
     a term or the sum is not finite.
     """
+    _check_gains(KIND_DAPI, gains)
     lam = spec.connected_modes()
     if config is None:
         config = ScalarSearchConfig()
@@ -201,6 +204,7 @@ def fdpd_dv_dtau(spec: LaplacianSpectrum, gains: FdpdGains) -> float:
     filter time constant).  Agrees with central finite differences of the
     variance to high accuracy; tests pin this down.
     """
+    _check_gains(KIND_FDPD, gains)
     f, g, f0, k_d, tau = gains.f, gains.g, gains.f0, gains.k_d, gains.tau
     lam = spec.connected_modes()
     if tau == 0.0:

@@ -8,8 +8,9 @@ Three independent evaluation routes are provided and cross-checked in tests:
   eigenvalue, all solved at once: the stacked modal matrices get one
   Routh-Hurwitz test and one stacked solve of their Kronecker systems;
 * a full-system oracle -- one real Schur form of the assembled block matrix,
-  after deflating the marginal, unobservable network-average directions,
-  gives both the eigenvalue checks and a triangular Sylvester solve.
+  after deflating the marginal, unobservable network-average directions
+  with ``scipy.linalg.helmert``, gives both the eigenvalue checks and a
+  triangular Sylvester solve.
 
 The closed forms are numpy array expressions over the eigenvalues of modes
 n >= 2, with no loop over modes.  Their terms, like the modal oracle's, are
@@ -20,7 +21,6 @@ term or an overflowing sum raises :class:`NumericalError`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -354,16 +354,6 @@ def modal_variance(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
     return _mode_sum_report(lam, terms, spec.node_count, bound, METHOD_MODAL_LYAPUNOV)
 
 
-def _mean_deflation_basis(n: int) -> np.ndarray:
-    """Orthonormal Helmert-style basis of the complement of the all-ones vector."""
-    basis = np.zeros((n, n - 1))
-    for k in range(1, n):
-        basis[:k, k - 1] = 1.0
-        basis[k, k - 1] = -float(k)
-        basis[:, k - 1] /= math.sqrt(k * (k + 1.0))
-    return basis
-
-
 def full_variance(
     system: ClosedLoopSystem, size_limit: int = DEFAULT_ORACLE_LIMIT
 ) -> VarianceReport:
@@ -372,8 +362,8 @@ def full_variance(
     Every state block acts on the all-ones vector through a scalar (the
     Laplacian annihilates it), so the network-average directions span an
     exactly invariant subspace that the centering output cannot see.  They
-    are projected out with an orthonormal mean-deflation basis per block --
-    this removes the marginal average dynamics -- and the variance is
+    are projected out with the orthonormal ``scipy.linalg.helmert`` basis per
+    block -- this removes the marginal average dynamics -- and the variance is
     tr(C X C^T) with X the controllability Gramian of the reduced system
     (Bartels-Stewart solve).  A marginal eigenvalue surviving the deflation
     is observable by construction and aborts the oracle.
@@ -386,11 +376,12 @@ def full_variance(
 
     n = system.n
     blocks = system.state_dim // n
-    w = _mean_deflation_basis(n)
-    basis = scipy.linalg.block_diag(*([w] * blocks))
+    # Helmert row 0 is the network average 1/sqrt(n); rows 1..n-1 span its complement
+    helmert = scipy.linalg.helmert(n, full=True)
+    basis = scipy.linalg.block_diag(*([helmert[1:].T] * blocks))
 
     # the deflated directions must be invisible in the output
-    averages = scipy.linalg.block_diag(*([np.ones((n, 1)) / math.sqrt(n)] * blocks))
+    averages = scipy.linalg.block_diag(*([helmert[:1].T] * blocks))
     observability = float(np.abs(system.c @ averages).max())
     if observability > 1e-10:
         raise MarginalModeObservableError(

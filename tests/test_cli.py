@@ -290,6 +290,11 @@ class TestScaleCommand:
         with pytest.raises(nc.InvalidParameterError, match="repeats size"):
             cli._parse_sizes(text)
 
+    def test_geometric_sweep_with_too_many_sizes(self):
+        # each step adds about one to 1e8: ~1.4e9 distinct sizes before it ends
+        with pytest.raises(nc.InvalidParameterError, match="more than 10000 sizes"):
+            cli._parse_sizes("geometric:100000000:100000000000000:1.00000001")
+
     @pytest.mark.parametrize("argv, message", [
         (["--sizes", "8,16", "--window", "5"], "bad --window value '5'"),
         (["--sizes", "8,16", "--window", "a:b"], "bad --window value 'a:b'"),

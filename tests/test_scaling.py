@@ -89,6 +89,11 @@ class TestRunScaling:
         with pytest.raises(InvalidParameterError):
             nc.run_scaling("ring", "p", gains, [64, 32])
 
+    def test_empty_sizes_are_refused(self):
+        gains = nc.PGains(f=1.0, g=1.0, f0=1.0, g0=0.0)
+        with pytest.raises(InvalidParameterError, match="sizes must not be empty"):
+            nc.run_scaling("ring", "p", gains, [])
+
 
 class TestBoundedFamilies:
     # sizes chosen so every family reaches N in [256, 4096] with >= 4 points

@@ -231,6 +231,18 @@ class TestCStarNumeric:
             assert v_star < nc.dapi_variance(spec, replace(gains, c=hi)).v_n
 
 
+@pytest.mark.parametrize("call, gains, expected", [
+    (nc.classify_c_star, nc.PGains(1.0, 1.0, 1.0, 1.0), "DapiGains"),
+    (default_bracket_hi, nc.PGains(1.0, 1.0, 1.0, 1.0), "DapiGains"),
+    (nc.c_star_numeric, nc.PGains(1.0, 1.0, 1.0, 1.0), "DapiGains"),
+    (nc.fdpd_dv_dtau, nc.DapiGains(f=1.0, g=1.0, g0=1.0, k_i=1.0, c=0.1), "FdpdGains"),
+], ids=["classify_c_star", "default_bracket_hi", "c_star_numeric", "fdpd_dv_dtau"])
+def test_gains_of_another_controller_rejected(call, gains, expected):
+    # a verdict or bracket from the wrong fields, or a bare TypeError or AttributeError, before the check
+    with pytest.raises(InvalidParameterError, match=f"takes {expected}, got {type(gains).__name__}"):
+        call(nc.ring_spectrum(8, 1.0), gains)
+
+
 def central_difference(spec, gains, tau, h):
     lo = nc.fdpd_variance(spec, replace(gains, tau=tau - h)).v_n
     hi = nc.fdpd_variance(spec, replace(gains, tau=tau + h)).v_n
