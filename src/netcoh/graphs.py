@@ -303,18 +303,21 @@ def _complete_graph(n: int, weight: float) -> WeightedGraph:
 
 
 def _torus_spectrum(dims: int, side: int, weight: float) -> LaplacianSpectrum:
-    axis = _sin2(np.arange(side) / side)
-    return _analytic(weight * sum(np.ix_(*[axis] * dims)).ravel())  # lattice sums a_i + a_j + ...
+    grids = np.ix_(*[_sin2(np.arange(side) / side)] * dims)
+    vals = grids[0]
+    for grid in grids[1:]:  # lattice sums a_i + a_j + ...
+        vals = vals + grid
+    return _analytic(vals.ravel(), weight)
 
 
 # name -> smallest size (the lattice side for a torus), builder, closed-form spectrum
 _Family = namedtuple("_Family", "min_size build spectrum")
 _FAMILIES = {
     "path": _Family(2, lambda n, w: WeightedGraph(n, tuple((i, i + 1, w) for i in range(1, n))),
-                    lambda n, w: _analytic(w * _sin2(np.arange(n) / (2 * n)))),
+                    lambda n, w: _analytic(_sin2(np.arange(n) / (2 * n)), w)),
     "ring": _Family(3, partial(_torus_graph, 1), partial(_torus_spectrum, 1)),
     "complete": _Family(2, _complete_graph,
-                        lambda n, w: _analytic(np.where(np.arange(n) > 0, n * w, 0.0))),
+                        lambda n, w: _analytic(np.where(np.arange(n) > 0, float(n), 0.0), w)),
     **{f"torus{d}": _Family(3, partial(_torus_graph, d), partial(_torus_spectrum, d)) for d in (1, 2, 3)},
 }
 FAMILIES = tuple(_FAMILIES)
@@ -342,14 +345,20 @@ def _torus_name(dims: int) -> str:
 
 
 def _sin2(x: np.ndarray) -> np.ndarray:
-    """4 sin^2(pi x), the cancellation-free form of 2 - 2 cos(2 pi x)."""
-    return 4.0 * np.sin(np.pi * x) ** 2
+    """4 sin^2(pi x), the cancellation-free form of 2 - 2 cos(2 pi x), computed in ``x``."""
+    x *= np.pi
+    np.sin(x, out=x)
+    np.square(x, out=x)
+    x *= 4.0
+    return x
 
 
-def _analytic(vals: np.ndarray) -> LaplacianSpectrum:
+def _analytic(vals: np.ndarray, weight: float) -> LaplacianSpectrum:
+    """The spectrum of ``weight * vals``, which it scales, clamps at 0 and sorts in place."""
     # The zero mode is exact, so a tolerance below lambda_2 counts one zero
     # mode; the relative default would swallow lambda_2 of large rings.
-    vals = np.maximum(vals, 0.0)
+    vals *= weight
+    np.maximum(vals, 0.0, out=vals)
     vals.sort()
     tolerance = min(default_zero_tolerance(float(vals[-1])), 0.5 * float(vals[1]))
     return LaplacianSpectrum(vals, tolerance)

@@ -9,6 +9,7 @@ of the swept sizes widened until it holds at least four finite points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,13 +82,17 @@ def _fit_default_window(points):
 
 
 def fit_exponent(points, window: tuple[int, int]) -> float:
-    """Least-squares slope of log V_N vs log N for finite points in window."""
+    """Least-squares slope of log V_N vs log N for the finite, positive points in window.
+
+    ``None``, nan, infinite and non-positive values are skipped; fewer than
+    four points left raise :class:`FitError`.
+    """
     lo, hi = window
     xs, ys = [], []
     for n, value in points:
         if value is None or not lo <= n <= hi:
             continue
-        if value <= 0.0:
+        if not 0.0 < value < math.inf:  # nan fails both comparisons
             continue
         xs.append(np.log(float(n)))
         ys.append(np.log(value))

@@ -64,7 +64,7 @@ from .closed_loop import (
     power_preset,
     routh_hurwitz,
 )
-from .csvrows import csv_lines
+from .csvrows import csv_blocks
 from .errors import (
     InstabilityError,
     InvalidParameterError,
@@ -478,5 +478,5 @@ def write_trajectory_csv(
         header += [f"z_{i}" for i in range(1, n + 1)]
         blocks.append(traj.states[:, 2 * n : 3 * n])
     stream.write(",".join(header) + "\n")
-    for lines in csv_lines([traj.times] + blocks):
-        stream.write("\n".join(lines) + "\n")
+    for text in csv_blocks([traj.times] + blocks):
+        stream.write(text)

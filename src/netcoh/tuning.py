@@ -25,7 +25,7 @@ from .errors import (
     UnboundedVarianceError,
 )
 from .graphs import LaplacianSpectrum
-from .variance import _dapi_terms, _mode_sum
+from .variance import _mode_sum, _terms
 
 __all__ = [
     "VERDICT_POSITIVE",
@@ -150,7 +150,7 @@ def _search(spec: LaplacianSpectrum, gains: DapiGains, config: ScalarSearchConfi
 
     def objective(c: float) -> float:
         try:
-            s = _dapi_terms(lam, replace(gains, c=c))
+            s = _terms(KIND_DAPI, replace(gains, c=c), lam)
             return _mode_sum(s) / (2.0 * spec.node_count)
         except (UnboundedVarianceError, NumericalError):
             return math.inf

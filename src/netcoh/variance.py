@@ -13,16 +13,24 @@ Three independent evaluation routes are provided and cross-checked in tests:
   triangular Sylvester solve.
 
 The closed forms are numpy array expressions over the eigenvalues of modes
-n >= 2, with no loop over modes.  Their terms, like the modal oracle's, are
-summed exactly in numpy and rounded once, so each sum is correctly rounded
-at any N and equals ``math.fsum`` of the terms bit for bit.  A non-finite
-term or an overflowing sum raises :class:`NumericalError`.
+n >= 2, evaluated in chunks of 2**16 modes; each chunk's terms are added to
+the exact sum as soon as they are made, in one pass.  Their terms, like the
+modal oracle's, are summed exactly in numpy and rounded once, so each sum is
+correctly rounded at any N and equals ``math.fsum`` of the terms bit for
+bit.  A non-finite term or an overflowing sum raises
+:class:`NumericalError`, naming the mode of the term.
+
+A closed-form or modal :class:`VarianceReport` keeps two arrays: the
+spectrum's read-only eigenvalues, by reference, and its read-only terms.
+Its ``(N-1, 3)`` ``per_mode`` table is built on first read, and ``to_csv``
+writes from the two arrays without building it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
+import threading
+from collections.abc import Iterable
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
@@ -39,7 +47,7 @@ from .closed_loop import (
     modal_matrices,
     routh_hurwitz,
 )
-from .csvrows import csv_lines
+from .csvrows import indexed_csv_blocks
 from .errors import (
     InstabilityError,
     InvalidParameterError,
@@ -75,7 +83,7 @@ MODAL_FORWARD_TOL = 1e-8
 _NO_MODES = np.empty((0, 3))
 _NO_MODES.setflags(write=False)
 
-# _mode_sum's exact summation.  np.frexp writes a term as frac * 2**exp with
+# _chunk_sum's exact summation.  np.frexp writes a term as frac * 2**exp with
 # 0.5 <= |frac| < 1, so frac * 2**53 is an integer below 2**53 in magnitude.
 # Its high 27 and low 26 bits, summed per exponent over a chunk of 2**16
 # terms, give float64 bins below 2**43, so bincount adds them exactly.
@@ -83,106 +91,181 @@ _SUM_CHUNK = 1 << 16
 _SUBNORMAL_EXP = -1073  # np.frexp's exponent of the smallest subnormal, 2**-1074
 _SUM_SCALE = 1 << 1126  # 2**(53 - _SUBNORMAL_EXP), so that every shift is >= 0
 
+_TABLE_LOCK = threading.Lock()
 
-@dataclass(frozen=True, eq=False)
+
 class VarianceReport:
     """Per-node variance with its per-mode breakdown.
 
     ``per_mode`` is a read-only ``(N-1, 3)`` float array whose rows are
     ``(n, lambda_n, s_n)``, with the normalization ``v_n = (1/2N) * sum(s_n)``
     for the closed-form and modal methods; the full-system oracle reports no
-    per-mode split (zero rows).  ``bound`` carries the uniform-in-N upper
-    bound where one exists (DAPI, F-DPD).
+    per-mode split (zero rows).  The closed-form and modal reports keep only
+    the eigenvalues and the terms, and build the table on its first read;
+    every later read returns that same array.  ``bound`` carries the
+    uniform-in-N upper bound where one exists (DAPI, F-DPD).  Reports are
+    immutable: assigning an attribute raises ``FrozenInstanceError``.
     """
 
     v_n: float
-    per_mode: np.ndarray
     bound: float | None
     method: str
 
+    def __init__(self, v_n: float, per_mode: np.ndarray, bound: float | None, method: str):
+        self.__dict__.update(v_n=v_n, bound=bound, method=method,
+                             _lam=per_mode[:, 1], _terms=per_mode[:, 2], _table=per_mode)
+
+    @classmethod
+    def _of_modes(cls, v_n: float, lam: np.ndarray, terms: np.ndarray, bound, method: str):
+        """The report of modes n = 2..N with eigenvalues ``lam`` and terms ``terms``, both kept."""
+        terms.setflags(write=False)
+        report = cls.__new__(cls)
+        report.__dict__.update(v_n=v_n, bound=bound, method=method, _lam=lam, _terms=terms, _table=None)
+        return report
+
+    @property
+    def per_mode(self) -> np.ndarray:
+        """The read-only ``(N-1, 3)`` table of ``(n, lambda_n, s_n)`` rows."""
+        if self._table is None:
+            with _TABLE_LOCK:  # two threads reading at once get one table
+                if self._table is None:
+                    table = np.empty((3, self._lam.size))  # per_mode is its transposed view
+                    table[0] = np.arange(2, self._lam.size + 2)
+                    table[1] = self._lam
+                    table[2] = self._terms
+                    table.setflags(write=False)
+                    self.__dict__["_table"] = table.T
+        return self._table
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"VarianceReport(v_n={self.v_n!r}, modes={self._lam.size}, "
+                f"bound={self.bound!r}, method={self.method!r})")
+
     def to_csv(self) -> str:
-        modes = self.per_mode[:, 0].astype(np.int64).tolist()
-        cells = chain.from_iterable(csv_lines([self.per_mode[:, 1:]]))
-        lines = ["n,lambda,s_n", *(f"{n},{row}" for n, row in zip(modes, cells)), f"V_N,{self.v_n!r}"]
-        lines.append(f"bound,{self.bound!r}" if self.bound is not None else "bound,none")
-        return "\n".join(lines) + "\n"
+        """``n,lambda,s_n`` rows, then ``V_N`` and ``bound``; written without building ``per_mode``."""
+        if self._table is None:
+            modes = np.arange(2, self._lam.size + 2)
+        else:
+            modes = self._table[:, 0].astype(np.int64)
+        bound = "none" if self.bound is None else repr(self.bound)
+        blocks = indexed_csv_blocks(modes, [self._lam, self._terms])
+        return "".join(["n,lambda,s_n\n", *blocks, f"V_N,{self.v_n!r}\nbound,{bound}\n"])
 
 
-def _mode_sum(terms: np.ndarray) -> float:
-    """The correctly rounded sum of the terms of modes n = 2, 3, ...
-
-    Equals ``math.fsum(terms.tolist())`` bit for bit: the terms are added
-    exactly as one Python int in units of 2**-1126, and one int division
-    rounds it half to even.  Raises :class:`NumericalError` naming the
-    first mode whose term is not finite, and when the sum overflows.
-    """
-    bad = np.flatnonzero(~np.isfinite(terms))
-    if bad.size:
-        n = int(bad[0]) + 2
-        raise NumericalError(f"mode {n} has a non-finite term {float(terms[n - 2])!r}")
+def _chunk_sum(terms: np.ndarray) -> int:
+    """The exact sum of up to 2**16 finite terms, a Python int in units of 2**-1126."""
+    frac, exp = np.frexp(terms)
+    first = int(exp.min())
+    exp -= first
+    hi = np.trunc(frac * 2.0**27)
+    frac *= 2.0**53
+    frac -= hi * 2.0**26  # the low 26 bits, signed like the term
     total = 0
-    for start in range(0, terms.size, _SUM_CHUNK):
-        frac, exp = np.frexp(terms[start:start + _SUM_CHUNK])
-        first = int(exp.min())
-        exp -= first
-        hi = np.trunc(frac * 2.0**27)
-        frac *= 2.0**53
-        frac -= hi * 2.0**26  # the low 26 bits, signed like the term
-        bins = zip(np.bincount(exp, hi).tolist(), np.bincount(exp, frac).tolist())
-        for shift, (h, lo) in enumerate(bins, first - _SUBNORMAL_EXP):
-            if h or lo:
-                total += ((int(h) << 26) + int(lo)) << shift
+    bins = zip(np.bincount(exp, hi).tolist(), np.bincount(exp, frac).tolist())
+    for shift, (h, lo) in enumerate(bins, first - _SUBNORMAL_EXP):
+        if h or lo:
+            total += ((int(h) << 26) + int(lo)) << shift
+    return total
+
+
+def _sum_chunks(chunks: Iterable[np.ndarray]) -> float:
+    """The correctly rounded sum of the terms that ``chunks`` yields for modes n = 2, 3, ...
+
+    Each chunk holds at most ``_SUM_CHUNK`` terms.  The result equals
+    ``math.fsum`` of all the terms bit for bit: they are added exactly as one
+    Python int in units of 2**-1126, and one int division rounds it half to
+    even.  Raises :class:`NumericalError` naming the first mode whose term is
+    not finite, and when the sum overflows.  The first error is raised only
+    once every chunk is drawn, so an error that making a later chunk raises
+    comes first.
+    """
+    total, count, bad = 0, 0, None
+    for terms in chunks:
+        if bad is None:
+            nonfinite = np.flatnonzero(~np.isfinite(terms))
+            if nonfinite.size:
+                i = int(nonfinite[0])
+                bad = f"mode {count + i + 2} has a non-finite term {float(terms[i])!r}"
+            else:
+                total += _chunk_sum(terms)
+        count += terms.size
+    if bad is not None:
+        raise NumericalError(bad)
     try:
         return total / _SUM_SCALE
     except OverflowError:
-        raise NumericalError(f"the sum of {terms.size} mode terms overflows") from None
+        raise NumericalError(f"the sum of {count} mode terms overflows") from None
 
 
-def _mode_sum_report(lam, s, n, bound, method) -> VarianceReport:
-    per_mode = np.column_stack((np.arange(2.0, lam.size + 2.0), lam, s))
-    per_mode.setflags(write=False)
-    return VarianceReport(_mode_sum(s) / (2.0 * n), per_mode, bound, method)
+def _mode_sum(terms: np.ndarray) -> float:
+    """:func:`_sum_chunks` over the terms of modes n = 2, 3, ... held in one array."""
+    return _sum_chunks(terms[i:i + _SUM_CHUNK] for i in range(0, terms.size, _SUM_CHUNK))
 
 
-def _reciprocal(lam: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
-    """Terms 1/den, raising for the first mode whose denominator is <= 0."""
-    bad = np.flatnonzero(den <= 0.0)
-    if bad.size:
-        n = int(bad[0]) + 2
-        raise UnboundedVarianceError(f"mode {n} (lambda={lam[n - 2]:.6g}) has {what}", mode_index=n)
-    return 1.0 / den
+def _p_den(lam: np.ndarray, gains: PGains) -> np.ndarray:
+    return (gains.f0 + gains.f * lam) * (gains.g0 + gains.g * lam)
 
 
-def _p_terms(lam: np.ndarray, gains: PGains) -> np.ndarray:
-    den = (gains.f0 + gains.f * lam) * (gains.g0 + gains.g * lam)
-    return _reciprocal(lam, den, "zero denominator under P control")
-
-
-def _dapi_terms(lam: np.ndarray, gains: DapiGains) -> np.ndarray:
+def _dapi_den(lam: np.ndarray, gains: DapiGains) -> np.ndarray:
     f, g, g0, k_i, c = gains.f, gains.g, gains.g0, gains.k_i, gains.c
     inner = k_i * f * (g0 + lam * (c + g)) / (f + c * g0 + c * lam * (c + g))
-    den = f * g * lam * lam + g0 * f * lam + inner
-    return _reciprocal(lam, den, "non-positive denominator under DAPI")
+    return f * g * lam * lam + g0 * f * lam + inner
 
 
-def _fdpd_terms(lam: np.ndarray, gains: FdpdGains) -> np.ndarray:
-    if gains.tau == 0.0:
-        return _p_terms(lam, ideal_pd_equivalent(gains))
+def _fdpd_den(lam: np.ndarray, gains: FdpdGains) -> np.ndarray:
     f, g, f0, k_d, tau = gains.f, gains.g, gains.f0, gains.k_d, gains.tau
     pos = f0 + f * lam
     filt = k_d * (tau * g * lam + 1.0) / (tau * tau * pos + tau * g * lam + 1.0)
-    den = pos * (g * lam + filt)
-    return _reciprocal(lam, den, "non-positive denominator under F-DPD")
+    return pos * (g * lam + filt)
+
+
+# kind -> the denominator of its mode term, and what a non-positive one means
+_DENOMINATORS = {
+    KIND_P: (_p_den, "zero denominator under P control"),
+    KIND_DAPI: (_dapi_den, "non-positive denominator under DAPI"),
+    KIND_FDPD: (_fdpd_den, "non-positive denominator under F-DPD"),
+}
+
+
+def _term_law(kind: str, gains):
+    """The controller whose mode terms are evaluated: F-DPD at tau = 0 is the ideal-PD P law."""
+    if kind == KIND_FDPD and gains.tau == 0.0:
+        return KIND_P, ideal_pd_equivalent(gains)
+    return kind, gains
+
+
+def _terms(kind: str, gains, lam: np.ndarray, first: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+    """Mode terms 1/den of ``lam``, whose first entry is mode ``first + 2``.
+
+    Raises :class:`UnboundedVarianceError` for the first mode whose
+    denominator is <= 0.  ``kind`` is not F-DPD at tau = 0 (see :func:`_term_law`).
+    """
+    den_of, what = _DENOMINATORS[kind]
+    den = den_of(lam, gains)
+    bad = np.flatnonzero(den <= 0.0)
+    if bad.size:
+        i = int(bad[0])
+        n = first + i + 2
+        raise UnboundedVarianceError(f"mode {n} (lambda={lam[i]:.6g}) has {what}", mode_index=n)
+    return np.divide(1.0, den, out=out)
 
 
 def _closed_form(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
+    """Terms and their exact sum in one pass over chunks of ``_SUM_CHUNK`` modes."""
     _check_gains(kind, gains)
     lam = spec.connected_modes()
-    s = _TERMS[kind](lam, gains)
-    return _mode_sum_report(lam, s, spec.node_count, _bound(kind, gains), METHOD_CLOSED_FORM)
-
-
-_TERMS = {KIND_P: _p_terms, KIND_DAPI: _dapi_terms, KIND_FDPD: _fdpd_terms}
+    law = _term_law(kind, gains)
+    terms = np.empty_like(lam)
+    chunks = (_terms(*law, lam[i:i + _SUM_CHUNK], i, terms[i:i + _SUM_CHUNK])
+              for i in range(0, lam.size, _SUM_CHUNK))
+    v_n = _sum_chunks(chunks) / (2.0 * spec.node_count)
+    return VarianceReport._of_modes(v_n, lam, terms, _bound(kind, gains), METHOD_CLOSED_FORM)
 
 
 def _bound(kind: str, gains) -> float | None:
@@ -331,11 +414,8 @@ def modal_variance(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
     mode.
     """
     _check_gains(kind, gains)
-    sub_kind, sub_gains = kind, gains
-    if kind == KIND_FDPD and gains.tau == 0.0:
-        sub_kind, sub_gains = KIND_P, ideal_pd_equivalent(gains)
     lam = spec.connected_modes()
-    a = modal_matrices(sub_kind, sub_gains, lam)
+    a = modal_matrices(*_term_law(kind, gains), lam)
     q = np.diag(np.eye(a.shape[-1])[0])  # C^T C: the output reads the x-component
     p, checks = _lyapunov_stack(a, q, (~routh_hurwitz(a), lambda i: InstabilityError(
         f"mode {i + 2} (lambda={lam[i]:.6g}) is not Hurwitz", mode_index=i + 2)))
@@ -351,7 +431,8 @@ def modal_variance(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
         raise NumericalError(f"modal V_N forward error estimate {err.sum() / abs(terms.sum()):.3e} exceeds "
                              f"{MODAL_FORWARD_TOL:.0e}; mode {i + 2} (lambda={lam[i]:.6g}) is ill-conditioned")
     bound = _bound(kind, gains)
-    return _mode_sum_report(lam, terms, spec.node_count, bound, METHOD_MODAL_LYAPUNOV)
+    v_n = _mode_sum(terms) / (2.0 * spec.node_count)
+    return VarianceReport._of_modes(v_n, lam, terms, bound, METHOD_MODAL_LYAPUNOV)
 
 
 def full_variance(

@@ -33,6 +33,14 @@ class TestFitExponent:
             nc.fit_exponent(points[:3], (8, 32))
 
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_points_are_skipped(self, value):
+        points = ((1, 1.0), (2, 2.0), (3, 3.0), (4, value))
+        with pytest.raises(FitError, match="got 3$"):
+            nc.fit_exponent(points, (1, 4))
+        assert nc.fit_exponent(points + ((5, 5.0),), (1, 5)) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestFamilySpectrum:
     def test_unknown_family(self):
         with pytest.raises(InvalidParameterError):

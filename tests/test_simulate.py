@@ -372,8 +372,8 @@ class TestTrajectoryBytes:
     def test_cells_beside_the_ryu_range_edges(self, edge):
         cells = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)])
         data = np.column_stack([cells, -cells])
-        text = "\n".join(line for lines in csvrows.csv_lines([data]) for line in lines)
-        assert text == "\n".join(",".join(map(repr, row)) for row in data.tolist())
+        text = "".join(csvrows.csv_blocks([data]))
+        assert text == "".join(",".join(map(repr, row)) + "\n" for row in data.tolist())
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -386,8 +386,11 @@ class TestTrajectoryBytes:
     )
     def test_any_float_matrix(self, data, cells):
         with mock.patch.object(csvrows, "BLOCK_CELLS", cells):
-            lines = [line for chunk in csvrows.csv_lines([data]) for line in chunk]
-        assert lines == [",".join(map(repr, row)) for row in data.tolist()]
+            blocks = list(csvrows.csv_blocks([data]))
+        lines = [line + "\n" for line in "".join(blocks).split("\n")[:-1]]
+        assert lines == [",".join(map(repr, row)) + "\n" for row in data.tolist()]
+        rows = max(1, cells // data.shape[1])
+        assert all(block.endswith("\n") and block.count("\n") <= rows for block in blocks)
 
 
 def reference_em(system, cfg, seed, every, burn_in):

@@ -1,7 +1,9 @@
 import math
 import subprocess
 import sys
-from dataclasses import replace
+import tracemalloc
+from dataclasses import FrozenInstanceError, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import netcoh as nc
+from netcoh import csvrows
 from netcoh.closed_loop import modal_matrices, routh_hurwitz
 from netcoh.errors import (
     InstabilityError,
@@ -417,6 +420,27 @@ class TestReportSerialization:
         reference += [f"V_N,{report.v_n!r}", "bound,none"]
         assert report.to_csv().splitlines() == reference
 
+    def test_csv_in_blocks_of_a_few_rows(self):
+        report = nc.p_variance(nc.ring_spectrum(3000, 1.0), P_GAINS)  # lambda down to 4.4e-6
+        with mock.patch.object(csvrows, "BLOCK_CELLS", 7):
+            text = report.to_csv()
+        rows = [f"{int(n)},{lam!r},{s!r}\n" for n, lam, s in report.per_mode.tolist()]
+        assert text == "".join(["n,lambda,s_n\n", *rows, f"V_N,{report.v_n!r}\nbound,none\n"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.just(2)),
+                   elements=st.floats(width=64, allow_nan=True, allow_infinity=True)),
+        st.integers(1, 9),
+    )
+    def test_csv_of_any_cells(self, cells, block):
+        per_mode = np.column_stack((np.arange(2.0, len(cells) + 2.0), cells))
+        report = nc.VarianceReport(0.25, per_mode, 1.5, "closed_form")
+        with mock.patch.object(csvrows, "BLOCK_CELLS", block):
+            text = report.to_csv()
+        rows = [f"{int(n)},{lam!r},{s!r}\n" for n, lam, s in per_mode.tolist()]
+        assert text == "".join(["n,lambda,s_n\n", *rows, "V_N,0.25\nbound,1.5\n"])
+
     def test_lyapunov_shape_mismatch(self):
         with pytest.raises(nc.InvalidParameterError):
             nc.solve_lyapunov(np.eye(2), np.eye(3))
@@ -532,6 +556,69 @@ class TestExactModeSum:
         gains = nc.DapiGains(f=1e300, g=1e300, g0=1.0, k_i=1.0, c=1e300)
         with pytest.raises(NumericalError, match="^mode 2 has a non-finite term nan$"):
             nc.dapi_variance(nc.ring_spectrum(8, 1.0), gains)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "big, gains, error, message",
+        [
+            # the filter term is inf/inf in the second chunk of 2**16 modes
+            (1e308, nc.FdpdGains(f=10.0, g=2.0, f0=1.0, k_d=1.0, tau=1.0), NumericalError,
+             "^mode 65541 has a non-finite term nan$"),
+            # every term of the first chunk is inf; the filter term underflows to 0 in the second
+            (1e300, nc.FdpdGains(f=1.0, g=0.0, f0=1.0, k_d=1e-310, tau=1.0), UnboundedVarianceError,
+             r"^mode 65541 \(lambda=1e\+300\) has non-positive denominator under F-DPD$"),
+        ],
+        ids=["nan_term", "zero_denominator_after_inf_terms"],
+    )
+    def test_errors_past_the_first_chunk_name_the_global_mode(self, big, gains, error, message):
+        lam = np.concatenate([[0.0], np.ones(_SUM_CHUNK + 3), np.full(10, big)])
+        with pytest.raises(error, match=message):
+            nc.fdpd_variance(nc.LaplacianSpectrum(lam, 1e-9), gains)
+
+
+class TestLazyReport:
+    """Closed-form and modal reports keep the eigenvalues and terms and build per_mode when read."""
+
+    def test_closed_form_at_2_20_holds_no_table(self):
+        n = 2**20
+        spec = nc.ring_spectrum(n, 1.0)
+        tracemalloc.start()
+        try:
+            report = nc.p_variance(spec, P_GAINS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # the terms take 8 MiB, a (N-1, 3) table 24 MiB more
+        lam = spec.eigenvalues[1:]
+        terms = 1.0 / ((P_GAINS.f0 + P_GAINS.f * lam) * (P_GAINS.g0 + P_GAINS.g * lam))
+        table = report.per_mode
+        assert table.tobytes() == np.column_stack((np.arange(2.0, n + 1.0), lam, terms)).tobytes()
+        assert table.shape == (n - 1, 3) and table.dtype == np.float64
+        assert not table.flags.writeable
+        assert report.per_mode is table
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda spec: nc.p_variance(spec, P_GAINS),
+            lambda spec: nc.dapi_variance(spec, DAPI_GAINS),
+            lambda spec: nc.fdpd_variance(spec, FDPD_GAINS),
+            lambda spec: nc.fdpd_variance(spec, replace(FDPD_GAINS, tau=0.0)),
+            lambda spec: nc.modal_variance(spec, "fdpd", FDPD_GAINS),
+            lambda spec: nc.full_variance(nc.assemble_p(nc.build_ring(5, 1.0), P_GAINS)),
+            lambda spec: nc.VarianceReport(0.5, np.array([[2.0, 1.0, 3.0]]), None, "closed_form"),
+        ],
+        ids=["p", "dapi", "fdpd", "fdpd_tau0", "modal", "full", "constructed"],
+    )
+    def test_reports_are_immutable(self, make):
+        report = make(nc.ring_spectrum(9, 1.0))
+        table = report.per_mode
+        for name in ("v_n", "per_mode", "bound", "method"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(report, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(report, name)
+        assert report.per_mode is table
 
 
 class TestDisconnectedGraph:
