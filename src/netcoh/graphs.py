@@ -3,19 +3,21 @@
 Provides the network families used throughout the package (path, ring as
 the 1-D torus, d-dimensional torus, complete graph), a plain-text edge-list
 parser, and both numerical and closed-form (circulant / sine-basis) spectra.
-All node indices are 1-based in file formats and public edge tuples; torus
-nodes are ordered row-major over lattice coordinates, for reproducibility.
+A graph keeps its edges as sorted read-only arrays, validated as arrays; the
+builders and ``laplacian`` work on those arrays, never on per-edge tuples.
+All node indices are 1-based in file formats, edge arrays and edge tuples;
+torus nodes are ordered row-major over lattice coordinates, for
+reproducibility.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -47,56 +49,161 @@ __all__ = [
 ]
 
 
-def _canonical_edges(node_count: int, edges) -> tuple:
-    """Sorted ``(min, max, float w)`` edges; rejects non-integer endpoints,
-    self-loops, out-of-range endpoints, non-positive or non-finite weights and
-    duplicates, giving the offending edge's position as the error's
-    ``edge_index``."""
-    canonical = []
-    seen = set()
-    for index, (i, j, w) in enumerate(edges):
-        try:  # numpy integers pass; an ABC isinstance test would double this loop's time
-            i, j = operator.index(i), operator.index(j)
-        except TypeError:
-            raise GraphFormatError(0, f"edge ({i},{j}) has a non-integer endpoint", index) from None
-        if i == j:
-            raise GraphFormatError(0, f"self-loop at node {i}", index)
-        if not (1 <= i <= node_count and 1 <= j <= node_count):
-            raise GraphFormatError(0, f"edge ({i},{j}) out of range 1..{node_count}", index)
-        if not (w > 0.0) or not math.isfinite(w):
-            raise GraphFormatError(0, f"edge ({i},{j}) has non-positive weight {w}", index)
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise GraphFormatError(0, f"duplicate edge ({i},{j})", index)
-        seen.add(key)
-        canonical.append((key[0], key[1], float(w)))
-    canonical.sort()
-    return tuple(canonical)
+def _edge_columns(edges) -> tuple:
+    """The ``(i, j, w)`` columns of ``edges``, endpoints as integers, up to
+    the first edge that is not a triple with integer endpoints, followed by
+    that edge's error (None when every edge is one)."""
+    try:
+        edges = tuple(edges)
+    except TypeError:
+        raise GraphFormatError(0, f"edges must be an iterable of (i, j, w) triples, got {edges!r}", 0) from None
+    try:
+        i, j, w = zip(*edges, strict=True) if edges else ((), (), ())
+        return list(map(operator.index, i)), list(map(operator.index, j)), w, None
+    except (TypeError, ValueError):  # some edge fails: the edges before it are checked first
+        index = next(k for k, edge in enumerate(edges) if _malformed(edge))
+        return *_edge_columns(edges[:index])[:3], GraphFormatError(0, _malformed(edges[index]), index)
 
 
-@dataclass(frozen=True)
+def _malformed(edge) -> str | None:
+    """Why ``edge`` is not an ``(i, j, w)`` triple with integer endpoints, if it is not."""
+    try:
+        i, j, _ = edge
+    except (TypeError, ValueError):
+        return f"edge {edge!r} is not an (i, j, w) triple"
+    try:  # numpy integers pass
+        operator.index(i), operator.index(j)
+    except TypeError:
+        return f"edge ({i},{j}) has a non-integer endpoint"
+    return None
+
+
+def _canonical_edges(node_count: int, i, j, w) -> tuple:
+    """Read-only ``(lo, hi, w)`` arrays of the edges, sorted by ``(lo, hi)``.
+
+    ``i`` and ``j`` hold integer endpoints.  Rejects self-loops, out-of-range
+    endpoints, weights that are not positive finite real numbers and
+    duplicates, checked as arrays.  Of the offending edges the first in edge
+    order is reported, with its first failing check in that order and its
+    position as the error's ``edge_index``.
+    """
+    ends, weights = (_integers(i), _integers(j)), _weights(w)
+    lo, hi = np.minimum(*ends), np.maximum(*ends)
+    # one stable sort of the (lo, hi) keys: a repeated key follows its first occurrence
+    order = np.lexsort((hi, lo))
+    sorted_lo, sorted_hi = lo[order], hi[order]
+    repeat = np.zeros(order.size, dtype=bool)
+    repeat[order[1:]] = (sorted_lo[1:] == sorted_lo[:-1]) & (sorted_hi[1:] == sorted_hi[:-1])
+    checks = (lo == hi, (lo < 1) | (hi > node_count), ~((weights > 0.0) & (weights < math.inf)), repeat)
+    bad = np.logical_or.reduce(checks)
+    if bad.any():
+        k = int(bad.argmax())
+        raise _edge_error(next(c for c, check in enumerate(checks) if check[k]), k, node_count, i[k], j[k], w[k])
+    columns = sorted_lo.astype(np.intp, copy=False), sorted_hi.astype(np.intp, copy=False), weights[order]
+    for column in columns:
+        column.setflags(write=False)
+    return columns
+
+
+def _edge_error(check: int, index: int, node_count: int, i, j, w) -> GraphFormatError:
+    """The error of edge ``index``, ``(i, j, w)``, for its first failing check."""
+    if check == 2 and _weight(w) is None:
+        message = f"edge ({i},{j}) has a non-real weight {w!r}"
+    else:
+        message = (f"self-loop at node {i}", f"edge ({i},{j}) out of range 1..{node_count}",
+                   f"edge ({i},{j}) has non-positive weight {w}", f"duplicate edge ({i},{j})")[check]
+    return GraphFormatError(0, message, index)
+
+
+def _integers(values) -> np.ndarray:
+    """Integer endpoints as an array, of objects when one is beyond ``intp``."""
+    if isinstance(values, np.ndarray):
+        return values
+    try:
+        return np.array(values, dtype=np.intp)
+    except OverflowError:  # compared exactly, and out of range of any graph that fits in memory
+        return np.array(values, dtype=object)
+
+
+def _weights(values) -> np.ndarray:
+    """The weights as floats; an entry that is not a real number becomes nan,
+    which fails the weight check.
+
+    A string is not a number, though numpy would read ``'1.0'`` as one.
+    """
+    try:
+        array = np.asarray(values)
+        if array.ndim == 1 and array.dtype.kind in "biuf":
+            return array.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):  # ragged entries, an integer too large for a float
+        pass
+    return np.array([_weight(value) for value in values], dtype=float)
+
+
+def _weight(w) -> float | None:
+    """``float(w)`` for a positive finite number, nan for another number, None for a non-number."""
+    try:
+        return float(w) if w > 0.0 and math.isfinite(w) else math.nan
+    except ArithmeticError:  # an integer too large for a float, or a decimal nan
+        return math.nan
+    except (TypeError, ValueError):
+        return None
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class WeightedGraph:
     """Undirected graph with strictly positive edge weights.
 
-    Edges are stored once as ``(i, j, weight)`` with ``i < j`` (1-based).
-    Construction rejects a non-integer node count, non-integer endpoints,
-    self-loops, duplicate edges, non-positive weights and out-of-range
-    endpoints.
+    ``WeightedGraph(node_count, edges)`` takes ``(i, j, weight)`` triples with
+    1-based endpoints.  The edges are stored once, as three read-only arrays
+    sorted by ``(lo, hi)``: ``lo < hi`` (1-based, ``intp``) and the float
+    weights ``w``.  ``edges`` is the same edges as ``(int, int, float)``
+    tuples, built on first read.  Construction rejects a non-integer node
+    count, an edge that is not such a triple, non-integer endpoints,
+    self-loops, out-of-range endpoints, weights that are not positive finite
+    real numbers, and duplicate edges; a rejected edge's position is the
+    error's ``edge_index``.
     """
 
     node_count: int
-    edges: tuple[tuple[int, int, float], ...]
+    lo: np.ndarray
+    hi: np.ndarray
+    w: np.ndarray
 
-    def __post_init__(self):
-        if not isinstance(self.node_count, numbers.Integral):
-            raise InvalidSizeError(f"node_count must be an integer, got {self.node_count!r}")
-        if self.node_count < 1:
-            raise InvalidSizeError(f"node_count must be >= 1, got {self.node_count}")
-        object.__setattr__(self, "edges", _canonical_edges(self.node_count, self.edges))
+    def __init__(self, node_count: int, edges):
+        if not isinstance(node_count, numbers.Integral):
+            raise InvalidSizeError(f"node_count must be an integer, got {node_count!r}")
+        if node_count < 1:
+            raise InvalidSizeError(f"node_count must be >= 1, got {node_count}")
+        *columns, malformed = _edge_columns(edges)
+        self._store(node_count, *columns)
+        if malformed is not None:
+            raise malformed
+
+    def _store(self, node_count: int, i, j, w) -> WeightedGraph:
+        lo, hi, w = _canonical_edges(node_count, i, j, w)
+        self.__dict__.update(node_count=node_count, lo=lo, hi=hi, w=w)
+        return self
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(zip(self.lo.tolist(), self.hi.tolist(), self.w.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.w.size
+
+    def _key(self) -> tuple:
+        return self.node_count, self.lo.tobytes(), self.hi.tobytes(), self.w.tobytes()
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"WeightedGraph(node_count={self.node_count!r}, edges={self.edges!r})"
 
 
 @dataclass(frozen=True)
@@ -200,12 +307,12 @@ def from_edge_list(text: str) -> WeightedGraph:
 
 def laplacian(graph: WeightedGraph) -> np.ndarray:
     """Weighted graph Laplacian: degree on the diagonal, -weight off it."""
-    edges = np.fromiter(itertools.chain.from_iterable(graph.edges), float, 3 * graph.edge_count)
-    ends, w = edges.reshape(-1, 3)[:, :2].astype(np.intp) - 1, edges[2::3]
+    lo, hi, w = graph.lo - 1, graph.hi - 1, graph.w
     lap = np.zeros((graph.node_count,) * 2)
-    lap[ends[:, 0], ends[:, 1]] = lap[ends[:, 1], ends[:, 0]] = -w
-    # ends.ravel() is (i1, j1, i2, j2, ...): each degree adds up in edge order
-    np.add.at(lap, (ends.ravel(),) * 2, np.repeat(w, 2))
+    lap[lo, hi] = lap[hi, lo] = -w
+    # (lo1, hi1, lo2, hi2, ...): each degree adds up in edge order
+    ends = np.column_stack((lo, hi)).ravel()
+    np.add.at(lap, (ends, ends), np.repeat(w, 2))
     return lap
 
 
@@ -291,15 +398,22 @@ def family_spectrum(family: str, size: int, weight: float) -> LaplacianSpectrum:
     return _member(family, size, weight).spectrum(size, weight)
 
 
+def _uniform_graph(node_count: int, i: np.ndarray, j: np.ndarray, weight: float) -> WeightedGraph:
+    """The graph of the edges ``(i[k], j[k])``, all of one weight."""
+    return WeightedGraph.__new__(WeightedGraph)._store(node_count, i, j, np.full(i.size, weight, dtype=float))
+
+
 def _torus_graph(dims: int, side: int, weight: float) -> WeightedGraph:
     ids = np.arange(1, side**dims + 1).reshape((side,) * dims)
     succ = np.stack([np.roll(ids, -1, axis=axis) for axis in range(dims)])
-    lo, hi = np.minimum(ids, succ).ravel().tolist(), np.maximum(ids, succ).ravel().tolist()
-    return WeightedGraph(ids.size, tuple(zip(lo, hi, itertools.repeat(weight))))
+    return _uniform_graph(ids.size, np.broadcast_to(ids, succ.shape).ravel(), succ.ravel(), weight)
 
 
 def _complete_graph(n: int, weight: float) -> WeightedGraph:
-    return WeightedGraph(n, tuple((i, j, weight) for i in range(1, n) for j in range(i + 1, n + 1)))
+    i, j = np.triu_indices(n, 1)
+    i += 1
+    j += 1
+    return _uniform_graph(n, i, j, weight)
 
 
 def _torus_spectrum(dims: int, side: int, weight: float) -> LaplacianSpectrum:
@@ -313,7 +427,7 @@ def _torus_spectrum(dims: int, side: int, weight: float) -> LaplacianSpectrum:
 # name -> smallest size (the lattice side for a torus), builder, closed-form spectrum
 _Family = namedtuple("_Family", "min_size build spectrum")
 _FAMILIES = {
-    "path": _Family(2, lambda n, w: WeightedGraph(n, tuple((i, i + 1, w) for i in range(1, n))),
+    "path": _Family(2, lambda n, w: _uniform_graph(n, np.arange(1, n), np.arange(2, n + 1), w),
                     lambda n, w: _analytic(_sin2(np.arange(n) / (2 * n)), w)),
     "ring": _Family(3, partial(_torus_graph, 1), partial(_torus_spectrum, 1)),
     "complete": _Family(2, _complete_graph,

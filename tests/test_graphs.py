@@ -1,4 +1,8 @@
 import math
+import operator
+import pickle
+import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -7,7 +11,8 @@ from hypothesis import strategies as st
 
 import netcoh as nc
 from netcoh import graphs
-from netcoh.errors import GraphFormatError, InvalidParameterError, InvalidSizeError, NumericalError
+from netcoh.cli import main
+from netcoh.errors import CoherenceError, GraphFormatError, InvalidParameterError, InvalidSizeError, NumericalError
 from netcoh.graphs import FAMILIES, build_family, family_spectrum
 
 
@@ -496,3 +501,224 @@ class TestDisconnectedSpectrum:
         with pytest.raises(nc.DisconnectedGraphError) as err:
             spec.connected_modes()
         assert err.value.mode_index == 2
+
+
+def looped_canonical_edges(node_count, edges):
+    """The per-edge loop that the array validator replaced, kept as its reference."""
+    canonical = []
+    seen = set()
+    for index, (i, j, w) in enumerate(edges):
+        try:
+            i, j = operator.index(i), operator.index(j)
+        except TypeError:
+            raise GraphFormatError(0, f"edge ({i},{j}) has a non-integer endpoint", index) from None
+        if i == j:
+            raise GraphFormatError(0, f"self-loop at node {i}", index)
+        if not (1 <= i <= node_count and 1 <= j <= node_count):
+            raise GraphFormatError(0, f"edge ({i},{j}) out of range 1..{node_count}", index)
+        if not (w > 0.0) or not math.isfinite(w):
+            raise GraphFormatError(0, f"edge ({i},{j}) has non-positive weight {w}", index)
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise GraphFormatError(0, f"duplicate edge ({i},{j})", index)
+        seen.add(key)
+        canonical.append((key[0], key[1], float(w)))
+    canonical.sort()
+    return tuple(canonical)
+
+
+def outcome(make):
+    """What ``make()`` gives, or the class, message and positions of the GraphFormatError it raises."""
+    try:
+        return make()
+    except GraphFormatError as exc:
+        return type(exc), exc.message, exc.edge_index, exc.line_number
+
+
+@st.composite
+def checked_edge_lists(draw):
+    """A node count and edges mixing valid ones with every defect the loop names.
+
+    Endpoints come as Python, numpy and bool integers, as Python integers
+    beyond int64, and as floats, numpy bools, strings and None, which are
+    not integers; a repeat of an earlier edge, either way round, makes a
+    duplicate.
+    """
+    n = draw(st.integers(1, 8))
+    node = st.integers(1, n)
+    endpoint = st.one_of(
+        node, node.map(np.int64), node.map(np.int32), st.booleans(),
+        st.sampled_from([0, -1, n + 1, 2**63 - 1, 2**63, -2**63 - 1, 2**70, -2**70]),
+        st.sampled_from([1.0, 2.5, np.float64(2.0), np.True_, "1", None]),
+    )
+    good = st.one_of(st.floats(1e-3, 1e3), st.integers(1, 5), st.floats(0.1, 10.0).map(np.float64))
+    weight = st.one_of(good, st.sampled_from([0.0, -1.5, math.inf, -math.inf, math.nan, np.float64(-2.0)]))
+    edges = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 9))
+        if kind >= 8 and edges:
+            i, j, _ = draw(st.sampled_from(edges))
+            edges.append((j, i, draw(good)) if draw(st.booleans()) else (i, j, draw(good)))
+        elif kind >= 5:
+            edges.append((draw(endpoint), draw(endpoint), draw(weight)))
+        else:  # mostly valid-looking edges, as a file holds
+            edges.append((draw(node), draw(node), draw(good)))
+    return n, edges
+
+
+class TestArrayValidator:
+    """The array validator gives the old per-edge loop's result, error for error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(checked_edge_lists(), st.data())
+    def test_equals_the_per_edge_loop(self, case, data):
+        n, edges = case
+        expected = outcome(lambda: looped_canonical_edges(n, edges))
+        assert outcome(lambda: nc.WeightedGraph(n, tuple(edges)).edges) == expected
+        assert outcome(lambda: nc.WeightedGraph(n, edges).edges) == expected  # a list goes the same way
+        try:
+            ints = [(int(operator.index(i)), int(operator.index(j)), float(w)) for i, j, w in edges]
+        except TypeError:  # a non-integer endpoint has no line of its own in a file
+            return
+        comments = data.draw(st.lists(st.booleans(), min_size=len(ints), max_size=len(ints)))
+        text, lines = edge_list_text(n, ints, comments)
+        expected = outcome(lambda: looped_canonical_edges(n, ints))
+        parsed = outcome(lambda: nc.from_edge_list(text).edges)
+        if expected[:1] == (GraphFormatError,):
+            _, message, index, _ = expected
+            assert parsed == (GraphFormatError, message, None, lines[index])
+        else:
+            assert parsed == expected
+
+    @pytest.mark.parametrize("endpoint", [2**63, 2**70, -2**63 - 1, -2**70])
+    def test_beyond_int64_is_out_of_range(self, endpoint):
+        for edges in (((1, 2, 1.0), (endpoint, 2, 1.0)), ((1, 2, 1.0), (2, endpoint, 1.0))):
+            with pytest.raises(GraphFormatError, match=r"out of range 1\.\.3") as err:
+                nc.WeightedGraph(3, edges)
+            assert err.value.edge_index == 1
+        with pytest.raises(GraphFormatError, match="out of range") as err:
+            nc.from_edge_list(f"3\n1 2 1.0\n2 {endpoint} 1.0\n")
+        assert err.value.line_number == 3
+
+
+class TestTypedEdgeErrors:
+    """Every malformed edge raises GraphFormatError naming its position."""
+
+    @pytest.mark.parametrize("weight", ["a", None, 1 + 0j, "1.0", b"1.0", [1.0]])
+    def test_a_weight_that_is_not_a_real_number(self, weight):
+        # 'a', None and 1+0j raised a bare TypeError from `>`; numpy alone would read '1.0' as 1.0
+        with pytest.raises(GraphFormatError, match=r"edge \(2,3\) has a non-real weight") as err:
+            nc.WeightedGraph(3, ((1, 2, 1.0), (2, 3, weight)))
+        assert err.value.edge_index == 1
+
+    @pytest.mark.parametrize("edge", [(1, 2), (1, 2, 1.0, 5), 7, ()])
+    def test_an_edge_that_is_not_a_triple(self, edge):
+        # (1, 2) and (1, 2, 1.0, 5) raised a bare ValueError from unpacking
+        with pytest.raises(GraphFormatError, match=r"is not an \(i, j, w\) triple") as err:
+            nc.WeightedGraph(3, ((1, 2, 1.0), edge, (2, 3, 1.0)))
+        assert err.value.edge_index == 1
+
+    def test_edges_that_are_not_iterable(self):
+        with pytest.raises(GraphFormatError, match="edges must be an iterable") as err:
+            nc.WeightedGraph(3, 5)
+        assert err.value.edge_index == 0
+
+    def test_an_earlier_bad_edge_is_named_first(self):
+        # the structural defect at index 2 comes after a duplicate at index 1
+        with pytest.raises(GraphFormatError, match=r"duplicate edge \(2,1\)") as err:
+            nc.WeightedGraph(3, ((1, 2, 1.0), (2, 1, 1.0), (1, 2), (3, 3, "a")))
+        assert err.value.edge_index == 1
+        with pytest.raises(GraphFormatError, match="self-loop at node 3") as err:
+            nc.WeightedGraph(3, ((1, 2, 1.0), (3, 3, "a")))  # the self-loop check comes before the weight's
+        assert err.value.edge_index == 1
+
+
+class TestGraphType:
+    def test_equality_hash_and_repr(self):
+        a = nc.WeightedGraph(3, ((1, 2, 0.5), (3, 2, 1.5)))
+        b = nc.WeightedGraph(np.int64(3), [(2, 3, 1.5), (np.int32(2), 1, 0.5)])
+        changed = nc.WeightedGraph(3, ((1, 2, 0.5), (2, 3, 1.25)))
+        assert (a == b) is True and (a == changed) is False and (a != changed) is True
+        assert hash(a) == hash(b)
+        assert (a == nc.WeightedGraph(4, a.edges)) is False
+        assert a.__eq__((3, a.edges)) is NotImplemented
+        assert repr(a) == "WeightedGraph(node_count=3, edges=((1, 2, 0.5), (2, 3, 1.5)))"
+
+    def test_attributes_are_frozen_and_arrays_read_only(self):
+        graph = nc.build_ring(5, 1.0)
+        for name in ("node_count", "edges", "lo", "hi", "w", "anything"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(graph, name, None)
+        for column in (graph.lo, graph.hi, graph.w):
+            assert not column.flags.writeable
+        assert graph.lo.dtype == graph.hi.dtype == np.intp and graph.w.dtype == np.float64
+
+    def test_edges_are_python_scalars_built_once(self):
+        graph = nc.build_torus(3, 2, 0.5)
+        assert "edges" not in vars(graph)
+        edges = graph.edges
+        assert graph.edges is edges
+        assert all(type(i) is int and type(j) is int and type(w) is float for i, j, w in edges)
+        assert list(edges) == sorted(edges) and all(i < j for i, j, _ in edges)
+
+    @pytest.mark.parametrize("make", [nc.build_path, nc.build_ring, nc.build_complete,
+                                      lambda n, w: nc.build_torus(n, 2, w)])
+    def test_builders_equal_their_edge_tuples(self, make):
+        graph = make(5, 0.75)
+        rebuilt = nc.WeightedGraph(graph.node_count, graph.edges)
+        assert rebuilt == graph
+        assert np.array_equal(nc.laplacian(rebuilt), looped_laplacian(graph))
+
+    def test_pickles(self):
+        graph = nc.build_complete(6, 1.5)
+        assert pickle.loads(pickle.dumps(graph)) == graph
+
+    def test_complete_1000_and_laplacian_stay_small(self):
+        tracemalloc.start()
+        try:
+            lap = nc.laplacian(nc.build_complete(1000, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 46 MiB: 12 MiB of edge arrays, the 8 MiB Laplacian and the
+        # scatter's index arrays; 499,500 edge tuples took 130 MiB
+        assert peak < 64 * 2**20
+        assert lap[0, 0] == 999.0 and lap[0, 1] == -1.0
+
+    def test_no_library_path_reads_edges(self, monkeypatch, tmp_path):
+        text = "7\n1 2 0.5\n2 3 1.7\n3 4 0.9\n4 5 1.1\n5 6 2.3\n6 7 0.4\n1 7 1.3\n2 5 0.8\n3 6 0.6\n"
+        graph_file, gains_file = tmp_path / "graph.txt", tmp_path / "dapi.cfg"
+        graph_file.write_text(text)
+        gains_file.write_text("controller = dapi\nf = 2.0\ng = 0.3\ng0 = 1.0\nki = 0.8\nc = 0.1\n")
+
+        def edges(graph):
+            raise AssertionError("WeightedGraph.edges was read")
+
+        monkeypatch.setattr(graphs.WeightedGraph, "edges", property(edges))
+        graph = nc.from_edge_list(text)
+        assert graph == nc.WeightedGraph(7, ((1, 2, 0.5), (2, 3, 1.7), (3, 4, 0.9), (4, 5, 1.1), (5, 6, 2.3),
+                                             (6, 7, 0.4), (1, 7, 1.3), (2, 5, 0.8), (3, 6, 0.6)))
+        hash(graph)
+        for kind, gains in (("p", nc.PGains(1.3, 0.7, 0.2, 0.5)), ("dapi", nc.DapiGains(2.0, 0.3, 1.0, 0.8, 0.1))):
+            nc.full_variance(nc.assemble(graph, kind, gains))
+            nc.variance_by_kind(nc.spectrum(graph), kind, gains)
+        for family in FAMILIES:
+            nc.laplacian(build_family(family, 4, 1.0))
+        for argv in (["variance", "--graph", str(graph_file)],
+                     ["variance", "--graph", str(graph_file), "--method", "full"],
+                     ["tune", "--graph", str(graph_file), "--grid-points", "8"]):
+            assert main(argv + ["--gains-file", str(gains_file), "--out", str(tmp_path / "out.csv")]) == 0
+
+
+class TestEdgeListFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.sampled_from("0123456789 .-+#\neEinfa\t_x"), max_size=80) | st.text(max_size=40))
+    def test_arbitrary_text_raises_only_coherence_errors(self, text):
+        try:
+            graph = nc.from_edge_list(text)
+        except GraphFormatError as exc:
+            assert exc.line_number >= 1
+        except CoherenceError:
+            pass
+        else:
+            assert graph.edge_count == len(graph.edges)
