@@ -336,7 +336,7 @@ def parse_gains_config(text: str):
     stripped = text.lstrip()
     if not stripped.startswith("["):
         text = "[gains]\n" + text
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)  # "%" is a character
     try:
         parser.read_string(text)
     except configparser.Error as exc:

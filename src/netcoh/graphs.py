@@ -52,17 +52,21 @@ __all__ = [
 def _edge_columns(edges) -> tuple:
     """The ``(i, j, w)`` columns of ``edges``, endpoints as integers, up to
     the first edge that is not a triple with integer endpoints, followed by
-    that edge's error (None when every edge is one)."""
+    that edge's error (None when every edge is one).  Each edge is read
+    once, so an edge given as a one-shot iterator is judged by what it held."""
     try:
         edges = tuple(edges)
     except TypeError:
         raise GraphFormatError(0, f"edges must be an iterable of (i, j, w) triples, got {edges!r}", 0) from None
+    rows = []  # the edges as read, up to the first that is not iterable
     try:
-        i, j, w = zip(*edges, strict=True) if edges else ((), (), ())
+        rows.extend(map(tuple, edges))
+        i, j, w = zip(*rows, strict=True) if rows else ((), (), ())
         return list(map(operator.index, i)), list(map(operator.index, j)), w, None
     except (TypeError, ValueError):  # some edge fails: the edges before it are checked first
-        index = next(k for k, edge in enumerate(edges) if _malformed(edge))
-        return *_edge_columns(edges[:index])[:3], GraphFormatError(0, _malformed(edges[index]), index)
+        rows += edges[len(rows) : len(rows) + 1]  # the edge that is not iterable, if one stopped the read
+        index = next(k for k, row in enumerate(rows) if _malformed(row))
+        return *_edge_columns(rows[:index])[:3], GraphFormatError(0, _malformed(rows[index]), index)
 
 
 def _malformed(edge) -> str | None:
@@ -296,8 +300,11 @@ def from_edge_list(text: str) -> WeightedGraph:
         malformed = exc
     if node_count is None or (malformed and not edges):
         raise malformed or GraphFormatError(1, "empty edge-list text")
-    try:  # the edges above a malformed line are checked first: the earliest line is named
-        graph = WeightedGraph(node_count, tuple(edges))
+    # The parser made the endpoints integers, so the columns go to the array
+    # validator directly; the edges above a malformed line are checked first,
+    # so the earliest line is named.
+    try:
+        graph = WeightedGraph.__new__(WeightedGraph)._store(node_count, *(zip(*edges) if edges else ((),) * 3))
     except GraphFormatError as exc:
         raise GraphFormatError(lines[exc.edge_index], exc.message) from None
     if malformed is not None:
@@ -447,7 +454,10 @@ def _member(family: str, size: int, weight: float) -> _Family:
     if size < entry.min_size:
         what = "torus needs side" if family.startswith("torus") else f"{family} graph needs n"
         raise InvalidSizeError(f"{what} >= {entry.min_size}, got {size}")
-    if not (weight > 0.0) or not math.isfinite(weight):
+    value = _weight(weight)
+    if value is None:
+        raise InvalidSizeError(f"edge weight must be a real number, got {weight!r}")
+    if not value > 0.0:  # nan: not positive, or not finite
         raise InvalidSizeError(f"edge weight must be positive and finite, got {weight}")
     return entry
 

@@ -21,9 +21,14 @@ them, is one mode of size dim with ``U = I``.  Blocks of BLOCK steps are one
 batched GEMM over the modes with the map built from the powers of ``M_k = I +
 dt A_k`` and its impulse response (state-space form: a transfer-function
 filter loses DAPI's slow pole near 1), so Python loops once per block.  Blocks
-are shorter only where a mode's map would pass 2^16 numbers (large hand-built
-loops); every step is computed, so no state depends on ``record_every`` or
-``accumulate_every``.
+are shorter only where a mode's full map would pass 2^16 numbers (large
+hand-built loops).  The caller picks what a block computes, and the map is
+built once per call: ``simulate_em`` computes every state of every step
+(``span d`` columns), ``ensemble_variance`` only each step's outputs through
+``modes.output`` plus the state after the block (``span p + d`` columns: 35
+instead of 96 for DAPI).  The last, partial block carries no state out.  The
+carried state is the block's last state either way, so no state depends on
+``record_every`` or ``accumulate_every``.
 
 The draws come in chunks of at most 512 steps for every seed, made by a
 one-worker thread pool while the calling thread steps (PCG64
@@ -248,10 +253,11 @@ def _block_operator(step: np.ndarray, inject: np.ndarray, span: int) -> np.ndarr
     return op
 
 
-def _em_blocks(system: ClosedLoopSystem, cfg: SimConfig, seeds, warn: bool = False):
+def _em_blocks(system: ClosedLoopSystem, cfg: SimConfig, seeds, warn: bool = False, read: bool = False):
     """Checks and set-up of the EM kernel: ``(modes, steps, burn_in, initial
-    states, blocks)``, where ``blocks`` yields ``(first, modal states (K, S,
-    m, d) of steps first + 1 .. first + m)``."""
+    states, blocks)``, where ``blocks`` yields ``(first, per mode (K, S, m, c)
+    of steps first + 1 .. first + m)``: the modal states (c = d), or with
+    ``read`` the outputs ``modes.output`` reads (c = p)."""
     modes = _modes(system)
     stable = _stable_eigs(modes)
     fastest = float(np.abs(stable.real).max())
@@ -272,6 +278,11 @@ def _em_blocks(system: ClosedLoopSystem, cfg: SimConfig, seeds, warn: bool = Fal
     while span > 1 and (d + span * r) * span * d > 1 << 16:
         span //= 2
     op = _block_operator(np.eye(d) + cfg.dt * modes.a, sigma * modes.inject, span)
+    c = d  # the columns of one step: its state, or with ``read`` its outputs
+    if read:  # each step's outputs, then the state after the block; the full map is dropped
+        c = modes.output.shape[2]
+        outputs = (op.reshape(k, -1, span, d) @ modes.output[:, None]).reshape(k, -1, span * c)
+        op = np.concatenate((outputs, op[:, :, -d:]), axis=2)
     chunk = BLOCK * max(1, min(_NOISE_CHUNK, _NOISE_DRAWS // (n * n_seeds)) // BLOCK)
     sizes = [min(chunk, steps - done) for done in range(0, steps, chunk)]
 
@@ -303,9 +314,12 @@ def _em_blocks(system: ClosedLoopSystem, cfg: SimConfig, seeds, warn: bool = Fal
                 for t in range(0, size, span):
                     m = min(span, size - t)
                     rows[:, :, d : d + m * r] = w[:, :, t * r : (t + m) * r]
-                    block = np.matmul(rows[:, :, : d + m * r], op[:, : d + m * r, : m * d])
-                    rows[:, :, :d] = block[:, :, -d:]
-                    yield j * chunk + t, block.reshape(k, n_seeds, m, d)
+                    if m < span:  # the last block: no state is carried out of it
+                        block = np.matmul(rows[:, :, : d + m * r], op[:, : d + m * r, : m * c])
+                    else:
+                        block = np.matmul(rows, op)
+                        rows[:, :, :d] = block[:, :, -d:]
+                    yield j * chunk + t, block[:, :, : m * c].reshape(k, n_seeds, m, c)
         finally:
             pool.shutdown(cancel_futures=True)
 
@@ -361,10 +375,14 @@ def ensemble_variance(
     Each seed keeps its own PCG64 generator and draws exactly what
     :func:`simulate_em` draws for it, in the same order, so the runs are the
     independent-seed simulations merged by seed order, stepped by the modal
-    block kernel of the module docstring.  ``||y||^2 / N``, the sum of
-    ``x_hat_k^2`` over every mode but the network average, is accumulated
-    every ``accumulate_every``-th step past burn-in; no trajectory is stored,
-    and no state depends on ``accumulate_every``.  The draws of the next chunk
+    block kernel of the module docstring.  Each block's GEMM computes only
+    what is read: every step's outputs, ``x_hat_k`` of every mode but the
+    network average, and the state carried into the next block.
+    ``||y||^2 / N``, the sum of the squared outputs, is accumulated every
+    ``accumulate_every``-th step past burn-in; no trajectory is stored, and no
+    state depends on ``accumulate_every``.  For one seed the value is
+    :func:`empirical_variance` of :func:`simulate_em` with ``record_every =
+    accumulate_every`` up to rounding.  The draws of the next chunk
     are made by a one-worker thread pool, started and shut down within the
     call, while this thread steps the current chunk; the values are those of
     a sequential run, bit for bit.
@@ -375,16 +393,15 @@ def ensemble_variance(
     for seed in seeds:
         _integer("seed", seed, 0)
     _integer("accumulate_every", accumulate_every, 1)
-    modes, _, burn_in, _, blocks = _em_blocks(system, cfg, seeds)
+    _, _, burn_in, _, blocks = _em_blocks(system, cfg, seeds, read=True)
     acc, count = np.zeros(len(seeds)), 0
     with closing(blocks):  # shuts the draw pool down however the loop ends
-        for first, block in blocks:
-            k, n_seeds, m, d = block.shape
-            step = first + 1 + np.arange(m)
+        for first, y in blocks:
+            step = first + 1 + np.arange(y.shape[2])
             at = np.flatnonzero((step % accumulate_every == 0) & (step * cfg.dt > burn_in))
             if at.size:
-                y = np.matmul(block[:, :, at].reshape(k, -1, d), modes.output).reshape(k, n_seeds, -1)
-                acc += (y * y).sum(axis=(0, 2))
+                y = y[:, :, at]
+                acc += (y * y).sum(axis=(0, 2, 3))
                 count += at.size
     if count == 0:
         raise WindowError(f"no accumulation samples after burn-in {burn_in:.6g}")

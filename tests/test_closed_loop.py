@@ -1,12 +1,16 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netcoh as nc
 from netcoh.closed_loop import modal_matrices, routh_hurwitz
 from netcoh.errors import (
+    CoherenceError,
     DisconnectedGraphError,
     IdealPdRedirectError,
     InvalidParameterError,
@@ -425,4 +429,76 @@ class TestGainsConfig:
     )
     def test_bad_configs(self, text):
         with pytest.raises(InvalidParameterError):
+            nc.parse_gains_config(text)
+
+
+VALID_GAINS_CONFIGS = [
+    "controller = p\nf = 1.0\ng = 1.0\nf0 = 1.0\ng0 = 0\n",
+    "controller = dapi\nf = 1.0\ng = 0.0\ng0 = 1.0\nki = 1.0\nc = 0.1  # filter\n",
+    "controller = fdpd\nf = 1\ng = 1\nf0 = 1\nkd = 1\ntau = 0.1\n",
+    "controller = dapi\nki = 1.0\nc = 0.1\n\n[power]\nm = 0.05305\nd = 0.02653\nb = 0.3\nl = 1.0\n",
+    "controller = p\n[power]\nm = 2\nd = 1\nb = 0.5\nl = 1\n",
+]
+# the characters and words a gains config is made of, and a few it is not
+CONFIG_PIECES = st.one_of(
+    st.sampled_from(list("=:#;[]%() \t\r\n") + ["%%", "%(f)s", "\x00", "\u00e9"]),
+    st.sampled_from(list(".-+eE0123456789_") + ["nan", "inf", "1e999", "-0"]),
+    st.sampled_from(["controller", "p", "dapi", "fdpd", "power", "gains", "f", "g", "f0", "g0", "ki", "kd", "c",
+                     "tau", "m", "d", "b", "l", "[power]", "[gains]", "[DEFAULT]"]),
+)
+
+
+@st.composite
+def mutated_gains_configs(draw):
+    """A valid config with one to three of its lines edited: characters
+    deleted, a piece inserted or put in their place, or the line dropped or
+    repeated."""
+    lines = draw(st.sampled_from(VALID_GAINS_CONFIGS)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines)))
+        if k == len(lines):  # a new line
+            lines.append(draw(CONFIG_PIECES))
+            continue
+        line, op = lines[k], draw(st.sampled_from(["delete", "insert", "replace", "drop", "repeat"]))
+        at = draw(st.integers(0, len(line)))
+        end = min(len(line), at + draw(st.integers(1, 4)))
+        if op == "delete":
+            lines[k] = line[:at] + line[end:]
+        elif op == "drop":
+            del lines[k]
+        elif op == "repeat":
+            lines.insert(k, line)
+        else:
+            lines[k] = line[:at] + draw(CONFIG_PIECES) + line[end if op == "replace" else at:]
+    return "\n".join(lines) + "\n"
+
+
+def parses_or_raises_a_coherence_error(text):
+    try:
+        kind, gains = nc.parse_gains_config(text)
+    except CoherenceError:
+        return
+    assert type(gains) is {"p": nc.PGains, "dapi": nc.DapiGains, "fdpd": nc.FdpdGains}[kind]
+
+
+class TestGainsConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=60) | st.lists(CONFIG_PIECES, max_size=40).map("".join))
+    def test_arbitrary_text_raises_only_coherence_errors(self, text):
+        parses_or_raises_a_coherence_error(text)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(mutated_gains_configs())
+    def test_mutated_configs_raise_only_coherence_errors(self, text):
+        parses_or_raises_a_coherence_error(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("controller = p\nf = 1%\n", "key 'f' is not a number: '1%'"),
+        ("controller = p%\n", "controller must be one of"),
+        ("controller = %(x)s\nf = 1\n", "controller must be one of"),
+        ("controller = p\n[power]\nm = %(d)s\nd = 1\nb = 1\nl = 1\n", "key 'm' is not a number"),
+    ], ids=["percent", "percent_controller", "missing_key", "power_reference"])
+    def test_a_percent_sign_is_read_as_written(self, text, message):
+        # configparser's interpolation raised its own InterpolationError, not a netcoh error
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
             nc.parse_gains_config(text)

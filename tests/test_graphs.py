@@ -138,6 +138,19 @@ class TestFamilyRegistry:
         assert nc.build_ring(np.int64(5), 1.0) == nc.build_ring(5, 1.0)
         assert np.array_equal(nc.path_spectrum(np.int32(6), 1.0).eigenvalues, nc.path_spectrum(6, 1.0).eigenvalues)
 
+    @pytest.mark.parametrize("weight", ["1.0", None, 1j, b"1", [1.0], np.array([1.0, 2.0])],
+                             ids=["str", "None", "complex", "bytes", "list", "array"])
+    @pytest.mark.parametrize("make", [
+        nc.build_path, nc.build_ring, nc.build_complete, nc.path_spectrum, nc.ring_spectrum, nc.complete_spectrum,
+        lambda n, w: nc.build_torus(n, 2, w), lambda n, w: nc.torus_spectrum(n, 2, w),
+        lambda n, w: build_family("torus3", n, w), lambda n, w: family_spectrum("ring", n, w),
+    ], ids=["build_path", "build_ring", "build_complete", "path_spectrum", "ring_spectrum", "complete_spectrum",
+            "build_torus", "torus_spectrum", "build_family", "family_spectrum"])
+    def test_a_family_weight_that_is_not_a_real_number(self, make, weight):
+        # '>' raised a bare TypeError on these, or a ValueError on the two-entry array
+        with pytest.raises(InvalidSizeError, match="edge weight must be a real number"):
+            make(4, weight)
+
     def test_errors_name_the_family(self):
         for make in (lambda: build_family("ring", 2, 1.0), lambda: nc.build_ring(2, 1.0),
                      lambda: nc.ring_spectrum(2, 1.0)):
@@ -617,6 +630,22 @@ class TestTypedEdgeErrors:
         with pytest.raises(GraphFormatError, match=r"is not an \(i, j, w\) triple") as err:
             nc.WeightedGraph(3, ((1, 2, 1.0), edge, (2, 3, 1.0)))
         assert err.value.edge_index == 1
+
+    def test_each_edge_is_read_once(self):
+        # the malformed-edge path read the edges again, and blamed the iterator the first read consumed
+        with pytest.raises(GraphFormatError, match=r"edge \(2, 3\) is not an \(i, j, w\) triple") as err:
+            nc.WeightedGraph(3, [iter((1, 2, 1.0)), (2, 3)])
+        assert err.value.edge_index == 1
+        with pytest.raises(GraphFormatError, match=r"edge \(1,2\) has non-positive weight -1\.0") as err:
+            nc.WeightedGraph(3, [iter((1, 2, -1.0)), (2, 3)])
+        assert err.value.edge_index == 0
+        with pytest.raises(GraphFormatError, match=r"edge \(2,2\.5\) has a non-integer endpoint") as err:
+            nc.WeightedGraph(3, [(1, 2, 1.0), iter((2, 2.5, 1.0)), 7])
+        assert err.value.edge_index == 1
+        with pytest.raises(GraphFormatError, match="edge 7 is not an") as err:
+            nc.WeightedGraph(3, [iter((1, 2, 1.0)), iter((2, 3, 1.0)), 7])
+        assert err.value.edge_index == 2
+        assert nc.WeightedGraph(3, [iter((1, 2, 1.0)), [3, 2, 2.0]]).edges == ((1, 2, 1.0), (2, 3, 2.0))
 
     def test_edges_that_are_not_iterable(self):
         with pytest.raises(GraphFormatError, match="edges must be an iterable") as err:

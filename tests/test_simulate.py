@@ -541,6 +541,21 @@ class TestModalBlockKernel:
             assert value == pytest.approx(reference_em(hand, cfg, seed, 3, cfg.burn_in)[1], rel=1e-9)
         assert [op.shape for op in maps] == [(1, 150 + 50, 150)] * 2
 
+    @pytest.mark.parametrize("every", [1, 3, 10])
+    @pytest.mark.parametrize("kind, hand_built", [("p", False), ("dapi", False), ("fdpd", False), ("dapi", True)],
+                             ids=["p", "dapi", "fdpd", "hand_built"])
+    def test_ensemble_equals_the_recorded_run(self, kind, hand_built, every):
+        # ensemble_variance steps each step's outputs and the carried state;
+        # simulate_em steps every state: the two must give one variance
+        system, cfg = _kernel_case(kind, 4, "random_frequency_perturbation")
+        if hand_built:
+            system = nc.ClosedLoopSystem(system.a, system.b, system.c, system.kind, system.n)
+        steps = int(round(cfg.horizon / cfg.dt))
+        assert steps % BLOCK and (cfg.burn_in / cfg.dt) % BLOCK  # a partial last block; burn-in inside a block
+        cfg = dataclasses.replace(cfg, seed=21, record_every=every)
+        value = nc.ensemble_variance(system, cfg, [21], accumulate_every=every)[0]
+        assert value == pytest.approx(nc.empirical_variance(nc.simulate_em(system, cfg)), rel=1e-12, abs=0.0)
+
     def test_window_inside_the_last_partial_block(self):
         system = small_system()
         steps = 3 * BLOCK + 5
