@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IdealPdRedirectError, InvalidParameterError
-from .graphs import LaplacianSpectrum, WeightedGraph, default_zero_tolerance, laplacian
+from .graphs import LaplacianSpectrum, WeightedGraph, _ascii_number, default_zero_tolerance, laplacian
 
 __all__ = [
     "KIND_P",
@@ -309,8 +309,9 @@ def _reject_unknown(names, known, what: str) -> None:
 def parse_gains_config(text: str):
     """Parse a gains config into ``(kind, gains)``.
 
-    A section other than ``[power]``, or a key that the controller's form
-    does not read, raises :class:`InvalidParameterError`.
+    A section other than ``[power]``, a key that the controller's form does
+    not read, or a value that is not a number spelled in ASCII without
+    digit-group underscores raises :class:`InvalidParameterError`.
 
     Plain form::
 
@@ -357,7 +358,7 @@ def parse_gains_config(text: str):
                 raise InvalidParameterError(f"missing key {key!r} in gains config")
             return default
         try:
-            return float(section[key])
+            return _ascii_number(section[key], float)
         except ValueError:
             raise InvalidParameterError(
                 f"key {key!r} is not a number: {section[key]!r}"

@@ -214,9 +214,11 @@ class WeightedGraph:
 class LaplacianSpectrum:
     """Sorted Laplacian eigenvalues with the tolerance used to clamp lambda_1.
 
-    The eigenvalues are stored as an ascending read-only copy.  Input that is
-    already ascending, as ``eigvalsh`` and the family spectra return it, is
-    only copied; other input is sorted once.
+    The eigenvalues are stored as an ascending read-only copy.  This is the
+    one place that decides whether to sort: input that is already ascending,
+    as ``eigvalsh`` and the path, ring, torus1 and complete closed forms
+    return it, is only copied; other input, such as the torus2 and torus3
+    lattice sums, is sorted once.
     """
 
     eigenvalues: np.ndarray
@@ -266,11 +268,25 @@ class LaplacianSpectrum:
         return self.eigenvalues[1:]
 
 
+def _ascii_number(text: str, convert):
+    """``convert(text)``, an ``int`` or ``float``, of text that spells a number in ASCII.
+
+    Python's ``int`` and ``float`` also read digit-group underscores
+    (``1_0`` is 10) and non-ASCII decimal digits, such as the Arabic-Indic
+    ones, which the file formats do not admit; those raise ``ValueError`` as
+    other malformed text does.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return convert(text)
+
+
 def from_edge_list(text: str) -> WeightedGraph:
     """Parse the edge-list format.
 
     First non-comment line holds N; every following non-empty line is
-    ``i j w`` with 1-based indices.  Lines starting with ``#`` are ignored.
+    ``i j w`` with 1-based indices, numbers spelled in ASCII without
+    digit-group underscores.  Lines starting with ``#`` are ignored.
     Violations raise :class:`GraphFormatError` carrying the line number of
     the first offending line.
     """
@@ -282,7 +298,7 @@ def from_edge_list(text: str) -> WeightedGraph:
                 continue
             if node_count is None:
                 try:
-                    node_count = int(line)
+                    node_count = _ascii_number(line, int)
                 except ValueError:
                     raise GraphFormatError(lineno, f"expected node count, got {line!r}") from None
                 if node_count < 1:
@@ -292,7 +308,8 @@ def from_edge_list(text: str) -> WeightedGraph:
             if len(parts) != 3:
                 raise GraphFormatError(lineno, f"expected 'i j w', got {line!r}")
             try:
-                edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+                edges.append((_ascii_number(parts[0], int), _ascii_number(parts[1], int),
+                              _ascii_number(parts[2], float)))
             except ValueError:
                 raise GraphFormatError(lineno, f"malformed edge line {line!r}") from None
             lines.append(lineno)
@@ -423,8 +440,29 @@ def _complete_graph(n: int, weight: float) -> WeightedGraph:
     return _uniform_graph(n, i, j, weight)
 
 
+def _ring_values(n: int) -> np.ndarray:
+    """4 sin^2(pi k / n) for k = 0..n-1 in ascending order, built so without a sort.
+
+    The values are made in the order k = 0, 1, n-1, 2, n-2, ..., each from
+    the same ``k / n`` as in index order.  Values k and n-k agree up to
+    rounding, so only such adjacent pairs can be out of order; those are
+    swapped.
+    """
+    pairs = (n - 1) // 2
+    x = np.empty(n)
+    x[0] = 0.0
+    k = np.arange(1.0, n // 2 + 1)
+    np.divide(k, n, out=x[1::2])
+    np.divide(np.subtract(n, k[:pairs], out=k[:pairs]), n, out=x[2::2])
+    vals = _sin2(x)
+    low, high = vals[1:2 * pairs:2], vals[2::2]
+    swap = np.flatnonzero(low > high)
+    low[swap], high[swap] = high[swap], low[swap]
+    return vals
+
+
 def _torus_spectrum(dims: int, side: int, weight: float) -> LaplacianSpectrum:
-    grids = np.ix_(*[_sin2(np.arange(side) / side)] * dims)
+    grids = np.ix_(*[_ring_values(side)] * dims)  # for dims = 1, the ascending ring values
     vals = grids[0]
     for grid in grids[1:]:  # lattice sums a_i + a_j + ...
         vals = vals + grid
@@ -478,11 +516,17 @@ def _sin2(x: np.ndarray) -> np.ndarray:
 
 
 def _analytic(vals: np.ndarray, weight: float) -> LaplacianSpectrum:
-    """The spectrum of ``weight * vals``, which it scales, clamps at 0 and sorts in place."""
-    # The zero mode is exact, so a tolerance below lambda_2 counts one zero
-    # mode; the relative default would swallow lambda_2 of large rings.
+    """The spectrum of ``weight * vals``, which it scales and clamps at 0 in place.
+
+    It does not sort: ``LaplacianSpectrum`` sorts what is not ascending.  The
+    path, ring, torus1 and complete values come ascending, and scaling by a
+    positive weight keeps them so; the torus2 and torus3 lattice sums are
+    sorted there, once.
+    """
+    # The zero mode vals[0] is exact, so a tolerance below lambda_2, the least
+    # of the others, counts one zero mode; the relative default would swallow
+    # lambda_2 of large rings.
     vals *= weight
     np.maximum(vals, 0.0, out=vals)
-    vals.sort()
-    tolerance = min(default_zero_tolerance(float(vals[-1])), 0.5 * float(vals[1]))
+    tolerance = min(default_zero_tolerance(float(vals.max())), 0.5 * float(vals[1:].min()))
     return LaplacianSpectrum(vals, tolerance)

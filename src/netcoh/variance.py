@@ -28,6 +28,7 @@ writes from the two arrays without building it.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections.abc import Iterable
 from dataclasses import FrozenInstanceError
@@ -83,13 +84,12 @@ MODAL_FORWARD_TOL = 1e-8
 _NO_MODES = np.empty((0, 3))
 _NO_MODES.setflags(write=False)
 
-# _chunk_sum's exact summation.  np.frexp writes a term as frac * 2**exp with
-# 0.5 <= |frac| < 1, so frac * 2**53 is an integer below 2**53 in magnitude.
-# Its high 27 and low 26 bits, summed per exponent over a chunk of 2**16
-# terms, give float64 bins below 2**43, so bincount adds them exactly.
+# _chunk_sum's exact summation, by levels: each level cuts the remainders
+# to integer multiples q * 2**unit with |q| < 2**(52 - bit_length(size)),
+# so the float sum of a chunk's q is exact, and subtracts them exactly.
 _SUM_CHUNK = 1 << 16
-_SUBNORMAL_EXP = -1073  # np.frexp's exponent of the smallest subnormal, 2**-1074
-_SUM_SCALE = 1 << 1126  # 2**(53 - _SUBNORMAL_EXP), so that every shift is >= 0
+_SUM_SCALE = 1 << 1074  # the exact sum is an int in units of 2**-1074, the smallest subnormal
+_LIFT_EXP = 1000  # _chunk_sum lifts remainders too small for a normal 2**unit by 2**_LIFT_EXP
 
 _TABLE_LOCK = threading.Lock()
 
@@ -158,19 +158,32 @@ class VarianceReport:
         return "".join(["n,lambda,s_n\n", *blocks, f"V_N,{self.v_n!r}\nbound,{bound}\n"])
 
 
-def _chunk_sum(terms: np.ndarray) -> int:
-    """The exact sum of up to 2**16 finite terms, a Python int in units of 2**-1126."""
-    frac, exp = np.frexp(terms)
-    first = int(exp.min())
-    exp -= first
-    hi = np.trunc(frac * 2.0**27)
-    frac *= 2.0**53
-    frac -= hi * 2.0**26  # the low 26 bits, signed like the term
-    total = 0
-    bins = zip(np.bincount(exp, hi).tolist(), np.bincount(exp, frac).tolist())
-    for shift, (h, lo) in enumerate(bins, first - _SUBNORMAL_EXP):
-        if h or lo:
-            total += ((int(h) << 26) + int(lo)) << shift
+def _chunk_sum(terms: np.ndarray, top: float, r: np.ndarray, q: np.ndarray) -> int:
+    """The exact sum of finite ``terms``, at most 2**16 of them, whose largest
+    magnitude is ``top``: a Python int in units of 2**-1074.
+
+    ``r`` and ``q`` are scratch arrays of the terms' size.  Level by level,
+    ``2**unit`` is the smallest power of two with ``|r| * 2**-unit < 2**width``,
+    ``q = trunc(r * 2**-unit)`` are integers whose float sum is exact, and
+    ``r -= q * 2**unit`` is exact.  Truncation, unlike rounding to nearest,
+    never takes ``q * 2**unit`` past ``|r|``, so a term near the largest
+    double does not overflow.  Each level clears about ``width`` binades;
+    the loop ends when ``r`` is all zero, at the latest at ``unit = -1074``.
+    """
+    width = 52 - terms.size.bit_length()
+    total, lift, src = 0, 0, terms  # src holds the remainders times 2**lift
+    while top:
+        unit = math.frexp(top)[1] - width
+        if unit < -1022:  # lift once, so that 2**unit and 2**-unit stay normal
+            np.multiply(src, 2.0**_LIFT_EXP, out=r)
+            src, lift, unit = r, _LIFT_EXP, unit + _LIFT_EXP
+        unit = max(unit, lift - 1074)
+        np.multiply(src, 2.0**-unit, out=q)
+        np.trunc(q, out=q)
+        total += int(q.sum()) << (unit - lift + 1074)
+        q *= 2.0**unit
+        src = np.subtract(src, q, out=r)
+        top = float(max(r.max(), -r.min()))
     return total
 
 
@@ -179,21 +192,23 @@ def _sum_chunks(chunks: Iterable[np.ndarray]) -> float:
 
     Each chunk holds at most ``_SUM_CHUNK`` terms.  The result equals
     ``math.fsum`` of all the terms bit for bit: they are added exactly as one
-    Python int in units of 2**-1126, and one int division rounds it half to
+    Python int in units of 2**-1074, and one int division rounds it half to
     even.  Raises :class:`NumericalError` naming the first mode whose term is
     not finite, and when the sum overflows.  The first error is raised only
     once every chunk is drawn, so an error that making a later chunk raises
     comes first.
     """
-    total, count, bad = 0, 0, None
+    total, count, bad, work = 0, 0, None, np.empty((2, 0))
     for terms in chunks:
         if bad is None:
-            nonfinite = np.flatnonzero(~np.isfinite(terms))
-            if nonfinite.size:
-                i = int(nonfinite[0])
-                bad = f"mode {count + i + 2} has a non-finite term {float(terms[i])!r}"
+            hi, lo = terms.max(), terms.min()
+            if -math.inf < lo and hi < math.inf:  # false for nan too
+                if work.shape[1] < terms.size:
+                    work = np.empty((2, terms.size))
+                total += _chunk_sum(terms, float(max(hi, -lo)), *work[:, :terms.size])
             else:
-                total += _chunk_sum(terms)
+                i = int(np.flatnonzero(~np.isfinite(terms))[0])
+                bad = f"mode {count + i + 2} has a non-finite term {float(terms[i])!r}"
         count += terms.size
     if bad is not None:
         raise NumericalError(bad)

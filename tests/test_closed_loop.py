@@ -425,6 +425,11 @@ class TestGainsConfig:
             "controller = dapi\nki = 1\nf = 3.0\n[power]\nm = 1\nd = 1\nb = 1\nl = 1\n",
             "controller = p\n[power]\nm = 1\nd = 1\nb = 1\nl = 1\nzz = 9\n",  # key inside [power]
             "controller = p\nf = 1\n[powr]\nm = 1\nd = 1\nb = 1\nl = 1\n",  # unknown section
+            # numbers are ASCII without digit-group underscores, though float
+            # reads "1_0" as 10.0 and any Unicode decimal digit
+            "controller = p\nf = 1_0\ng = 1\n",
+            "controller = p\nf = \u0661\ng = 1\n",  # an Arabic-Indic 1
+            "controller = dapi\nki = 1\nc = 0.1\n[power]\nm = 1\nd = 1\nb = 1_0.5\nl = 1\n",
         ],
     )
     def test_bad_configs(self, text):

@@ -8,7 +8,10 @@ per-family dispatch that the family table in ``graphs.py`` replaced.  The
 ``--family`` cases of ``variance --method closed|modal`` and ``tune`` were
 re-captured from the family's closed-form spectrum, which those commands
 take instead of a dense eigensolve (cells moved by at most 3.1e-15
-relative).  Every ``c`` cell of ``tune`` is a plain float ``repr``.
+relative).  ``variance_ring13_dapi_closed``, an odd ring whose values k
+and N-k differ in their last bits, was captured while the ring spectrum
+was still sorted after it was built.  Every ``c`` cell of ``tune`` is a
+plain float ``repr``.
 
 Regenerate files only for a deliberate output change: the entry point
 writes the named cases, or every case when none is named::
@@ -69,6 +72,7 @@ CASES = {
         ["variance", "--family", "torus3", "--n", "3", "--method", "modal"], "p"),
     "variance_ring8_fdpd_full": (["variance", "--family", "ring", "--n", "8", "--method", "full"], "fdpd"),
     "tune_path12_dapi": (["tune", "--family", "path", "--n", "12", "--grid-points", "16"], "dapi"),
+    "variance_ring13_dapi_closed": (["variance", "--family", "ring", "--n", "13"], "dapi"),
 }
 
 def run_case(name: str, workdir: Path) -> str:

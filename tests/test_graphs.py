@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import netcoh as nc
@@ -274,6 +274,14 @@ class TestEdgeListParsing:
             ("3\n1 2 abc", 2, "malformed"),
             ("x\n1 2 1.0", 1, "node count"),
             ("3\n1 4 1.0", 2, "out of range"),
+            # numbers are ASCII without digit-group underscores, though int
+            # and float read "1_0" as 10 and any Unicode decimal digit
+            ("1_0\n1 2 1.0", 1, "node count"),
+            ("\u0663\n1 2 1.0", 1, "node count"),  # an Arabic-Indic 3
+            ("3\n1 2 1_0.5", 2, "malformed"),
+            ("3\n1 2 1.0\n2 3_0 1.0", 3, "malformed"),
+            ("3\n1 \u0662 1.0", 2, "malformed"),
+            ("3\n1 2 \u0661.5", 2, "malformed"),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, text, lineno, fragment):
@@ -441,6 +449,26 @@ class TestAnalyticSpectra:
     def test_match_dense_eigensolver(self, analytic, graph):
         numeric = nc.spectrum(graph)
         assert np.allclose(analytic.eigenvalues, numeric.eigenvalues, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["ring", "torus1", "path"]),
+        n=st.integers(3, 4096),
+        weight=st.floats(0.0, 1e3, exclude_min=True, allow_subnormal=False),
+    )
+    @example(family="ring", n=2**18, weight=1.0)
+    @example(family="torus1", n=2**18 + 1, weight=0.7)
+    @example(family="path", n=2**18, weight=1.3)
+    @example(family="ring", n=2**20, weight=1.0)
+    @example(family="torus1", n=2**20 - 1, weight=3.0)
+    @example(family="path", n=2**20, weight=1.0)
+    def test_built_in_order_equals_sorted_per_index_values(self, family, n, weight):
+        # the spectra are built ascending; the values are those of k = 0..n-1
+        # in index order, sorted, bit for bit
+        period = 2 * n if family == "path" else n
+        per_index = np.square(np.sin(np.arange(n) / period * np.pi)) * 4.0 * weight
+        expected = np.sort(per_index)
+        assert family_spectrum(family, n, weight).eigenvalues.tobytes() == expected.tobytes()
 
     def test_large_ring_against_eigensolver(self):
         analytic = nc.ring_spectrum(512, 1.0)

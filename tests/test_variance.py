@@ -576,6 +576,29 @@ class TestExactModeSum:
             nc.fdpd_variance(nc.LaplacianSpectrum(lam, 1e-9), gains)
 
 
+def every_binade(size: int, seed: int) -> np.ndarray:
+    """``size`` terms in shuffled order, at least one in each of the 2098
+    binades of the doubles, subnormals included, with random signs and
+    mantissas below 1.5, which no rounding lifts out of their binade; the
+    terms above 2**1000, one per binade, alternate in sign, so that the sum
+    is finite."""
+    rng = np.random.default_rng(seed)
+    exps = np.concatenate([np.arange(-1074, 1024), rng.integers(-1074, 1001, size - 2098)])
+    signs = np.where(exps > 1000, (-1.0) ** exps, rng.choice([-1.0, 1.0], size))
+    return rng.permutation(signs * np.ldexp(rng.uniform(1.0, 1.5, size), exps))
+
+
+class TestLevelExtraction:
+    """The level-by-level sum on terms far from the closed forms' narrow range."""
+
+    def test_chunk_over_every_binade_is_the_exact_sum(self):
+        terms = every_binade(_SUM_CHUNK + 1, 7)
+        assert np.unique(np.frexp(terms)[1]).size == 2098  # frexp's exponents -1073..1024
+        ratios = map(float.as_integer_ratio, terms.tolist())  # denominators are powers of two
+        exact = sum(num << (1074 - den.bit_length() + 1) for num, den in ratios) / (1 << 1074)
+        assert _mode_sum(terms).hex() == exact.hex() == math.fsum(terms.tolist()).hex()
+
+
 class TestLazyReport:
     """Closed-form and modal reports keep the eigenvalues and terms and build per_mode when read."""
 
