@@ -11,7 +11,7 @@ from pathlib import Path
 from . import __version__
 from .closed_loop import KIND_DAPI, assemble, parse_gains_config
 from .errors import CoherenceError, InvalidParameterError
-from .graphs import FAMILIES, build_family, family_spectrum, from_edge_list, spectrum
+from .graphs import FAMILIES, _ascii_number, build_family, family_spectrum, from_edge_list, spectrum
 from .scaling import run_scaling, write_scaling_csv
 from .simulate import (
     SCENARIOS,
@@ -23,6 +23,17 @@ from .simulate import (
 )
 from .tuning import ScalarSearchConfig, _search, classify_c_star
 from .variance import full_variance, modal_variance, variance_by_kind
+
+
+def _ascii(convert):
+    """``convert`` for numbers spelled in ASCII without digit-group underscores, as the file formats read them."""
+    def read(text: str):
+        return _ascii_number(text, convert)
+    read.__name__ = convert.__name__  # argparse names the type in its message: "invalid int value"
+    return read
+
+
+_INT, _FLOAT = _ascii(int), _ascii(float)
 
 
 def _member(args):
@@ -62,8 +73,8 @@ def _output(args):
 def _add_graph_args(parser):
     parser.add_argument("--graph", help="edge-list file (see README for the format)")
     parser.add_argument("--family", choices=FAMILIES, help="generated graph family")
-    parser.add_argument("--n", type=int, help="node count (torus: lattice side)")
-    parser.add_argument("--l", type=float, default=1.0, help="uniform edge weight")
+    parser.add_argument("--n", type=_INT, help="node count (torus: lattice side)")
+    parser.add_argument("--l", type=_FLOAT, default=1.0, help="uniform edge weight")
 
 
 def cmd_variance(args) -> int:
@@ -128,7 +139,7 @@ def cmd_tune(args) -> int:
 def cmd_scale(args) -> int:
     kind, gains = _load_gains(args)
     sizes = _parse_sizes(args.sizes)
-    window = _fields(args.window, "--window", "lo:hi", int, int) if args.window else None
+    window = _fields(args.window, "--window", "lo:hi", _INT, _INT) if args.window else None
     result = run_scaling(args.family, kind, gains, sizes, weight=args.l, window=window)
     with _output(args) as stream:
         write_scaling_csv(result, stream)
@@ -151,7 +162,7 @@ _MAX_SIZES = 10_000
 
 def _parse_sizes(text: str) -> list[int]:
     if text.startswith("geometric:"):
-        _, start, stop, factor = _fields(text, "--sizes", "geometric:start:stop:factor", str, int, int, float)
+        _, start, stop, factor = _fields(text, "--sizes", "geometric:start:stop:factor", str, _INT, _INT, _FLOAT)
         if start < 1 or stop < start or not 1.0 < factor < math.inf:
             raise InvalidParameterError("need start >= 1, stop >= start, finite factor > 1")
         sizes = []
@@ -165,7 +176,7 @@ def _parse_sizes(text: str) -> list[int]:
             value *= factor
         return sizes
     try:
-        sizes = [int(tok) for tok in text.split(",") if tok.strip()]
+        sizes = [_INT(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise InvalidParameterError(f"bad --sizes value {text!r}") from None
     if not sizes:
@@ -193,12 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--controller", choices=("p", "dapi", "fdpd"))
     p_sim.add_argument("--gains-file")
     p_sim.add_argument("--scenario", choices=sorted(SCENARIOS))
-    p_sim.add_argument("--dt", type=float)
-    p_sim.add_argument("--horizon", type=float)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--burn-in", type=float, dest="burn_in")
-    p_sim.add_argument("--noise-intensity", type=float, default=1.0)
-    p_sim.add_argument("--record-every", type=int, dest="record_every")
+    p_sim.add_argument("--dt", type=_FLOAT)
+    p_sim.add_argument("--horizon", type=_FLOAT)
+    p_sim.add_argument("--seed", type=_INT, default=0)
+    p_sim.add_argument("--burn-in", type=_FLOAT, dest="burn_in")
+    p_sim.add_argument("--noise-intensity", type=_FLOAT, default=1.0)
+    p_sim.add_argument("--record-every", type=_INT, dest="record_every")
     p_sim.add_argument("--with-velocity", action="store_true")
     p_sim.add_argument("--with-aux", action="store_true")
     p_sim.add_argument("--out", help="trajectory CSV path")
@@ -207,9 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune = sub.add_parser("tune", help="optimal DAPI averaging gain")
     _add_graph_args(p_tune)
     p_tune.add_argument("--gains-file", required=True)
-    p_tune.add_argument("--bracket-hi", type=float, dest="bracket_hi")
-    p_tune.add_argument("--tol", type=float, default=1e-6)
-    p_tune.add_argument("--grid-points", type=int, default=64, dest="grid_points")
+    p_tune.add_argument("--bracket-hi", type=_FLOAT, dest="bracket_hi")
+    p_tune.add_argument("--tol", type=_FLOAT, default=1e-6)
+    p_tune.add_argument("--grid-points", type=_INT, default=64, dest="grid_points")
     p_tune.add_argument("--out", help="output CSV path (default stdout)")
     p_tune.set_defaults(func=cmd_tune)
 
@@ -218,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scale.add_argument("--controller", choices=("p", "dapi", "fdpd"))
     p_scale.add_argument("--gains-file", required=True)
     p_scale.add_argument("--sizes", required=True, help="'a,b,c' or geometric:start:stop:factor")
-    p_scale.add_argument("--l", type=float, default=1.0, help="uniform edge weight")
+    p_scale.add_argument("--l", type=_FLOAT, default=1.0, help="uniform edge weight")
     p_scale.add_argument("--window", help="exponent fit window 'lo:hi'")
     p_scale.add_argument("--out", help="output CSV path (default stdout)")
     p_scale.set_defaults(func=cmd_scale)

@@ -13,25 +13,23 @@ Three independent evaluation routes are provided and cross-checked in tests:
   triangular Sylvester solve.
 
 The closed forms are numpy array expressions over the eigenvalues of modes
-n >= 2, evaluated in chunks of 2**16 modes; each chunk's terms are added to
-the exact sum as soon as they are made, in one pass.  Their terms, like the
-modal oracle's, are summed exactly in numpy and rounded once, so each sum is
-correctly rounded at any N and equals ``math.fsum`` of the terms bit for
-bit.  A non-finite term or an overflowing sum raises
-:class:`NumericalError`, naming the mode of the term.
+n >= 2, in two steps: the terms are filled in chunks of 2**16 modes, then
+summed once.  Their terms, like the modal oracle's, are summed exactly in
+numpy and rounded once, so each sum is correctly rounded at any N and
+equals ``math.fsum`` of the terms bit for bit.  A non-finite term or an
+overflowing sum raises :class:`NumericalError`, naming the mode of the term.
 
-A closed-form or modal :class:`VarianceReport` keeps two arrays: the
-spectrum's read-only eigenvalues, by reference, and its read-only terms.
-Its ``(N-1, 3)`` ``per_mode`` table is built on first read, and ``to_csv``
-writes from the two arrays without building it.
+A :class:`VarianceReport` is its modes: ``v_n``, ``bound`` and ``method``
+with two read-only arrays, the spectrum's eigenvalues of modes 2..N, by
+reference, and their terms.  Its ``(N-1, 3)`` ``per_mode`` table is built
+on first read, and ``to_csv`` writes from the two arrays without building it.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Iterable
-from dataclasses import FrozenInstanceError
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,8 +79,8 @@ DEFAULT_ORACLE_LIMIT = 64
 # largest estimated relative error of a modal-oracle V_N, the cross-check tolerance
 MODAL_FORWARD_TOL = 1e-8
 
-_NO_MODES = np.empty((0, 3))
-_NO_MODES.setflags(write=False)
+_NO_VALUES = np.empty(0)  # the full oracle's eigenvalues and terms: it reports no modes
+_NO_VALUES.setflags(write=False)
 
 # _chunk_sum's exact summation, by levels: each level cuts the remainders
 # to integer multiples q * 2**unit with |q| < 2**(52 - bit_length(size)),
@@ -94,67 +92,50 @@ _LIFT_EXP = 1000  # _chunk_sum lifts remainders too small for a normal 2**unit b
 _TABLE_LOCK = threading.Lock()
 
 
+@dataclass(frozen=True, eq=False)
 class VarianceReport:
     """Per-node variance with its per-mode breakdown.
 
-    ``per_mode`` is a read-only ``(N-1, 3)`` float array whose rows are
-    ``(n, lambda_n, s_n)``, with the normalization ``v_n = (1/2N) * sum(s_n)``
-    for the closed-form and modal methods; the full-system oracle reports no
-    per-mode split (zero rows).  The closed-form and modal reports keep only
-    the eigenvalues and the terms, and build the table on its first read;
-    every later read returns that same array.  ``bound`` carries the
-    uniform-in-N upper bound where one exists (DAPI, F-DPD).  Reports are
-    immutable: assigning an attribute raises ``FrozenInstanceError``.
+    ``eigenvalues`` and ``terms`` are read-only arrays over modes n = 2..N:
+    lambda_n, by reference to the spectrum, and the terms s_n, with the
+    normalization ``v_n = (1/2N) * sum(s_n)`` for the closed-form and modal
+    methods; the full-system oracle reports no per-mode split (empty
+    arrays).  ``per_mode``, the read-only ``(N-1, 3)`` table of
+    ``(n, lambda_n, s_n)`` rows, is built on its first read; every later
+    read returns that same array.  ``bound`` carries the uniform-in-N upper
+    bound where one exists (DAPI, F-DPD).  Reports are immutable: assigning
+    an attribute raises ``FrozenInstanceError``.
     """
 
     v_n: float
     bound: float | None
     method: str
+    eigenvalues: np.ndarray = field(default_factory=lambda: _NO_VALUES, repr=False)
+    terms: np.ndarray = field(default_factory=lambda: _NO_VALUES, repr=False)
 
-    def __init__(self, v_n: float, per_mode: np.ndarray, bound: float | None, method: str):
-        self.__dict__.update(v_n=v_n, bound=bound, method=method,
-                             _lam=per_mode[:, 1], _terms=per_mode[:, 2], _table=per_mode)
-
-    @classmethod
-    def _of_modes(cls, v_n: float, lam: np.ndarray, terms: np.ndarray, bound, method: str):
-        """The report of modes n = 2..N with eigenvalues ``lam`` and terms ``terms``, both kept."""
-        terms.setflags(write=False)
-        report = cls.__new__(cls)
-        report.__dict__.update(v_n=v_n, bound=bound, method=method, _lam=lam, _terms=terms, _table=None)
-        return report
+    def __post_init__(self):
+        if np.ndim(self.terms) != 1 or np.shape(self.eigenvalues) != np.shape(self.terms):
+            raise InvalidParameterError(f"need eigenvalues and terms of one 1-D shape, "
+                                        f"got {np.shape(self.eigenvalues)} and {np.shape(self.terms)}")
 
     @property
     def per_mode(self) -> np.ndarray:
         """The read-only ``(N-1, 3)`` table of ``(n, lambda_n, s_n)`` rows."""
-        if self._table is None:
+        if "_table" not in self.__dict__:
             with _TABLE_LOCK:  # two threads reading at once get one table
-                if self._table is None:
-                    table = np.empty((3, self._lam.size))  # per_mode is its transposed view
-                    table[0] = np.arange(2, self._lam.size + 2)
-                    table[1] = self._lam
-                    table[2] = self._terms
+                if "_table" not in self.__dict__:
+                    table = np.empty((3, self.terms.size))  # per_mode is its transposed view
+                    table[0] = np.arange(2, self.terms.size + 2)
+                    table[1] = self.eigenvalues
+                    table[2] = self.terms
                     table.setflags(write=False)
                     self.__dict__["_table"] = table.T
-        return self._table
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return (f"VarianceReport(v_n={self.v_n!r}, modes={self._lam.size}, "
-                f"bound={self.bound!r}, method={self.method!r})")
+        return self.__dict__["_table"]
 
     def to_csv(self) -> str:
         """``n,lambda,s_n`` rows, then ``V_N`` and ``bound``; written without building ``per_mode``."""
-        if self._table is None:
-            modes = np.arange(2, self._lam.size + 2)
-        else:
-            modes = self._table[:, 0].astype(np.int64)
         bound = "none" if self.bound is None else repr(self.bound)
-        blocks = indexed_csv_blocks(modes, [self._lam, self._terms])
+        blocks = indexed_csv_blocks(np.arange(2, self.terms.size + 2), [self.eigenvalues, self.terms])
         return "".join(["n,lambda,s_n\n", *blocks, f"V_N,{self.v_n!r}\nbound,{bound}\n"])
 
 
@@ -187,40 +168,27 @@ def _chunk_sum(terms: np.ndarray, top: float, r: np.ndarray, q: np.ndarray) -> i
     return total
 
 
-def _sum_chunks(chunks: Iterable[np.ndarray]) -> float:
-    """The correctly rounded sum of the terms that ``chunks`` yields for modes n = 2, 3, ...
+def _mode_sum(terms: np.ndarray) -> float:
+    """The correctly rounded sum of the terms of modes n = 2, 3, ... held in one array.
 
-    Each chunk holds at most ``_SUM_CHUNK`` terms.  The result equals
-    ``math.fsum`` of all the terms bit for bit: they are added exactly as one
-    Python int in units of 2**-1074, and one int division rounds it half to
-    even.  Raises :class:`NumericalError` naming the first mode whose term is
-    not finite, and when the sum overflows.  The first error is raised only
-    once every chunk is drawn, so an error that making a later chunk raises
-    comes first.
+    The result equals ``math.fsum`` of the terms bit for bit: chunks of
+    ``_SUM_CHUNK`` terms are added exactly as one Python int in units of
+    2**-1074, and one int division rounds it half to even.  Raises
+    :class:`NumericalError` naming the first mode whose term is not finite,
+    and when the sum overflows.
     """
-    total, count, bad, work = 0, 0, None, np.empty((2, 0))
-    for terms in chunks:
-        if bad is None:
-            hi, lo = terms.max(), terms.min()
-            if -math.inf < lo and hi < math.inf:  # false for nan too
-                if work.shape[1] < terms.size:
-                    work = np.empty((2, terms.size))
-                total += _chunk_sum(terms, float(max(hi, -lo)), *work[:, :terms.size])
-            else:
-                i = int(np.flatnonzero(~np.isfinite(terms))[0])
-                bad = f"mode {count + i + 2} has a non-finite term {float(terms[i])!r}"
-        count += terms.size
-    if bad is not None:
-        raise NumericalError(bad)
+    total, work = 0, np.empty((2, min(terms.size, _SUM_CHUNK)))
+    for i in range(0, terms.size, _SUM_CHUNK):
+        chunk = terms[i:i + _SUM_CHUNK]
+        hi, lo = chunk.max(), chunk.min()
+        if not (-math.inf < lo and hi < math.inf):  # true for nan too
+            j = int(np.flatnonzero(~np.isfinite(chunk))[0])
+            raise NumericalError(f"mode {i + j + 2} has a non-finite term {float(chunk[j])!r}")
+        total += _chunk_sum(chunk, float(max(hi, -lo)), *work[:, :chunk.size])
     try:
         return total / _SUM_SCALE
     except OverflowError:
-        raise NumericalError(f"the sum of {count} mode terms overflows") from None
-
-
-def _mode_sum(terms: np.ndarray) -> float:
-    """:func:`_sum_chunks` over the terms of modes n = 2, 3, ... held in one array."""
-    return _sum_chunks(terms[i:i + _SUM_CHUNK] for i in range(0, terms.size, _SUM_CHUNK))
+        raise NumericalError(f"the sum of {terms.size} mode terms overflows") from None
 
 
 def _p_den(lam: np.ndarray, gains: PGains) -> np.ndarray:
@@ -271,18 +239,6 @@ def _terms(kind: str, gains, lam: np.ndarray, first: int = 0, out: np.ndarray | 
     return np.divide(1.0, den, out=out)
 
 
-def _closed_form(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
-    """Terms and their exact sum in one pass over chunks of ``_SUM_CHUNK`` modes."""
-    _check_gains(kind, gains)
-    lam = spec.connected_modes()
-    law = _term_law(kind, gains)
-    terms = np.empty_like(lam)
-    chunks = (_terms(*law, lam[i:i + _SUM_CHUNK], i, terms[i:i + _SUM_CHUNK])
-              for i in range(0, lam.size, _SUM_CHUNK))
-    v_n = _sum_chunks(chunks) / (2.0 * spec.node_count)
-    return VarianceReport._of_modes(v_n, lam, terms, _bound(kind, gains), METHOD_CLOSED_FORM)
-
-
 def _bound(kind: str, gains) -> float | None:
     bounds = {KIND_DAPI: dapi_bound, KIND_FDPD: fdpd_bound}
     return bounds[kind](gains) if kind in bounds else None
@@ -295,7 +251,7 @@ def p_variance(spec: LaplacianSpectrum, gains: PGains) -> VarianceReport:
     non-positive denominator means a marginal mode and raises
     :class:`UnboundedVarianceError`.
     """
-    return _closed_form(spec, KIND_P, gains)
+    return variance_by_kind(spec, KIND_P, gains)
 
 
 def dapi_bound(gains: DapiGains) -> float:
@@ -315,7 +271,7 @@ def dapi_variance(spec: LaplacianSpectrum, gains: DapiGains) -> VarianceReport:
     against the Lyapunov oracles).  c = 0 is accepted analytically and
     reduces to P control with the integral gain in place of f0.
     """
-    return _closed_form(spec, KIND_DAPI, gains)
+    return variance_by_kind(spec, KIND_DAPI, gains)
 
 
 def fdpd_bound(gains: FdpdGains) -> float:
@@ -334,12 +290,25 @@ def fdpd_variance(spec: LaplacianSpectrum, gains: FdpdGains) -> VarianceReport:
     tau = 0 is the ideal-PD case and is evaluated through the equivalent P
     law with the derivative gain in place of g0.
     """
-    return _closed_form(spec, KIND_FDPD, gains)
+    return variance_by_kind(spec, KIND_FDPD, gains)
 
 
 def variance_by_kind(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
-    """Closed-form dispatch on controller kind."""
-    return _closed_form(spec, kind, gains)
+    """Closed-form dispatch on controller kind.
+
+    The terms are filled in chunks of ``_SUM_CHUNK`` modes, so that the
+    denominators' temporaries stay chunk-sized, and then summed once; every
+    denominator is checked before any term is summed.
+    """
+    _check_gains(kind, gains)
+    lam = spec.connected_modes()
+    law = _term_law(kind, gains)
+    terms = np.empty_like(lam)
+    for i in range(0, lam.size, _SUM_CHUNK):
+        _terms(*law, lam[i:i + _SUM_CHUNK], i, terms[i:i + _SUM_CHUNK])
+    terms.setflags(write=False)
+    v_n = _mode_sum(terms) / (2.0 * spec.node_count)
+    return VarianceReport(v_n, _bound(kind, gains), METHOD_CLOSED_FORM, lam, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +414,9 @@ def modal_variance(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
         i = int(np.argmax(err))
         raise NumericalError(f"modal V_N forward error estimate {err.sum() / abs(terms.sum()):.3e} exceeds "
                              f"{MODAL_FORWARD_TOL:.0e}; mode {i + 2} (lambda={lam[i]:.6g}) is ill-conditioned")
-    bound = _bound(kind, gains)
+    terms.setflags(write=False)
     v_n = _mode_sum(terms) / (2.0 * spec.node_count)
-    return VarianceReport._of_modes(v_n, lam, terms, bound, METHOD_MODAL_LYAPUNOV)
+    return VarianceReport(v_n, _bound(kind, gains), METHOD_MODAL_LYAPUNOV, lam, terms)
 
 
 def full_variance(
@@ -512,4 +481,4 @@ def full_variance(
     if residual > 1e-8 * max(1.0, float(np.abs(x).max())) * scale:
         raise NumericalError(f"full-oracle residual {residual:.3e} too large")
     v = float(np.trace(c_red @ x @ c_red.T))
-    return VarianceReport(v / n, _NO_MODES, None, METHOD_FULL_LYAPUNOV)
+    return VarianceReport(v / n, None, METHOD_FULL_LYAPUNOV)

@@ -247,7 +247,7 @@ class TestTuneCommand:
         def closed_form(*args):
             raise AssertionError("grid re-evaluated")
 
-        monkeypatch.setattr(variance, "_closed_form", closed_form)
+        monkeypatch.setattr(variance, "variance_by_kind", closed_form)
         golden = (GOLDEN_DIR / "tune_ring16_dapi.csv").read_text()
         assert run_case("tune_ring16_dapi", tmp_path) == golden
 
@@ -306,6 +306,46 @@ class TestScaleCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+
+class TestAsciiNumbers:
+    """Numbers in options are read as the file formats read them: ASCII digits, no digit-group underscores."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["variance", "--family", "ring", "--n", "1_3"], "invalid int value: '1_3'"),
+        (["variance", "--family", "ring", "--n", "\u0661\u0663"], "invalid int value"),  # Arabic-Indic 13
+        (["variance", "--family", "ring", "--n", "13", "--l", "1_0.5"], "invalid float value: '1_0.5'"),
+        (["tune", "--family", "ring", "--n", "16", "--grid-points", "1_6"], "invalid int value: '1_6'"),
+        (["tune", "--family", "ring", "--n", "16", "--tol", "1e-1_0"], "invalid float value: '1e-1_0'"),
+        (["scale", "--family", "ring", "--sizes", "8,16", "--l", "\u0662"], "invalid float value"),
+        (["simulate", "--scenario", "p_path_10", "--seed", "1_0"], "invalid int value: '1_0'"),
+        (["simulate", "--scenario", "p_path_10", "--record-every", "1_0"], "invalid int value: '1_0'"),
+        (["simulate", "--scenario", "p_path_10", "--dt", "0_1"], "invalid float value: '0_1'"),
+        (["simulate", "--scenario", "p_path_10", "--horizon", "1_0"], "invalid float value: '1_0'"),
+        (["simulate", "--scenario", "p_path_10", "--burn-in", "1_0"], "invalid float value: '1_0'"),
+        (["simulate", "--scenario", "p_path_10", "--noise-intensity", "1_0"], "invalid float value: '1_0'"),
+    ])
+    def test_option_rejected_by_the_parser(self, capsys, dapi_gains_file, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--gains-file", dapi_gains_file])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--sizes", "1_0,2_0"], "bad --sizes value '1_0,2_0'"),
+        (["--sizes", "10,\u0662\u0660"], "bad --sizes value"),
+        (["--sizes", "geometric:1_0:20:2"], "bad --sizes value 'geometric:1_0:20:2'"),
+        (["--sizes", "geometric:10:20:1_5"], "bad --sizes value 'geometric:10:20:1_5'"),
+        (["--sizes", "8,16", "--window", "8:1_6"], "bad --window value '8:1_6'"),
+    ])
+    def test_sizes_and_window_fields(self, capsys, p_gains_file, argv, message):
+        assert main(["scale", "--family", "ring", "--gains-file", p_gains_file, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_ascii_numbers_with_spaces_still_read(self, capsys, p_gains_file):
+        assert main(["scale", "--family", "ring", "--gains-file", p_gains_file, "--sizes", " 8, 16 "]) == 0
+        assert [row.split(",")[0] for row in capsys.readouterr().out.splitlines()[1:3]] == ["8", "16"]
 
 
 class TestTopLevel:

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from unittest import mock
@@ -21,6 +22,7 @@ from netcoh.errors import (
     OracleSizeError,
     UnboundedVarianceError,
 )
+from netcoh.graphs import family_spectrum
 from netcoh.variance import _SUM_CHUNK, _mode_sum
 
 from conftest import random_connected_graph, random_gains
@@ -328,7 +330,29 @@ class TestThreeWayAgreement:
         assert checked >= 60
 
 
+GAIN = st.floats(1e-2, 1e2)
+GAIN_OR_ZERO = st.one_of(st.just(0.0), GAIN)
+BOUNDED_GAINS = st.one_of(
+    st.builds(nc.DapiGains, f=GAIN, g=GAIN_OR_ZERO, g0=GAIN, k_i=GAIN, c=GAIN_OR_ZERO),
+    st.builds(nc.FdpdGains, f=GAIN_OR_ZERO, g=GAIN_OR_ZERO, f0=GAIN, k_d=GAIN, tau=GAIN_OR_ZERO),
+)
+# (family, size) with at most 2**12 nodes; the size of a torus is its side
+FAMILY_MEMBERS = st.sampled_from(
+    [("ring", 3, 2**12), ("path", 2, 2**12), ("complete", 2, 2**12), ("torus2", 3, 2**6), ("torus3", 3, 2**4)]
+).flatmap(lambda member: st.tuples(st.just(member[0]), st.integers(*member[1:])))
+
+
 class TestMonotonicityAndBounds:
+    @settings(max_examples=300, deadline=None)
+    @given(member=FAMILY_MEMBERS, weight=st.floats(1e-2, 1e2), gains=BOUNDED_GAINS)
+    def test_family_variance_stays_under_the_uniform_bound(self, member, weight, gains):
+        # every term is below its lambda -> 0 limit 2 * bound, so V_N <= (N-1)/N * bound
+        spec = family_spectrum(*member, weight)
+        kind = "dapi" if isinstance(gains, nc.DapiGains) else "fdpd"
+        report = nc.variance_by_kind(spec, kind, gains)
+        assert report.v_n < report.bound
+        assert report.v_n <= (spec.node_count - 1) / spec.node_count * report.bound * (1.0 + 1e-12)
+
     def test_per_mode_term_nonincreasing_in_lambda(self):
         rng = np.random.default_rng(29)
         lams = np.linspace(1e-6, 50.0, 1500)
@@ -406,9 +430,10 @@ class TestReportSerialization:
             nc.p_variance(nc.ring_spectrum(3000, 1.0), nc.PGains(1.0, 1.0, 1.0, 1.0)),
             nc.VarianceReport(
                 0.5,
-                np.array([[2.0, 1e-5, np.inf], [3.0, 3e-05, -0.0], [4.0, 1e16, np.nan], [5.0, 0.0, 1.5]]),
                 None,
                 "closed_form",
+                np.array([1e-5, 3e-05, 1e16, 0.0]),
+                np.array([np.inf, -0.0, np.nan, 1.5]),
             ),
         ],
         ids=["ring3000", "edge_cells"],
@@ -435,7 +460,7 @@ class TestReportSerialization:
     )
     def test_csv_of_any_cells(self, cells, block):
         per_mode = np.column_stack((np.arange(2.0, len(cells) + 2.0), cells))
-        report = nc.VarianceReport(0.25, per_mode, 1.5, "closed_form")
+        report = nc.VarianceReport(0.25, 1.5, "closed_form", cells[:, 0], cells[:, 1])
         with mock.patch.object(csvrows, "BLOCK_CELLS", block):
             text = report.to_csv()
         rows = [f"{int(n)},{lam!r},{s!r}\n" for n, lam, s in per_mode.tolist()]
@@ -629,19 +654,63 @@ class TestLazyReport:
             lambda spec: nc.fdpd_variance(spec, replace(FDPD_GAINS, tau=0.0)),
             lambda spec: nc.modal_variance(spec, "fdpd", FDPD_GAINS),
             lambda spec: nc.full_variance(nc.assemble_p(nc.build_ring(5, 1.0), P_GAINS)),
-            lambda spec: nc.VarianceReport(0.5, np.array([[2.0, 1.0, 3.0]]), None, "closed_form"),
+            lambda spec: nc.VarianceReport(0.5, None, "closed_form", np.array([1.0]), np.array([3.0])),
         ],
         ids=["p", "dapi", "fdpd", "fdpd_tau0", "modal", "full", "constructed"],
     )
     def test_reports_are_immutable(self, make):
         report = make(nc.ring_spectrum(9, 1.0))
         table = report.per_mode
-        for name in ("v_n", "per_mode", "bound", "method"):
+        for name in ("v_n", "per_mode", "bound", "method", "eigenvalues", "terms"):
             with pytest.raises(FrozenInstanceError):
                 setattr(report, name, None)
             with pytest.raises(FrozenInstanceError):
                 delattr(report, name)
         assert report.per_mode is table
+
+    def test_threads_reading_a_fresh_report_get_one_table(self):
+        report = nc.p_variance(nc.ring_spectrum(2**16, 1.0), P_GAINS)
+        start = threading.Barrier(8, timeout=30)
+        tables = [None] * 8
+
+        def read(k):
+            start.wait()
+            tables[k] = report.per_mode
+
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the table build too
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(table is tables[0] for table in tables)
+        assert tables[0] is report.per_mode
+        assert tables[0].tobytes() == np.column_stack(
+            (np.arange(2.0, 2**16 + 1.0), report.eigenvalues, report.terms)).tobytes()
+
+    def test_fields_are_the_modes(self):
+        spec = nc.ring_spectrum(9, 1.0)
+        report = nc.dapi_variance(spec, DAPI_GAINS)
+        assert np.shares_memory(report.eigenvalues, spec.eigenvalues)
+        assert not report.eigenvalues.flags.writeable and not report.terms.flags.writeable
+        assert report.v_n == math.fsum(report.terms.tolist()) / 18.0
+        assert repr(report) == f"VarianceReport(v_n={report.v_n!r}, bound={report.bound!r}, method='closed_form')"
+        full = nc.full_variance(nc.assemble_p(nc.build_ring(5, 1.0), P_GAINS))
+        assert full.eigenvalues.shape == full.terms.shape == (0,)
+
+    @pytest.mark.parametrize("eigenvalues, terms", [
+        (np.array([1.0, 2.0]), np.array([3.0])),  # the CSV would stop at the shorter column
+        (np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])),
+        (np.array([1.0]), 3.0),
+    ])
+    def test_constructor_needs_one_value_per_mode(self, eigenvalues, terms):
+        with pytest.raises(nc.InvalidParameterError, match="one 1-D shape"):
+            nc.VarianceReport(0.5, None, "closed_form", eigenvalues, terms)
 
 
 class TestDisconnectedGraph:
