@@ -96,10 +96,10 @@ _TABLE_LOCK = threading.Lock()
 class VarianceReport:
     """Per-node variance with its per-mode breakdown.
 
-    ``eigenvalues`` and ``terms`` are read-only arrays over modes n = 2..N:
-    lambda_n, by reference to the spectrum, and the terms s_n, with the
-    normalization ``v_n = (1/2N) * sum(s_n)`` for the closed-form and modal
-    methods; the full-system oracle reports no per-mode split (empty
+    ``eigenvalues`` and ``terms`` are arrays over modes n = 2..N, which the
+    constructor marks read-only: lambda_n, by reference to the spectrum, and
+    the terms s_n, with ``v_n = (1/2N) * sum(s_n)`` for the closed-form and
+    modal methods; the full-system oracle reports no per-mode split (empty
     arrays).  ``per_mode``, the read-only ``(N-1, 3)`` table of
     ``(n, lambda_n, s_n)`` rows, is built on its first read; every later
     read returns that same array.  ``bound`` carries the uniform-in-N upper
@@ -114,9 +114,12 @@ class VarianceReport:
     terms: np.ndarray = field(default_factory=lambda: _NO_VALUES, repr=False)
 
     def __post_init__(self):
-        if np.ndim(self.terms) != 1 or np.shape(self.eigenvalues) != np.shape(self.terms):
-            raise InvalidParameterError(f"need eigenvalues and terms of one 1-D shape, "
+        if not (isinstance(self.eigenvalues, np.ndarray) and isinstance(self.terms, np.ndarray)
+                and self.terms.ndim == 1 and self.eigenvalues.shape == self.terms.shape):
+            raise InvalidParameterError(f"need eigenvalues and terms as arrays of one 1-D shape, "
                                         f"got {np.shape(self.eigenvalues)} and {np.shape(self.terms)}")
+        self.eigenvalues.setflags(write=False)
+        self.terms.setflags(write=False)
 
     @property
     def per_mode(self) -> np.ndarray:
@@ -306,7 +309,6 @@ def variance_by_kind(spec: LaplacianSpectrum, kind: str, gains) -> VarianceRepor
     terms = np.empty_like(lam)
     for i in range(0, lam.size, _SUM_CHUNK):
         _terms(*law, lam[i:i + _SUM_CHUNK], i, terms[i:i + _SUM_CHUNK])
-    terms.setflags(write=False)
     v_n = _mode_sum(terms) / (2.0 * spec.node_count)
     return VarianceReport(v_n, _bound(kind, gains), METHOD_CLOSED_FORM, lam, terms)
 
@@ -414,7 +416,6 @@ def modal_variance(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
         i = int(np.argmax(err))
         raise NumericalError(f"modal V_N forward error estimate {err.sum() / abs(terms.sum()):.3e} exceeds "
                              f"{MODAL_FORWARD_TOL:.0e}; mode {i + 2} (lambda={lam[i]:.6g}) is ill-conditioned")
-    terms.setflags(write=False)
     v_n = _mode_sum(terms) / (2.0 * spec.node_count)
     return VarianceReport(v_n, _bound(kind, gains), METHOD_MODAL_LYAPUNOV, lam, terms)
 

@@ -4,7 +4,7 @@ import pytest
 from test_golden import CASES, GOLDEN_DIR, run_case
 
 import netcoh as nc
-from netcoh import cli, graphs, variance
+from netcoh import cli, graphs, scaling, variance
 from netcoh.cli import build_parser, main
 from netcoh.graphs import FAMILIES
 
@@ -243,11 +243,12 @@ class TestTuneCommand:
 
     def test_grid_rows_are_the_search_scan(self, monkeypatch, tmp_path):
         # the rows come from c_star_numeric's own scan, not from a second
-        # round of dapi_variance calls
+        # round of closed-form calls through any module's binding
         def closed_form(*args):
             raise AssertionError("grid re-evaluated")
 
-        monkeypatch.setattr(variance, "variance_by_kind", closed_form)
+        for module in (variance, cli, scaling):
+            monkeypatch.setattr(module, "variance_by_kind", closed_form)
         golden = (GOLDEN_DIR / "tune_ring16_dapi.csv").read_text()
         assert run_case("tune_ring16_dapi", tmp_path) == golden
 

@@ -667,6 +667,7 @@ class TestLazyReport:
             with pytest.raises(FrozenInstanceError):
                 delattr(report, name)
         assert report.per_mode is table
+        assert not report.eigenvalues.flags.writeable and not report.terms.flags.writeable
 
     def test_threads_reading_a_fresh_report_get_one_table(self):
         report = nc.p_variance(nc.ring_spectrum(2**16, 1.0), P_GAINS)
@@ -707,6 +708,7 @@ class TestLazyReport:
         (np.array([1.0, 2.0]), np.array([3.0])),  # the CSV would stop at the shorter column
         (np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])),
         (np.array([1.0]), 3.0),
+        (np.array([1.0]), [3.0]),
     ])
     def test_constructor_needs_one_value_per_mode(self, eigenvalues, terms):
         with pytest.raises(nc.InvalidParameterError, match="one 1-D shape"):
