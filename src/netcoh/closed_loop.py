@@ -232,27 +232,41 @@ def modal_matrices(kind: str, gains, lam: np.ndarray) -> np.ndarray:
     return alpha + beta * lam[:, None, None]
 
 
-def routh_hurwitz(a: np.ndarray) -> np.ndarray:
-    """Hurwitz verdict per matrix of a ``(k, d, d)`` stack, d = 2 or 3.
+def _char_poly(a: np.ndarray, sign: float = -1.0) -> list[np.ndarray]:
+    """Coefficients ``[a_{d-1}, ..., a_0]`` of det(sI - A_k) = s^d + a_{d-1} s^{d-1} + ... + a_0
+    for a ``(k, d, d)`` stack, d = 2 or 3, by cofactor expansion.
 
-    The coefficients of s^d + a_{d-1} s^{d-1} + ... + a_0 come from cofactor
-    expansion, which keeps the relative precision of a tiny a_0 such as
-    DAPI's f*c*lam^2: stable iff all are finite, positive and, for d = 3, a_2 a_1 > a_0.
+    ``sign = 1`` makes every subtraction an addition: on ``|A|`` that gives
+    each coefficient's sum of |monomials|, the scale of its rounding error.
     """
     d = a.shape[-1]
-    if d not in (2, 3):
+    if a.ndim != 3 or d not in (2, 3) or a.shape[1] != d:
         raise InvalidParameterError(f"unsupported modal matrix shape {a.shape[1:]}")
+    a = np.ascontiguousarray(np.moveaxis(a, 0, -1))  # entry (i, j) of every matrix, contiguous
 
     def minor(i, j, r, s):
-        return a[:, i, r] * a[:, j, s] - a[:, i, s] * a[:, j, r]
+        return a[i, r] * a[j, s] + sign * (a[i, s] * a[j, r])
 
-    coeffs = [-np.trace(a, axis1=1, axis2=2), minor(0, 1, 0, 1)]
+    coeffs = [sign * np.trace(a), minor(0, 1, 0, 1)]
     if d == 3:
         coeffs[1] = coeffs[1] + minor(0, 2, 0, 2) + minor(1, 2, 1, 2)
-        det = a[:, 0, 0] * minor(1, 2, 1, 2) - a[:, 0, 1] * minor(1, 2, 0, 2) + a[:, 0, 2] * minor(1, 2, 0, 1)
-        coeffs.append(-det)
+        det = a[0, 0] * minor(1, 2, 1, 2) + sign * (a[0, 1] * minor(1, 2, 0, 2)) + a[0, 2] * minor(1, 2, 0, 1)
+        coeffs.append(sign * det)
+    return coeffs
+
+
+def _hurwitz(coeffs: list[np.ndarray]) -> np.ndarray:
+    """The Routh-Hurwitz verdict on :func:`_char_poly`'s coefficients."""
     stable = np.all([(c > 0.0) & np.isfinite(c) for c in coeffs], axis=0)
-    return stable if d == 2 else stable & (coeffs[0] * coeffs[1] > coeffs[2])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing a_2 a_1 exceeds a_0
+        return stable if len(coeffs) == 2 else stable & (coeffs[0] * coeffs[1] > coeffs[2])
+
+
+def routh_hurwitz(a: np.ndarray) -> np.ndarray:
+    """Hurwitz verdict per matrix of a ``(k, d, d)`` stack, d = 2 or 3: the coefficients of
+    det(sI - A_k), by cofactor expansion, which keeps the relative precision of a tiny a_0
+    such as DAPI's f*c*lam^2, are finite, positive and, for d = 3, a_2 a_1 > a_0."""
+    return _hurwitz(_char_poly(a))
 
 
 def power_preset(

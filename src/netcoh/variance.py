@@ -4,9 +4,9 @@ Three independent evaluation routes are provided and cross-checked in tests:
 
 * closed forms -- the per-mode sums for P, DAPI and F-DPD control together
   with the uniform-in-N upper bounds for the latter two;
-* a modal oracle -- the small Lyapunov equation of every Laplacian
-  eigenvalue, all solved at once: the stacked modal matrices get one
-  Routh-Hurwitz test and one stacked solve of their Kronecker systems;
+* a modal oracle -- every Laplacian mode's Lyapunov solution in closed form
+  from its characteristic polynomial, whose coefficients also give the
+  Routh-Hurwitz test, guarded by a running bound on its rounding error;
 * a full-system oracle -- one real Schur form of the assembled block matrix,
   after deflating the marginal, unobservable network-average directions
   with ``scipy.linalg.helmert``, gives both the eigenvalue checks and a
@@ -41,10 +41,11 @@ from .closed_loop import (
     DapiGains,
     FdpdGains,
     PGains,
+    _char_poly,
     _check_gains,
+    _hurwitz,
     ideal_pd_equivalent,
     modal_matrices,
-    routh_hurwitz,
 )
 from .csvrows import indexed_csv_blocks
 from .errors import (
@@ -318,104 +319,86 @@ def variance_by_kind(spec: LaplacianSpectrum, kind: str, gains) -> VarianceRepor
 # ---------------------------------------------------------------------------
 
 
-def _lyapunov_stack(a: np.ndarray, q: np.ndarray, hurwitz=None):
-    """Solve A_k^T P_k + P_k A_k = -Q for a ``(k, d, d)`` stack, in one batch.
-
-    Returns the symmetrized solutions and, in check order, ``(failed mask,
-    error for index i)`` pairs: ``hurwitz`` (default: an eigenvalue test),
-    singular Kronecker system, residual above the backward-error bound
-    1e-10 * max(2 ||A_k|| ||P_k|| + ||Q||, 1) in max-abs norms.
-    """
-    k, d, _ = a.shape
-    if hurwitz is None:
-        finite = np.isfinite(a).all(axis=(1, 2))  # eigvals rejects a whole stack with one inf or nan
-        eigs = np.full((k, d), np.nan + 0j)
-        eigs[finite] = np.linalg.eigvals(a[finite])
-        hurwitz = (~finite | np.any(eigs.real >= 0.0, axis=1), lambda i: InstabilityError(
-            f"matrix is not Hurwitz (max real part {eigs[i].real.max():.3e})"))
-    at = a.swapaxes(1, 2)
-    eye = np.eye(d)
-    # np.kron(I, A^T) + np.kron(A^T, I) for every matrix of the stack
-    kron = eye[:, None, :, None] * at[:, None, :, None, :] + at[:, :, None, :, None] * eye[None, :, None, :]
-    kron = kron.reshape(k, d * d, d * d)
-    rhs = np.broadcast_to(-q.reshape(-1, 1, order="F"), (k, d * d, 1))
-    singular = {}
-    try:
-        vec_p = np.linalg.solve(kron, rhs)
-    except np.linalg.LinAlgError:  # find the singular systems one by one
-        vec_p = np.zeros((k, d * d, 1))
-        for i in range(k):
-            try:
-                vec_p[i] = np.linalg.solve(kron[i], rhs[i])
-            except np.linalg.LinAlgError as exc:
-                singular[i] = exc
-    p = vec_p.reshape(k, d, d).swapaxes(1, 2)
-    p = 0.5 * (p + p.swapaxes(1, 2))
-    with np.errstate(invalid="ignore"):  # non-finite matrices already fail the first check
-        residual = np.abs(at @ p + p @ a + q).max(axis=(1, 2), initial=0.0)
-        scale = 2.0 * np.abs(a).max(axis=(1, 2)) * np.abs(p).max(axis=(1, 2)) + np.abs(q).max()
-    tol = 1e-10 * np.maximum(scale, 1.0)
-    return p, [
-        hurwitz,
-        (np.isin(np.arange(k), list(singular)), lambda i: NumericalError(
-            f"singular Kronecker system: {singular[i]}")),
-        (~(residual <= tol) | np.isinf(tol), lambda i: NumericalError(
-            f"lyapunov residual {residual[i]:.3e} exceeds tolerance {tol[i]:.3e}")),
-    ]
-
-
-def _raise_first(checks) -> None:
-    """Raise the first failed check of the lowest failing index, if any."""
-    failed = np.array([mask for mask, _ in checks])
-    bad = np.flatnonzero(failed.any(axis=0))
-    if bad.size:
-        i = int(bad[0])
-        raise checks[int(np.argmax(failed[:, i]))][1](i)
-
-
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Solve A^T P + P A = -Q for Hurwitz A by Kronecker vectorization.
-
-    Intended for the small per-mode blocks; the result is symmetrized and
-    the residual is checked against 1e-10 * max(2 ||A|| ||P|| + ||Q||, 1).
-    """
+    """Solve A^T P + P A = -Q for a small finite Hurwitz A by Kronecker vectorization; the result
+    is symmetrized and its residual checked against 1e-10 * max(2 ||A|| ||P|| + ||Q||, 1), max-abs norms."""
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != q.shape:
         raise InvalidParameterError(f"need square A and matching Q, got {a.shape}, {q.shape}")
-    p, checks = _lyapunov_stack(a[None], q)
-    _raise_first(checks)
-    return p[0]
+    if not (np.isfinite(a).all() and np.isfinite(q).all()):  # eigvals raises a bare LinAlgError on them
+        raise InvalidParameterError("need finite A and Q")
+    eigs = np.linalg.eigvals(a)
+    if np.any(eigs.real >= 0.0):
+        raise InstabilityError(f"matrix is not Hurwitz (max real part {eigs.real.max():.3e})")
+    eye = np.eye(a.shape[0])
+    try:  # vec(A^T P + P A) = (I (x) A^T + A^T (x) I) vec(P), vec stacking columns
+        p = np.linalg.solve(np.kron(eye, a.T) + np.kron(a.T, eye), -q.ravel(order="F")).reshape(a.shape, order="F")
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular Kronecker system: {exc}") from None
+    p = 0.5 * (p + p.T)
+    residual = np.abs(a.T @ p + p @ a + q).max()
+    with np.errstate(over="ignore"):  # an overflowing P fails as an infinite tolerance
+        tol = 1e-10 * max(2.0 * np.abs(a).max() * np.abs(p).max() + np.abs(q).max(), 1.0)
+    if not residual <= tol < math.inf:
+        raise NumericalError(f"lyapunov residual {residual:.3e} exceeds tolerance {tol:.3e}")
+    return p
+
+
+def _companion_terms(a: np.ndarray, coeffs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Terms s_k = 2 ||G_k||^2 of a Routh-Hurwitz stable ``(k, d, d)`` stack, and their error bounds.
+
+    From ``coeffs = [a_{d-1}, ..., a_0]`` of det(sI - A_k) and b_1 s + b_0 = e_x^T adj(sI - A_k) e_v,
+    Astrom's integral table (1970, ch. 5) gives b_0^2 / (a_0 a_1) for d = 2 and, for d = 3,
+    (b_1^2 a_0 + b_0^2 a_2) / (a_0 (a_1 a_2 - a_0)), evaluated as (b_1^2/a_2 + b_0^2/a_0) / (a_1 - a_0/a_2)
+    since those products overflow.  A running error bound (Higham 2002, ch. 3) carries each coefficient's
+    error, 5 roundings (a product, a 2x2 minor, two sums) times its sum of |monomials|, to first order;
+    only a_1 - a_0/a_2 can cancel, near the Hurwitz boundary.
+    """
+    u = np.finfo(float).eps / 2.0
+    bounds = [5.0 * u * c for c in _char_poly(np.abs(a), 1.0)]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a non-finite bound refuses
+        if a.shape[-1] == 2:
+            (a1, a0), (e1, e0), b0 = coeffs, bounds, a[:, 0, 1]
+            terms = b0 * b0 / (a0 * a1)
+            return terms, (e0 / a0 + e1 / a1 + 3.0 * u) * np.abs(terms)
+        (a2, a1, a0), (e2, e1, e0), b1 = coeffs, bounds, a[:, 0, 1]
+        b0 = a[:, 0, 2] * a[:, 2, 1] - a[:, 0, 1] * a[:, 2, 2]
+        e_b0 = 2.0 * u * (np.abs(a[:, 0, 2] * a[:, 2, 1]) + np.abs(a[:, 0, 1] * a[:, 2, 2]))
+        n1, n2, q = b1 * (b1 / a2), b0 * (b0 / a0), a0 / a2
+        den = a1 - q
+        terms = (n1 + n2) / den
+        e_num = n1 * (e2 / a2 + 3.0 * u) + n2 * (e0 / a0 + 3.0 * u) + 2.0 * e_b0 * (np.abs(b0) / a0)
+        e_den = e1 + q * (e0 / a0 + e2 / a2 + u) + u * np.abs(den)
+        return terms, (e_num + np.abs(terms) * e_den) / np.abs(den) + u * np.abs(terms)
 
 
 def modal_variance(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
-    """Per-mode Lyapunov oracle: sum of tr(B_n^T P_n B_n) over modes n >= 2.
+    """Per-mode oracle: the sum over modes n >= 2 of s_n = 2 e_v^T P_n e_v, where
+    A_n^T P_n + P_n A_n = -e_x e_x^T is solved in closed form (:func:`_companion_terms`).
 
     The network-average mode n = 1 produces no output and is excluded.
-    F-DPD with tau = 0 is routed through the equivalent P subsystems.  All
-    modes are solved at once; the lowest failing mode raises, its checks in
-    the order Routh-Hurwitz (the only Hurwitz test), solve, residual.  Then V_N is
-    returned only if its estimated forward error is at most
-    ``MODAL_FORWARD_TOL``; otherwise :class:`NumericalError` names the worst
-    mode.
+    F-DPD with tau = 0 is routed through the equivalent P subsystems.
+    Routh-Hurwitz is the only Hurwitz test; the lowest unstable mode raises.
+    V_N is returned only if its error bound is at most ``MODAL_FORWARD_TOL``
+    relative; otherwise :class:`NumericalError` names the worst mode.
     """
     _check_gains(kind, gains)
     lam = spec.connected_modes()
     a = modal_matrices(*_term_law(kind, gains), lam)
-    q = np.diag(np.eye(a.shape[-1])[0])  # C^T C: the output reads the x-component
-    p, checks = _lyapunov_stack(a, q, (~routh_hurwitz(a), lambda i: InstabilityError(
-        f"mode {i + 2} (lambda={lam[i]:.6g}) is not Hurwitz", mode_index=i + 2)))
-    _raise_first(checks)
-    terms = 2.0 * p[:, 1, 1]
-    # The residual test bounds only the backward error; a slow mode can pass
-    # it with P_k wrong in every digit.  Term k's relative forward error is
-    # about u * cond_k, with cond_k ~ 2 ||A_k|| ||P_k|| / ||Q|| (here ||Q|| = 1).
-    with np.errstate(over="ignore"):  # an overflowing estimate fails as inf
-        err = np.finfo(float).eps * np.abs(a).max(axis=(1, 2)) * np.abs(p).max(axis=(1, 2)) * np.abs(terms)
-    if err.sum() > MODAL_FORWARD_TOL * abs(terms.sum()):
-        i = int(np.argmax(err))
-        raise NumericalError(f"modal V_N forward error estimate {err.sum() / abs(terms.sum()):.3e} exceeds "
-                             f"{MODAL_FORWARD_TOL:.0e}; mode {i + 2} (lambda={lam[i]:.6g}) is ill-conditioned")
+    coeffs = _char_poly(a)
+    unstable = np.flatnonzero(~_hurwitz(coeffs))
+    if unstable.size:
+        i = int(unstable[0])
+        raise InstabilityError(f"mode {i + 2} (lambda={lam[i]:.6g}) is not Hurwitz", mode_index=i + 2)
+    terms, errors = _companion_terms(a, coeffs)
+    error, total = errors.sum(), abs(terms.sum())
+    if not error <= MODAL_FORWARD_TOL * total:  # a nan bound is refused too
+        i = int(np.argmax(errors))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            estimate = error / total
+        raise NumericalError(f"modal V_N forward error estimate {estimate:.3e} exceeds {MODAL_FORWARD_TOL:.0e}; "
+                             f"mode {i + 2} (lambda={lam[i]:.6g}) is ill-conditioned")
     v_n = _mode_sum(terms) / (2.0 * spec.node_count)
     return VarianceReport(v_n, _bound(kind, gains), METHOD_MODAL_LYAPUNOV, lam, terms)
 

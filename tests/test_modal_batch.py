@@ -1,4 +1,4 @@
-"""Property tests: the coefficient tables and the batched modal oracle.
+"""Property tests: the coefficient tables and the companion-form modal oracle.
 
 The hand-written block and modal matrices below are the definitions the
 coefficient tables replaced; they stay here as the reference the tables must
@@ -99,45 +99,34 @@ def test_stacked_modal_matrices_match_subsystems_and_reference(kg, values):
 @PROPERTY
 @given(kind_and_gains(), st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=40))
 @example(("p", nc.PGains(0.0, 0.0, 1.0, 9.66e-273)), [1.0])
-def test_batched_terms_match_looped_solves(kg, values):
+def test_companion_terms_match_per_mode_solves(kg, values):
     kind, gains = kg
     assume(kind != "p" or (gains.f > 0.0 or gains.f0 > 0.0) and (gains.g > 0.0 or gains.g0 > 0.0))
     assume(kind != "dapi" or gains.c >= 1e-3)
     spec = nc.LaplacianSpectrum(np.array([0.0] + values), 1e-9)
-    # the per-mode loop the batch replaced, errors included, and the
-    # estimated forward error of V_N that modal_variance checks afterwards.
-    # Routh-Hurwitz is the modal route's only Hurwitz test, so each mode is
-    # solved as solve_lyapunov solves it less its eigenvalue check, which
-    # called the example's stable mode (damping 9.66e-273) unstable
-    looped, estimates, expected = [], [], None
-    for n, lam in enumerate(spec.connected_modes().tolist(), start=2):
-        a = modal_matrices(kind, gains, np.array([lam]))  # one mode: noise enters v, the output reads x
-        e_x, e_v = np.eye(a.shape[-1])[:2]
-        if not routh_hurwitz(a)[0]:
-            expected = (InstabilityError, f"mode {n} (lambda={lam:.6g}) is not Hurwitz")
-            break
-        p, checks = variance._lyapunov_stack(a, np.outer(e_x, e_x), (np.zeros(1, bool), None))
-        try:
-            variance._raise_first(checks)
-        except NumericalError as exc:  # near-marginal or slow modes
-            expected = (type(exc), str(exc))
-            break
-        p = p[0]
-        looped.append(2.0 * float(e_v @ p @ e_v))
-        with np.errstate(over="ignore"):
-            estimates.append(np.finfo(float).eps * np.abs(a).max() * np.abs(p).max() * abs(looped[-1]))
-    ill_conditioned = np.sum(estimates) > MODAL_FORWARD_TOL * abs(np.sum(looped))
+    lam = spec.connected_modes()
     try:
-        terms = nc.modal_variance(spec, kind, gains).per_mode[:, 2]
-    except (InstabilityError, NumericalError) as exc:
-        if expected is None and ill_conditioned:
-            assert type(exc) is NumericalError and "forward error estimate" in str(exc)
-        else:
-            assert (type(exc), str(exc)) == expected
+        terms = nc.modal_variance(spec, kind, gains).terms
+    except InstabilityError as exc:  # Routh-Hurwitz, the route's only Hurwitz test
+        assert not routh_hurwitz(modal_matrices(kind, gains, lam)).all()
+        assert str(exc).startswith(f"mode {exc.mode_index} (lambda=")
         return
-    assert expected is None and not ill_conditioned
-    looped = np.array(looped)
-    assert np.all(np.abs(terms - looped) <= 1e-14 * np.abs(looped))
+    except NumericalError as exc:  # near-marginal modes
+        assert "forward error estimate" in str(exc)
+        return
+    # each mode's Kronecker solve, compared where its own forward-error
+    # estimate eps ||A|| ||P|| is below 1e-10; that estimate, plus the few
+    # roundings of the companion term, is the tolerance
+    for mode, term in zip(modal_matrices(kind, gains, lam), terms):
+        e_x, e_v = np.eye(mode.shape[-1])[:2]
+        try:
+            p = nc.solve_lyapunov(mode, np.outer(e_x, e_x))
+        except (InstabilityError, NumericalError):  # its eigenvalue check calls damping 9.66e-273 unstable
+            continue
+        estimate = np.finfo(float).eps * np.abs(mode).max() * np.abs(p).max()
+        if estimate < 1e-10:
+            looped = 2.0 * float(e_v @ p @ e_v)
+            assert abs(term - looped) <= (estimate + 4.0 * np.finfo(float).eps) * abs(looped)
 
 
 @PROPERTY
@@ -204,17 +193,25 @@ def test_unstable_mode_at_index_two_is_named():
     assert err.value.mode_index == 2
 
 
-def test_singular_system_in_a_batch_is_reported_per_matrix():
-    # the zero matrix makes its Kronecker system singular; the batch must not
-    # surface a bare LinAlgError, and its neighbours must still be solved
-    stack = np.array([-np.eye(2), np.zeros((2, 2)), -2.0 * np.eye(2)])
-    p, checks = variance._lyapunov_stack(stack, np.eye(2))
-    singular, make_error = checks[1]
-    assert singular.tolist() == [False, True, False]
-    assert str(make_error(1)) == "singular Kronecker system: Singular matrix"
-    assert np.allclose(p[0], 0.5 * np.eye(2)) and np.allclose(p[2], 0.25 * np.eye(2))
-    with pytest.raises(InstabilityError):
-        variance._raise_first(checks)
+@pytest.mark.parametrize("delta,refused", [(1e-9, True), (1e-6, False)])
+def test_mode_near_the_hurwitz_boundary_is_refused(delta, refused):
+    # roots -delta +- i and -1: a_1 a_2 - a_0 ~ 4 delta cancels, so the term
+    # 1 / (2 delta (1 + delta^2)) is good only to about u / delta relative
+    spec = nc.ring_spectrum(8, 1.0)
+    gains = nc.DapiGains(1.0, 0.0, 1.0, 1.0, 0.1)
+
+    def near_boundary(kind, g, lam):
+        stack = modal_matrices(kind, g, lam).copy()
+        stack[3] = [[-delta, 1.0, 0.0], [-1.0, -delta, 0.0], [0.0, 0.0, -1.0]]
+        return stack
+
+    with mock.patch.object(variance, "modal_matrices", near_boundary):
+        if refused:
+            with pytest.raises(NumericalError, match=r"forward error estimate .* mode 5 \(lambda="):
+                nc.modal_variance(spec, "dapi", gains)
+            return
+        term = nc.modal_variance(spec, "dapi", gains).terms[3]
+    assert term == pytest.approx(1.0 / (2.0 * delta * (1.0 + delta**2)), rel=MODAL_FORWARD_TOL)
 
 
 @pytest.mark.parametrize("kind", ["p", "dapi"])

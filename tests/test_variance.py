@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import netcoh as nc
-from netcoh import csvrows
-from netcoh.closed_loop import modal_matrices, routh_hurwitz
+from netcoh import csvrows, variance
+from netcoh.closed_loop import _char_poly, modal_matrices, routh_hurwitz
 from netcoh.errors import (
     InstabilityError,
     MarginalModeObservableError,
@@ -23,7 +23,7 @@ from netcoh.errors import (
     UnboundedVarianceError,
 )
 from netcoh.graphs import family_spectrum
-from netcoh.variance import _SUM_CHUNK, _mode_sum
+from netcoh.variance import _SUM_CHUNK, MODAL_FORWARD_TOL, _mode_sum
 
 from conftest import random_connected_graph, random_gains
 
@@ -156,6 +156,22 @@ class TestSolveLyapunov:
             residual = np.abs(a.T @ p + p @ a + q).max()
             assert residual <= 1e-10 * max(1.0, np.abs(q).max())
 
+    @pytest.mark.parametrize(
+        "a,error",
+        [
+            (np.array([[-1.0, np.inf], [0.0, -1.0]]), nc.InvalidParameterError),
+            (np.array([[-1.0, 0.0], [np.nan, -1.0]]), nc.InvalidParameterError),
+            (np.zeros((2, 2)), InstabilityError),
+            (np.array([[-1e-5, 1e160], [0.0, -1e-5]]), NumericalError),
+        ],
+        ids=["inf", "nan", "zero", "hurwitz-singular-kronecker"],
+    )
+    def test_non_finite_zero_or_singular_raises_a_typed_error(self, a, error):
+        # a one-matrix eigvals raises a bare LinAlgError on inf or nan, and
+        # np.linalg.solve on the Kronecker system of the last, Hurwitz, matrix
+        with pytest.raises(error):
+            nc.solve_lyapunov(a, np.eye(2))
+
 
 class TestModalOracle:
     def test_complete2(self):
@@ -182,28 +198,14 @@ class TestModalOracle:
 
     def test_eigenvalue_threshold_does_not_override_routh_hurwitz(self):
         # path 64: Routh-Hurwitz proves every mode stable, yet a batched eigvals
-        # check called mode 2 unstable (real part ~1e-14); the modal route now
-        # has no Hurwitz test but Routh-Hurwitz, and its forward-error guard
-        # refuses this ill-conditioned mode
+        # check called mode 2 unstable (real part ~1e-14); the modal route has
+        # no Hurwitz test but Routh-Hurwitz, and its companion-form terms answer
         spec = nc.spectrum(nc.build_path(64, 1.0))
         gains = nc.DapiGains(f=0.01, g=0.0, g0=100.0, k_i=50.0, c=1e-6)
         assert routh_hurwitz(modal_matrices("dapi", gains, spec.connected_modes())).all()
-        assert nc.dapi_variance(spec, gains).v_n == pytest.approx(9.938e-05, rel=1e-3)
-        with pytest.raises(NumericalError, match="forward error estimate .* mode 2 "):
-            nc.modal_variance(spec, "dapi", gains)
-
-    @pytest.mark.parametrize(
-        "spec",
-        [nc.spectrum(nc.build_ring(256, 1.0)), nc.spectrum(nc.build_path(128, 1.0))],
-        ids=["ring256", "path128"],
-    )
-    def test_accurate_slow_dapi_solves_pass_the_residual_test(self, spec):
-        # ||P_k|| reaches 1e5-1e9 on the slow modes, so a residual bound by
-        # ||Q|| alone rejected these accurate solves (and ring 1200 above);
-        # the bound is relative to 2 ||A_k|| ||P_k|| + ||Q||, the backward error
-        gains = nc.DapiGains(f=1.0, g=0.0, g0=1.0, k_i=1.0, c=0.1)
-        modal = nc.modal_variance(spec, "dapi", gains).v_n
-        assert modal == pytest.approx(nc.dapi_variance(spec, gains).v_n, rel=1e-8)
+        closed = nc.dapi_variance(spec, gains).v_n
+        assert closed == pytest.approx(9.938e-05, rel=1e-3)
+        assert nc.modal_variance(spec, "dapi", gains).v_n == pytest.approx(closed, rel=1e-13)
 
     @pytest.mark.parametrize(
         "spec,c",
@@ -213,32 +215,35 @@ class TestModalOracle:
             (nc.ring_spectrum(64, 1.0), 1e-6),
             (nc.ring_spectrum(2048, 1.0), 0.1),
             (nc.path_spectrum(4096, 1.0), 0.1),
+            (nc.spectrum(nc.build_ring(256, 1.0)), 0.1),
+            (nc.spectrum(nc.build_path(128, 1.0)), 0.1),
+            (nc.ring_spectrum(1536, 1.0), 0.1),
+            (nc.path_spectrum(768, 1.0), 0.1),
         ],
-        ids=["ring4096-c1e-6", "ring1024-c1e-6", "ring64-c1e-6", "ring2048", "path4096"],
+        ids=["ring4096-c1e-6", "ring1024-c1e-6", "ring64-c1e-6", "ring2048", "path4096", "ring256", "path128",
+             "ring1536", "path768"],
     )
-    def test_ill_conditioned_slow_modes_raise_or_match(self, spec, c):
-        # the solves pass the residual test (backward error ~1e-16) while
-        # mode 2 of ring 4096 at c = 1e-6 is off by a factor 7, V_N by 6.5e-3:
-        # the oracle must refuse rather than return a wrong V_N
+    def test_slow_dapi_modes_match_closed_form(self, spec, c):
+        # slow DAPI modes, where the Kronecker solve lost digits (mode 2 of ring
+        # 4096 at c = 1e-6 was off by a factor 7) and the forward-error guard
+        # refused ring 1536 and path 768 with the README gains
         gains = nc.DapiGains(f=1.0, g=0.0, g0=1.0, k_i=1.0, c=c)
-        try:
-            modal = nc.modal_variance(spec, "dapi", gains).v_n
-        except NumericalError as exc:
-            assert "forward error estimate" in str(exc)
-        else:
-            assert modal == pytest.approx(nc.dapi_variance(spec, gains).v_n, rel=1e-8)
+        modal = nc.modal_variance(spec, "dapi", gains).v_n
+        assert modal == pytest.approx(nc.dapi_variance(spec, gains).v_n, rel=1e-13)
 
-    def test_wrong_slow_mode_solve_raises(self):
+    def test_slow_mode_terms_of_ring4096_match_closed_form(self):
+        # the Kronecker route's mode 2 was off by a factor 7 here and refused;
+        # the companion form holds its slow modes
+        spec = nc.ring_spectrum(4096, 1.0)
         gains = nc.DapiGains(f=1.0, g=0.0, g0=1.0, k_i=1.0, c=1e-6)
-        with pytest.raises(NumericalError, match=r"forward error estimate .* mode [23] "):
-            nc.modal_variance(nc.ring_spectrum(4096, 1.0), "dapi", gains)
+        report = nc.modal_variance(spec, "dapi", gains)
+        closed = nc.dapi_variance(spec, gains)
+        assert report.v_n == pytest.approx(closed.v_n, rel=1e-13)
+        assert report.terms[:2] == pytest.approx(closed.terms[:2], rel=1e-13)
 
     def test_perturbed_solve_is_still_rejected(self, monkeypatch):
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-6))
-        spec = nc.ring_spectrum(8, 1.0)
-        with pytest.raises(NumericalError, match="lyapunov residual"):
-            nc.modal_variance(spec, "dapi", nc.DapiGains(f=1.0, g=0.0, g0=1.0, k_i=1.0, c=0.1))
         with pytest.raises(NumericalError, match="lyapunov residual"):
             nc.solve_lyapunov(np.array([[0.0, 1.0], [-3.0, -3.0]]), np.diag([1.0, 0.0]))
 
@@ -406,6 +411,74 @@ class TestMonotonicityAndBounds:
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] < 0.02 * values[0]
+
+
+# the modal route's gate: P, DAPI at c = 0.1 and c = 1e-3, the power preset,
+# and F-DPD with tau > 0 and tau = 0, on path and ring up to 2**20 nodes
+GATE_GAINS = {
+    "p": ("p", nc.PGains(f=1.3, g=0.7, f0=0.2, g0=0.5)),
+    "dapi-c0.1": ("dapi", nc.DapiGains(f=1.0, g=0.0, g0=1.0, k_i=1.0, c=0.1)),
+    "dapi-c1e-3": ("dapi", nc.DapiGains(f=1.0, g=0.0, g0=1.0, k_i=1.0, c=1e-3)),
+    "power": ("dapi", nc.power_preset(m=20.0 / (2 * math.pi * 60), d=10.0 / (2 * math.pi * 60), b=0.3, l=1.0,
+                                      k_i=1.0, c=0.1)),
+    "fdpd": ("fdpd", nc.FdpdGains(f=1.0, g=0.5, f0=0.3, k_d=1.2, tau=0.4)),
+    "fdpd-tau0": ("fdpd", nc.FdpdGains(f=1.0, g=0.5, f0=0.3, k_d=1.2, tau=0.0)),
+}
+LOG_GAIN = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)  # log-uniform in 1e-3..1e3
+LOG_GAIN_OR_ZERO = st.one_of(st.just(0.0), LOG_GAIN)
+
+
+class TestModalEqualsClosed:
+    @pytest.mark.parametrize("family", ["ring", "path"])
+    @pytest.mark.parametrize("name", list(GATE_GAINS))
+    def test_modal_route_matches_closed_form_up_to_2_20(self, family, name):
+        kind, gains = GATE_GAINS[name]
+        for size in (2**k for k in range(4, 21)):
+            spec = family_spectrum(family, size, 1.0)
+            closed = nc.variance_by_kind(spec, kind, gains).v_n
+            assert nc.modal_variance(spec, kind, gains).v_n == pytest.approx(closed, rel=1e-13), size
+
+    @pytest.mark.parametrize("lam", [1e80, 1e100, 1e120])
+    @pytest.mark.parametrize(
+        "kind,gains",
+        [("dapi", nc.DapiGains(1.0, 0.5, 1.0, 1.0, 0.1)), ("fdpd", nc.FdpdGains(1.0, 0.5, 1.0, 1.0, 0.1))],
+        ids=["dapi", "fdpd"],
+    )
+    def test_huge_eigenvalue_terms_match_closed_form(self, kind, gains, lam):
+        # a_0 (a_1 a_2 - a_0) overflows from lambda ~ 1e80: the product form's term was 0, then nan
+        spec = nc.LaplacianSpectrum(np.array([0.0, 1.0, lam]), 1e-9)
+        modal = nc.modal_variance(spec, kind, gains).terms
+        assert modal[1] > 0.0
+        assert modal == pytest.approx(nc.variance_by_kind(spec, kind, gains).terms, rel=1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(member=FAMILY_MEMBERS, data=st.data())
+    def test_modal_route_matches_closed_form_on_families(self, member, data):
+        kind = data.draw(st.sampled_from(["p", "dapi", "fdpd"]))
+        gains = data.draw({
+            "p": st.builds(nc.PGains, f=LOG_GAIN, g=LOG_GAIN, f0=LOG_GAIN_OR_ZERO, g0=LOG_GAIN_OR_ZERO),
+            "dapi": st.builds(nc.DapiGains, f=LOG_GAIN, g=LOG_GAIN, g0=LOG_GAIN, k_i=LOG_GAIN, c=LOG_GAIN),
+            "fdpd": st.builds(nc.FdpdGains, f=LOG_GAIN, g=LOG_GAIN, f0=LOG_GAIN, k_d=LOG_GAIN, tau=LOG_GAIN_OR_ZERO),
+        }[kind])
+        spec = family_spectrum(*member, 1.0)
+        closed = nc.variance_by_kind(spec, kind, gains)
+        law = variance._term_law(kind, gains)
+        if law[0] == "p":  # P, and F-DPD at tau = 0: the same expression as the closed form
+            modal = nc.modal_variance(spec, kind, gains)
+            assert np.array_equal(modal.terms, closed.terms) and modal.v_n == closed.v_n
+            return
+        # the route's own error bound: F-DPD with small g*lam*tau and k_d/(f0*tau)
+        # cancels in a_1 - a_0/a_2 (ring 4096, f = g = k_d = 1e-3, f0 = 1e3,
+        # tau = 50 is 5.8e-10 off, within its bound 8.2e-9)
+        a = modal_matrices(*law, spec.connected_modes())
+        terms, errors = variance._companion_terms(a, _char_poly(a))
+        bound = errors.sum() / terms.sum()
+        if bound > MODAL_FORWARD_TOL:
+            with pytest.raises(NumericalError, match="forward error estimate"):
+                nc.modal_variance(spec, kind, gains)
+            return
+        modal = nc.modal_variance(spec, kind, gains).v_n
+        assert abs(modal - closed.v_n) <= max(1e-10, bound) * closed.v_n
 
 
 class TestReportSerialization:
