@@ -24,7 +24,6 @@ from .closed_loop import (
 )
 from .errors import (
     CoherenceError,
-    ConvergenceError,
     DisconnectedGraphError,
     FitError,
     GraphFormatError,

@@ -124,10 +124,8 @@ def cmd_tune(args) -> int:
     kind, gains = _load_gains(args)
     if kind != KIND_DAPI:
         raise InvalidParameterError("tune optimizes the DAPI averaging gain; use dapi gains")
-    cfg = ScalarSearchConfig(bracket_hi=args.bracket_hi, abs_tolerance=args.tol,
-                             grid_points=args.grid_points)
     verdict = classify_c_star(spec, gains).verdict
-    grid, values, c_star, v_star = _search(spec, gains, cfg)
+    grid, values, c_star, v_star = _search(spec, gains, ScalarSearchConfig(args.bracket_hi, args.grid_points))
     with _output(args) as stream:
         stream.write("c,gridscan_vn\n")
         for c, value in zip(grid.tolist(), values.tolist()):
@@ -219,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(p_tune)
     p_tune.add_argument("--gains-file", required=True)
     p_tune.add_argument("--bracket-hi", type=_FLOAT, dest="bracket_hi")
-    p_tune.add_argument("--tol", type=_FLOAT, default=1e-6)
     p_tune.add_argument("--grid-points", type=_INT, default=64, dest="grid_points")
     p_tune.add_argument("--out", help="output CSV path (default stdout)")
     p_tune.set_defaults(func=cmd_tune)

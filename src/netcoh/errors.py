@@ -68,10 +68,6 @@ class SearchError(CoherenceError):
     """No finite objective value was found inside the search bracket."""
 
 
-class ConvergenceError(CoherenceError):
-    """Iteration budget exhausted before reaching the requested tolerance."""
-
-
 class StepSizeError(CoherenceError):
     """Simulation step is too coarse for the fastest closed-loop mode."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, InvalidParameterError, UnboundedVarianceError
-from .graphs import family_spectrum
+from .graphs import _member, family_spectrum
 from .variance import variance_by_kind
 
 __all__ = [
@@ -50,9 +50,12 @@ def run_scaling(
     """Evaluate V_N over ascending sizes and fit the asymptotic exponent.
 
     For torus families ``sizes`` are lattice sides and N is reported as
-    side**d.  Divergent configurations appear as ``None`` values.
+    side**d.  Divergent configurations appear as ``None`` values.  Every size is
+    checked, a non-integer raising InvalidSizeError, before any is evaluated.
     """
-    sizes = [int(s) for s in sizes]
+    sizes = list(sizes)
+    for size in sizes:
+        _member(family, size, weight)
     if not sizes:
         raise InvalidParameterError("sizes must not be empty")
     if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):

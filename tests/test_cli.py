@@ -317,7 +317,7 @@ class TestAsciiNumbers:
         (["variance", "--family", "ring", "--n", "\u0661\u0663"], "invalid int value"),  # Arabic-Indic 13
         (["variance", "--family", "ring", "--n", "13", "--l", "1_0.5"], "invalid float value: '1_0.5'"),
         (["tune", "--family", "ring", "--n", "16", "--grid-points", "1_6"], "invalid int value: '1_6'"),
-        (["tune", "--family", "ring", "--n", "16", "--tol", "1e-1_0"], "invalid float value: '1e-1_0'"),
+        (["tune", "--family", "ring", "--n", "16", "--bracket-hi", "1e-1_0"], "invalid float value: '1e-1_0'"),
         (["scale", "--family", "ring", "--sizes", "8,16", "--l", "\u0662"], "invalid float value"),
         (["simulate", "--scenario", "p_path_10", "--seed", "1_0"], "invalid int value: '1_0'"),
         (["simulate", "--scenario", "p_path_10", "--record-every", "1_0"], "invalid int value: '1_0'"),

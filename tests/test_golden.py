@@ -14,6 +14,9 @@ was still sorted after it was built.  The five ``*_modal`` cases were
 re-captured when the modal oracle took its terms in closed form from each
 mode's characteristic polynomial (23 cells moved, by at most 9.3e-15
 relative); the P-law ones now equal their closed-form twins byte for byte.
+The footers of the four ``tune_*`` cases were re-captured when the search
+after the grid scan became the sign change of the exact dV_N/dc, their
+grid rows byte-identical (``c_star`` now 0.0 on ring 16 and path 12).
 Every ``c`` cell of ``tune`` is a plain float ``repr``.
 
 Regenerate files only for a deliberate output change: the entry point

@@ -1,10 +1,12 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
 import netcoh as nc
-from netcoh.errors import FitError, InvalidParameterError
+from netcoh import scaling
+from netcoh.errors import FitError, InvalidParameterError, InvalidSizeError
 from netcoh.graphs import FAMILIES, build_family, family_spectrum
 from netcoh.scaling import write_scaling_csv
 
@@ -101,6 +103,23 @@ class TestRunScaling:
         gains = nc.PGains(f=1.0, g=1.0, f0=1.0, g0=0.0)
         with pytest.raises(InvalidParameterError, match="sizes must not be empty"):
             nc.run_scaling("ring", "p", gains, [])
+
+    @pytest.mark.parametrize("sizes, bad", [
+        ([8.7, 16.2, 32, 64, 128], "8.7"), (["8", "16"], "'8'"), ([8, math.nan], "nan"), ([8, math.inf], "inf"),
+        ([8, 16.0], "16.0"),
+    ], ids=["fractional", "strings", "nan", "inf", "integral_float"])
+    def test_sizes_that_are_not_integers_are_refused_before_any_evaluation(self, monkeypatch, sizes, bad):
+        # [8.7, 16.2, ...] reported N = 8 and 16, ["8", "16"] was accepted, and nan and inf
+        # raised a bare ValueError and OverflowError after the sizes before them were evaluated
+        monkeypatch.setattr(scaling, "variance_by_kind", lambda *args: pytest.fail("a size was evaluated"))
+        gains = nc.PGains(f=1.0, g=1.0, f0=1.0, g0=0.0)
+        with pytest.raises(InvalidSizeError, match=f"ring size must be an integer, got {bad}$"):
+            nc.run_scaling("ring", "p", gains, sizes)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        gains = nc.PGains(f=1.0, g=1.0, f0=1.0, g0=0.0)
+        sizes = np.array([8, 16, 32, 64])
+        assert nc.run_scaling("ring", "p", gains, sizes) == nc.run_scaling("ring", "p", gains, sizes.tolist())
 
 
 class TestBoundedFamilies:

@@ -1,15 +1,20 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import netcoh as nc
-from netcoh.errors import ConvergenceError, InvalidParameterError, NumericalError, SearchError
+from netcoh.errors import InvalidParameterError, NumericalError, SearchError
+from netcoh.graphs import family_spectrum
 from netcoh.tuning import (
     VERDICT_INDETERMINATE,
     VERDICT_POSITIVE,
     VERDICT_ZERO,
+    _dv_dc,
     _search,
     default_bracket_hi,
 )
@@ -46,6 +51,16 @@ class TestClassification:
         assert len(result.witness) == 63
         assert all(type(w) is bool for w in result.witness)
         assert result.verdict == VERDICT_INDETERMINATE
+
+    def test_one_node_has_no_verdict(self):
+        # a spectrum with no mode n >= 2 was a PositiveOptimum with an empty witness,
+        # while c_star_numeric raised SearchError on it
+        spec = nc.spectrum(nc.from_edge_list("1\n"))
+        gains = nc.DapiGains(f=1.0, g=0.0, g0=1.0, k_i=1.0, c=0.0)
+        with pytest.raises(SearchError):
+            nc.c_star_numeric(spec, gains)
+        with pytest.raises(SearchError, match="no mode n >= 2"):
+            nc.classify_c_star(spec, gains)
 
     def test_current_c_is_ignored(self):
         spec = nc.spectrum(nc.build_complete(4, 1.0))
@@ -147,36 +162,28 @@ class TestCStarNumeric:
         assert not np.isnan(values).any()
         assert values[-1] == math.inf and np.isfinite(values[0]) and math.isfinite(v_star)
 
+    def test_minimum_beyond_the_grid_is_its_last_point(self):
+        spec = nc.complete_spectrum(4, 1.0)
+        gains = nc.DapiGains(f=4.0, g=0.0, g0=1.0, k_i=1.0, c=0.0)  # c* = 0.75
+        grid, values, c_star, v_star = _search(spec, gains, nc.ScalarSearchConfig(bracket_hi=0.5))
+        assert c_star == grid[-1] == 0.5 and v_star == values[-1]
+
     def test_search_error_without_spectral_gap(self):
         spec = nc.LaplacianSpectrum(np.array([0.0, 0.0, 1.0]), 1e-9)
         gains = nc.DapiGains(f=1.0, g=0.0, g0=1.0, k_i=1.0, c=0.0)
         with pytest.raises(SearchError):
             default_bracket_hi(spec, gains)
 
-    @pytest.mark.parametrize("field, value", [
-        ("abs_tolerance", math.nan), ("abs_tolerance", math.inf),
-        ("bracket_hi", math.nan), ("bracket_hi", math.inf),
-    ])
+    @pytest.mark.parametrize("field, value", [("bracket_hi", math.nan), ("bracket_hi", math.inf)])
     def test_non_finite_search_config_rejected(self, field, value):
-        # a nan tolerance skipped the golden-section refinement without an error
         with pytest.raises(InvalidParameterError, match=f"{field} must be finite"):
             nc.ScalarSearchConfig(**{field: value})
 
-    @pytest.mark.parametrize("field, value", [
-        ("grid_points", 10.5), ("grid_points", 3), ("max_iterations", 2.5), ("max_iterations", 0),
-    ])
+    @pytest.mark.parametrize("field, value", [("grid_points", 10.5), ("grid_points", 3)])
     def test_non_integer_search_config_rejected(self, field, value):
-        # a fractional grid_points ended in np.geomspace's bare TypeError, and
-        # a fractional max_iterations was accepted
+        # a fractional grid_points ended in np.geomspace's bare TypeError
         with pytest.raises(InvalidParameterError, match=f"{field} must be >= "):
             nc.ScalarSearchConfig(**{field: value})
-
-    def test_convergence_error_on_tiny_budget(self):
-        spec = nc.spectrum(nc.build_complete(4, 1.0))
-        gains = nc.DapiGains(f=4.0, g=0.0, g0=1.0, k_i=1.0, c=0.0)
-        cfg = nc.ScalarSearchConfig(abs_tolerance=1e-12, max_iterations=2)
-        with pytest.raises(ConvergenceError):
-            nc.c_star_numeric(spec, gains, cfg)
 
     def test_agreement_property_on_random_complete_graphs(self):
         rng = np.random.default_rng(53)
@@ -312,3 +319,93 @@ class TestTauDerivative:
                 for t in np.linspace(0.0, 2.0, 32)
             ]
             assert all(b >= a - 1e-13 for a, b in zip(values, values[1:]))
+
+
+# --- properties of the sign search, over log-uniform gains and closed-form spectra ---
+
+EPS = np.finfo(float).eps
+log_uniform = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+dapi_gains = st.builds(lambda f, g, g0, k_i: nc.DapiGains(f=f, g=g, g0=g0, k_i=k_i, c=0.0),
+                       log_uniform, log_uniform, log_uniform, log_uniform)
+SIZES = {"ring": st.integers(3, 64), "path": st.integers(2, 64), "complete": st.integers(2, 32),
+         "torus2": st.integers(3, 8)}
+GOLDEN_GAINS = nc.DapiGains(f=2.0, g=0.3, g0=1.0, k_i=0.8, c=0.0)  # tests/test_golden.py's dapi gains
+weights = st.floats(-1.0, 1.0).map(lambda e: 10.0**e)
+spectra = st.sampled_from(sorted(SIZES)).flatmap(
+    lambda family: st.builds(family_spectrum, st.just(family), SIZES[family], weights))
+
+
+def clear_witnesses(spec, gains):
+    """Skip draws with a mode whose witness f > (g lam + g0)^2 / lam is within rounding of an equality."""
+    lam = spec.connected_modes()
+    assume(np.all(np.abs(gains.f - (gains.g * lam + gains.g0) ** 2 / lam) > 1e-9 * gains.f))
+
+
+class TestSignSearchProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 64), weights, dapi_gains, log_uniform)
+    # V_N is flat to rounding over several grid cells: the grid's best point lies two cells from c*
+    @example(2, 10.0, nc.DapiGains(f=1.0, g=1000.0, g0=100.0, k_i=0.01, c=0.0), 1e-2)
+    def test_complete_graph_c_star_is_the_closed_form(self, n, l, gains, ratio):
+        # f puts the optimum at ratio * (g + g0/lam): at ratio 1e-3, sqrt(f/lam) - g - g0/lam
+        # cancels to 1e-3 of its terms
+        lam = n * l
+        gains = replace(gains, f=lam * ((1.0 + ratio) * (gains.g + gains.g0 / lam)) ** 2)
+        closed = nc.c_star_complete(n, l, gains.f, gains.g, gains.g0)
+        assert closed > 0.0
+        c_star, _ = nc.c_star_numeric(nc.complete_spectrum(n, l), gains)
+        assert abs(c_star - closed) <= 4.0 * EPS * (math.sqrt(gains.f / lam) + gains.g + gains.g0 / lam)
+
+    @settings(max_examples=300, deadline=None)
+    @given(spectra, dapi_gains)
+    @example(nc.ring_spectrum(16, 1.0), GOLDEN_GAINS)
+    def test_zero_where_the_grid_and_the_slope_say_so(self, spec, gains):
+        grid, values, c_star, v_star = _search(spec, gains, None)
+        best = int(np.argmin(np.where(np.isfinite(values), values, np.inf)))
+        assume(best == 0 and _dv_dc(spec.connected_modes(), gains, 0.0, spec.node_count)[0] >= 0.0)
+        assert c_star == 0.0 and v_star == values[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(spectra, dapi_gains)
+    def test_verdict_agrees_with_the_slope_at_zero(self, spec, gains):
+        clear_witnesses(spec, gains)
+        verdict = nc.classify_c_star(spec, gains).verdict
+        if verdict == VERDICT_POSITIVE:
+            assert _dv_dc(spec.connected_modes(), gains, 0.0, spec.node_count)[0] < 0.0
+        elif verdict == VERDICT_ZERO:
+            assert nc.c_star_numeric(spec, gains)[0] == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(spectra, dapi_gains, st.floats(-2.0, 2.0).map(lambda e: 10.0**e))
+    def test_slope_matches_central_differences(self, spec, gains, c):
+        h = 1e-4 * c
+        value = lambda x: nc.dapi_variance(spec, replace(gains, c=x)).v_n
+        slope, _ = _dv_dc(spec.connected_modes(), gains, c, spec.node_count)
+        fd = (value(c + h) - value(c - h)) / (2.0 * h)
+        # the difference's rounding error, ~eps V / h, and its truncation error, ~h^2 V''' / 6
+        assert slope == pytest.approx(fd, rel=1e-5, abs=1e-13 * value(c) / h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spectra, dapi_gains, st.floats(-2.0, 2.0).map(lambda e: 10.0**e) | st.none())
+    def test_slope_is_within_its_bound_of_the_exact_slope(self, spec, gains, c):
+        # None: at the search's c*, where lam f - p^2 cancels most
+        c = nc.c_star_numeric(spec, gains)[0] if c is None else c
+        slope, bound = _dv_dc(spec.connected_modes(), gains, c, spec.node_count)
+        f, g, g0, k_i, c = map(Fraction, (gains.f, gains.g, gains.g0, gains.k_i, c))
+        exact = Fraction(0)
+        for lam in map(Fraction, spec.connected_modes().tolist()):
+            p = g0 + lam * (c + g)
+            q = f + c * p
+            den = f * g * lam * lam + g0 * f * lam + k_i * f * p / q
+            exact -= k_i * f * (lam * f - p * p) / (q * den) ** 2
+        assert abs(Fraction(slope) - exact / (2 * spec.node_count)) <= Fraction(bound)
+
+    @settings(max_examples=300, deadline=None)
+    @given(spectra, dapi_gains)
+    @example(nc.ring_spectrum(16, 1.0), GOLDEN_GAINS)
+    def test_v_star_is_no_worse_than_the_grid(self, spec, gains):
+        # on ring 16 the golden-section search returned c* = 3.5e-7, 4.6e-9 above grid row 0
+        _, values, c_star, v_star = _search(spec, gains, None)
+        least = values[np.isfinite(values)].min()
+        assert v_star <= least + 4.0 * np.spacing(least)
+        assert type(c_star) is float and type(v_star) is float
