@@ -229,43 +229,47 @@ def modal_matrices(kind: str, gains, lam: np.ndarray) -> np.ndarray:
     if np.any(lam < 0.0):
         raise InvalidParameterError(f"laplacian eigenvalue must be >= 0, got {float(lam[lam < 0.0][0])}")
     alpha, beta = _coefficient_table(kind, gains)
-    return alpha + beta * lam[:, None, None]
+    return (alpha[..., None] + beta[..., None] * lam).transpose(2, 0, 1)  # each entry of all modes contiguous
 
 
 def _char_poly(a: np.ndarray, sign: float = -1.0) -> list[np.ndarray]:
-    """Coefficients ``[a_{d-1}, ..., a_0]`` of det(sI - A_k) = s^d + a_{d-1} s^{d-1} + ... + a_0
-    for a ``(k, d, d)`` stack, d = 2 or 3, by cofactor expansion.
-
-    ``sign = 1`` makes every subtraction an addition: on ``|A|`` that gives
-    each coefficient's sum of |monomials|, the scale of its rounding error.
+    """``[a_{d-1}, ..., a_0]`` of det(sI - A_k) = s^d + a_{d-1} s^{d-1} + ... + a_0 for a ``(k, d, d)`` stack, d = 2
+    or 3, then for d = 3 the Hurwitz determinant h = (a_1 a_2 - a_0) / a_2 (a_1 for d = 2), by cofactor expansion:
+    h is -det of A_k's bialternate sum (Fuller 1968) with its first row divided by a_2, and like every value here
+    has no monomials of opposite sign for the fixed-sign entries of P, DAPI and F-DPD modes.  ``sign = 1`` makes
+    every subtraction an addition: on ``|A|`` each value is then its sum of |monomials| (h's over sum |a_ii|).
     """
     d = a.shape[-1]
     if a.ndim != 3 or d not in (2, 3) or a.shape[1] != d:
         raise InvalidParameterError(f"unsupported modal matrix shape {a.shape[1:]}")
-    a = np.ascontiguousarray(np.moveaxis(a, 0, -1))  # entry (i, j) of every matrix, contiguous
+    e = [list(row) for row in a.transpose(1, 2, 0)]  # e[i][j]: entry (i, j) of every matrix, a view
+    combine = np.add if sign > 0.0 else np.subtract
 
-    def minor(i, j, r, s):
-        return a[i, r] * a[j, s] + sign * (a[i, s] * a[j, r])
+    def minor(m, i, j, r, s):
+        return combine(m[i][r] * m[j][s], m[i][s] * m[j][r])
 
-    coeffs = [sign * np.trace(a), minor(0, 1, 0, 1)]
+    def det(m):  # along the first row
+        return combine(m[0][0] * minor(m, 1, 2, 1, 2), m[0][1] * minor(m, 1, 2, 0, 2)) + m[0][2] * minor(m, 1, 2, 0, 1)
+
+    coeffs = [sign * np.trace(a, axis1=1, axis2=2), minor(e, 0, 1, 0, 1)]
     if d == 3:
-        coeffs[1] = coeffs[1] + minor(0, 2, 0, 2) + minor(1, 2, 1, 2)
-        det = a[0, 0] * minor(1, 2, 1, 2) + sign * (a[0, 1] * minor(1, 2, 0, 2)) + a[0, 2] * minor(1, 2, 0, 1)
-        coeffs.append(sign * det)
+        coeffs[1] = coeffs[1] + minor(e, 0, 2, 0, 2) + minor(e, 1, 2, 1, 2)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a non-finite h fails the test
+            first = [x / coeffs[0] for x in (e[0][0] + e[1][1], e[1][2], sign * e[0][2])]
+            coeffs += [sign * det(e), sign * det([first, [e[2][1], e[0][0] + e[2][2], e[0][1]],
+                                                  [sign * e[2][0], e[1][0], e[1][1] + e[2][2]]])]
     return coeffs
 
 
 def _hurwitz(coeffs: list[np.ndarray]) -> np.ndarray:
-    """The Routh-Hurwitz verdict on :func:`_char_poly`'s coefficients."""
-    stable = np.all([(c > 0.0) & np.isfinite(c) for c in coeffs], axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing a_2 a_1 exceeds a_0
-        return stable if len(coeffs) == 2 else stable & (coeffs[0] * coeffs[1] > coeffs[2])
+    """The Routh-Hurwitz verdict on :func:`_char_poly`'s output: every value is finite and > 0."""
+    return np.all([(c > 0.0) & np.isfinite(c) for c in coeffs], axis=0)
 
 
 def routh_hurwitz(a: np.ndarray) -> np.ndarray:
     """Hurwitz verdict per matrix of a ``(k, d, d)`` stack, d = 2 or 3: the coefficients of
     det(sI - A_k), by cofactor expansion, which keeps the relative precision of a tiny a_0
-    such as DAPI's f*c*lam^2, are finite, positive and, for d = 3, a_2 a_1 > a_0."""
+    such as DAPI's f*c*lam^2, and their Hurwitz determinant are finite and positive."""
     return _hurwitz(_char_poly(a))
 
 

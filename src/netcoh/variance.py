@@ -44,6 +44,7 @@ from .closed_loop import (
     _char_poly,
     _check_gains,
     _hurwitz,
+    _integer,
     ideal_pd_equivalent,
     modal_matrices,
 )
@@ -348,29 +349,29 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _companion_terms(a: np.ndarray, coeffs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Terms s_k = 2 ||G_k||^2 of a Routh-Hurwitz stable ``(k, d, d)`` stack, and their error bounds.
 
-    From ``coeffs = [a_{d-1}, ..., a_0]`` of det(sI - A_k) and b_1 s + b_0 = e_x^T adj(sI - A_k) e_v,
+    From :func:`_char_poly`'s ``[a_{d-1}, ..., a_0(, h)]`` and b_1 s + b_0 = e_x^T adj(sI - A_k) e_v,
     Astrom's integral table (1970, ch. 5) gives b_0^2 / (a_0 a_1) for d = 2 and, for d = 3,
-    (b_1^2 a_0 + b_0^2 a_2) / (a_0 (a_1 a_2 - a_0)), evaluated as (b_1^2/a_2 + b_0^2/a_0) / (a_1 - a_0/a_2)
-    since those products overflow.  A running error bound (Higham 2002, ch. 3) carries each coefficient's
-    error, 5 roundings (a product, a 2x2 minor, two sums) times its sum of |monomials|, to first order;
-    only a_1 - a_0/a_2 can cancel, near the Hurwitz boundary.
+    (b_1^2 a_0 + b_0^2 a_2) / (a_0 (a_1 a_2 - a_0)) = (b_1^2/a_2 + b_0^2/a_0) / h, whose products overflow.
+    A running error bound (Higham 2002, ch. 3) carries each value's error to first order: 5 roundings (a
+    product, a 2x2 minor, two sums) times its sum of |monomials|, and for h 9 (a sum, a division, a product, a
+    minor, two sums) plus a_2's relative error.  Only h can cancel, inside its expansion, for mixed-sign entries.
     """
     u = np.finfo(float).eps / 2.0
-    bounds = [5.0 * u * c for c in _char_poly(np.abs(a), 1.0)]
+    scales = _char_poly(np.abs(a), 1.0)
+    bounds = [5.0 * u * c for c in scales]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a non-finite bound refuses
         if a.shape[-1] == 2:
             (a1, a0), (e1, e0), b0 = coeffs, bounds, a[:, 0, 1]
             terms = b0 * b0 / (a0 * a1)
             return terms, (e0 / a0 + e1 / a1 + 3.0 * u) * np.abs(terms)
-        (a2, a1, a0), (e2, e1, e0), b1 = coeffs, bounds, a[:, 0, 1]
-        b0 = a[:, 0, 2] * a[:, 2, 1] - a[:, 0, 1] * a[:, 2, 2]
-        e_b0 = 2.0 * u * (np.abs(a[:, 0, 2] * a[:, 2, 1]) + np.abs(a[:, 0, 1] * a[:, 2, 2]))
-        n1, n2, q = b1 * (b1 / a2), b0 * (b0 / a0), a0 / a2
-        den = a1 - q
-        terms = (n1 + n2) / den
-        e_num = n1 * (e2 / a2 + 3.0 * u) + n2 * (e0 / a0 + 3.0 * u) + 2.0 * e_b0 * (np.abs(b0) / a0)
-        e_den = e1 + q * (e0 / a0 + e2 / a2 + u) + u * np.abs(den)
-        return terms, (e_num + np.abs(terms) * e_den) / np.abs(den) + u * np.abs(terms)
+        (a2, _, a0, h), (e2, _, e0, _), b1 = coeffs, bounds, a[:, 0, 1]
+        x, y = a[:, 0, 2] * a[:, 2, 1], b1 * a[:, 2, 2]
+        b0, r2 = x - y, e2 / a2
+        n1, n2 = b1 * (b1 / a2), b0 * (b0 / a0)
+        terms = (n1 + n2) / h
+        e_num = n1 * (r2 + 3.0 * u) + n2 * (e0 / a0 + 3.0 * u) + 4.0 * u * (np.abs(x) + np.abs(y)) * (np.abs(b0) / a0)
+        e_h = (9.0 * u + r2) * scales[-1] * (scales[0] / a2)  # h's sum of |monomials| is scales[-1] sum|a_ii| / a_2
+        return terms, (e_num + terms * e_h) / h + u * terms
 
 
 def modal_variance(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
@@ -417,6 +418,7 @@ def full_variance(
     (Bartels-Stewart solve).  A marginal eigenvalue surviving the deflation
     is observable by construction and aborts the oracle.
     """
+    _integer("size_limit", size_limit, 1)
     if system.n > size_limit:
         raise OracleSizeError(
             f"system has N={system.n} nodes, full oracle capped at {size_limit}"
@@ -437,6 +439,8 @@ def full_variance(
             f"network-average direction visible in output (|C v| = {observability:.3e})"
         )
 
+    if n == 1:  # nothing is left after deflation: the centering output of one node is zero
+        return VarianceReport(0.0, None, METHOD_FULL_LYAPUNOV)
     a_red = basis.T @ system.a @ basis
     b_red = basis.T @ system.b
     c_red = system.c @ basis

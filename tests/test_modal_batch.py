@@ -5,6 +5,7 @@ coefficient tables replaced; they stay here as the reference the tables must
 reproduce exactly.
 """
 
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -193,16 +194,41 @@ def test_unstable_mode_at_index_two_is_named():
     assert err.value.mode_index == 2
 
 
-@pytest.mark.parametrize("delta,refused", [(1e-9, True), (1e-6, False)])
-def test_mode_near_the_hurwitz_boundary_is_refused(delta, refused):
-    # roots -delta +- i and -1: a_1 a_2 - a_0 ~ 4 delta cancels, so the term
-    # 1 / (2 delta (1 + delta^2)) is good only to about u / delta relative
+def exact_term(m):
+    """The modal term (b_1^2 a_0 + b_0^2 a_2) / (a_0 (a_1 a_2 - a_0)) of a 3x3 float matrix, exactly."""
+    m = [[Fraction(x) for x in row] for row in m]
+    a2 = -(m[0][0] + m[1][1] + m[2][2])
+    a1 = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
+    a0 = -(m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1]) - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    b1, b0 = m[0][1], m[0][2] * m[2][1] - m[0][1] * m[2][2]
+    return float((b1 * b1 * a0 + b0 * b0 * a2) / (a0 * (a1 * a2 - a0)))
+
+
+def block_form(delta):
+    return [[-delta, 1.0, 0.0], [-1.0, -delta, 0.0], [0.0, 0.0, -1.0]]
+
+
+def companion_form(delta):  # det(sI - A) = (s + 1)((s + delta)^2 + 1)
+    return [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-(1.0 + delta**2), -(1.0 + delta) ** 2, -(1.0 + 2.0 * delta)]]
+
+
+@pytest.mark.parametrize(
+    "form,delta,refused",
+    [(block_form, 1e-9, False), (block_form, 1e-6, False), (companion_form, 1e-9, True),
+     (companion_form, 1e-6, False)],
+)
+def test_mode_near_the_hurwitz_boundary_is_refused(form, delta, refused):
+    # roots -delta +- i and -1.  In block form a_1 a_2 - a_0 = 2 delta ((1 + delta)^2 + 1)
+    # is expanded with no subtraction, and the term is good to a few ulp.  In
+    # companion form h's expansion forms a_1 a_2 - a_0 ~ 4 delta as a 2x2 minor,
+    # which cancels, so the term is good only to about u / delta relative
     spec = nc.ring_spectrum(8, 1.0)
     gains = nc.DapiGains(1.0, 0.0, 1.0, 1.0, 0.1)
 
     def near_boundary(kind, g, lam):
         stack = modal_matrices(kind, g, lam).copy()
-        stack[3] = [[-delta, 1.0, 0.0], [-1.0, -delta, 0.0], [0.0, 0.0, -1.0]]
+        stack[3] = form(delta)
         return stack
 
     with mock.patch.object(variance, "modal_matrices", near_boundary):
@@ -211,7 +237,8 @@ def test_mode_near_the_hurwitz_boundary_is_refused(delta, refused):
                 nc.modal_variance(spec, "dapi", gains)
             return
         term = nc.modal_variance(spec, "dapi", gains).terms[3]
-    assert term == pytest.approx(1.0 / (2.0 * delta * (1.0 + delta**2)), rel=MODAL_FORWARD_TOL)
+    rel = 4.0 * np.finfo(float).eps if form is block_form else MODAL_FORWARD_TOL
+    assert term == pytest.approx(exact_term(form(delta)), rel=rel)
 
 
 @pytest.mark.parametrize("kind", ["p", "dapi"])
