@@ -216,9 +216,9 @@ class LaplacianSpectrum:
 
     The eigenvalues are stored as an ascending read-only copy.  This is the
     one place that decides whether to sort: input that is already ascending,
-    as ``eigvalsh`` and the path, ring, torus1 and complete closed forms
-    return it, is only copied; other input, such as the torus2 and torus3
-    lattice sums, is sorted once.
+    as ``eigvalsh`` returns it and the path, ring, torus1 and complete closed
+    forms are built, is only copied; other input, such as the torus2 and
+    torus3 lattice sums, is sorted once.
     """
 
     eigenvalues: np.ndarray
@@ -443,22 +443,13 @@ def _complete_graph(n: int, weight: float) -> WeightedGraph:
 def _ring_values(n: int) -> np.ndarray:
     """4 sin^2(pi k / n) for k = 0..n-1 in ascending order, built so without a sort.
 
-    The values are made in the order k = 0, 1, n-1, 2, n-2, ..., each from
-    the same ``k / n`` as in index order.  Values k and n-k agree up to
-    rounding, so only such adjacent pairs can be out of order; those are
-    swapped.
+    Each value is computed once, for k = 0..n // 2 from ``k / n <= 1/2``,
+    and written for both k and n-k.  The twins are thus bit-equal, and the
+    value of n-k is as precise as that of k: from its own ``(n-k) / n``,
+    ``pi * x`` near pi would carry an absolute rounding error of about
+    1e-16, which is relatively large against a small sine.
     """
-    pairs = (n - 1) // 2
-    x = np.empty(n)
-    x[0] = 0.0
-    k = np.arange(1.0, n // 2 + 1)
-    np.divide(k, n, out=x[1::2])
-    np.divide(np.subtract(n, k[:pairs], out=k[:pairs]), n, out=x[2::2])
-    vals = _sin2(x)
-    low, high = vals[1:2 * pairs:2], vals[2::2]
-    swap = np.flatnonzero(low > high)
-    low[swap], high[swap] = high[swap], low[swap]
-    return vals
+    return np.repeat(_sin2(np.arange(n // 2 + 1) / n), 2)[1 : n + 1]
 
 
 def _torus_spectrum(dims: int, side: int, weight: float) -> LaplacianSpectrum:
@@ -516,17 +507,17 @@ def _sin2(x: np.ndarray) -> np.ndarray:
 
 
 def _analytic(vals: np.ndarray, weight: float) -> LaplacianSpectrum:
-    """The spectrum of ``weight * vals``, which it scales and clamps at 0 in place.
+    """The spectrum of ``weight * vals``, which it scales in place.
 
-    It does not sort: ``LaplacianSpectrum`` sorts what is not ascending.  The
-    path, ring, torus1 and complete values come ascending, and scaling by a
-    positive weight keeps them so; the torus2 and torus3 lattice sums are
-    sorted there, once.
+    Every family's values are sums of ``4 sin^2`` terms, or 0 and n, so none
+    is negative and none needs a clamp.  It does not sort:
+    ``LaplacianSpectrum`` sorts what is not ascending.  The path, ring, torus1
+    and complete values come ascending, and scaling by a positive weight keeps
+    them so; the torus2 and torus3 lattice sums are sorted there, once.
     """
     # The zero mode vals[0] is exact, so a tolerance below lambda_2, the least
     # of the others, counts one zero mode; the relative default would swallow
     # lambda_2 of large rings.
     vals *= weight
-    np.maximum(vals, 0.0, out=vals)
     tolerance = min(default_zero_tolerance(float(vals.max())), 0.5 * float(vals[1:].min()))
     return LaplacianSpectrum(vals, tolerance)

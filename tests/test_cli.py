@@ -168,6 +168,11 @@ class TestSimulateCommand:
                    "--gains-file", p_gains_file, "--seed", "0"])
         assert rc == 2
 
+    def test_family_without_gains_file_rejected(self, capsys):
+        rc = main(["simulate", "--family", "ring", "--n", "8", "--dt", "0.01", "--horizon", "1"])
+        assert rc == 2
+        assert "--gains-file is required here" in capsys.readouterr().err
+
     @pytest.mark.parametrize("source", ["family", "scenario"])
     def test_record_every_zero_rejected(self, capsys, p_gains_file, source):
         if source == "family":
@@ -301,6 +306,7 @@ class TestScaleCommand:
         (["--sizes", "8,16", "--window", "a:b"], "bad --window value 'a:b'"),
         (["--sizes", "geometric:a:b:2"], "bad --sizes value 'geometric:a:b:2'"),
         (["--sizes", "geometric:8:64:nan"], "finite factor > 1"),
+        (["--sizes", ","], "empty --sizes list"),
     ])
     def test_unparsable_argument_is_an_error_not_a_traceback(self, capsys, p_gains_file, argv, message):
         rc = main(["scale", "--family", "ring", "--gains-file", p_gains_file, *argv])

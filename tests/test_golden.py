@@ -8,16 +8,20 @@ per-family dispatch that the family table in ``graphs.py`` replaced.  The
 ``--family`` cases of ``variance --method closed|modal`` and ``tune`` were
 re-captured from the family's closed-form spectrum, which those commands
 take instead of a dense eigensolve (cells moved by at most 3.1e-15
-relative).  ``variance_ring13_dapi_closed``, an odd ring whose values k
-and N-k differ in their last bits, was captured while the ring spectrum
-was still sorted after it was built.  The five ``*_modal`` cases were
-re-captured when the modal oracle took its terms in closed form from each
-mode's characteristic polynomial (23 cells moved, by at most 9.3e-15
-relative); the P-law ones now equal their closed-form twins byte for byte.
+relative).  ``variance_ring13_dapi_closed`` covers an odd ring, whose
+twin values k and N-k are both written from one sine.  The five
+``*_modal`` cases were re-captured when the modal oracle took its terms in
+closed form from each mode's characteristic polynomial (23 cells moved, by
+at most 9.3e-15 relative); the P-law ones now equal their closed-form
+twins byte for byte.
 The footers of the four ``tune_*`` cases were re-captured when the search
 after the grid scan became the sign change of the exact dV_N/dc, their
 grid rows byte-identical (``c_star`` now 0.0 on ring 16 and path 12).
-Every ``c`` cell of ``tune`` is a plain float ``repr``.
+Every ``c`` cell of ``tune`` is a plain float ``repr``.  The eleven ring and
+torus cases were re-captured when each ring value of k > N/2 became that of
+its twin N-k, computed from (N-k)/N < 1/2 (cells moved by at most 2.8e-15
+relative; ``c_star`` stays 0.0 on ring 16, and ring 12's P modal case still
+equals its closed-form twin).
 
 Regenerate files only for a deliberate output change: the entry point
 writes the named cases, or every case when none is named::

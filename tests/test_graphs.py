@@ -177,6 +177,10 @@ class TestSpectrumValidation:
         with pytest.raises(GraphFormatError, match="zero_tolerance must be finite and positive"):
             nc.LaplacianSpectrum(np.array([0.0, 1.0, 2.0]), tolerance)
 
+    def test_smallest_eigenvalue_above_tolerance_raises(self):
+        with pytest.raises(NumericalError, match="smallest eigenvalue 1.000e-03 exceeds zero tolerance"):
+            nc.LaplacianSpectrum(np.array([1e-3, 1.0]), 1e-9)
+
     @pytest.mark.parametrize("given", [[1e-12, 2.0, 1.0, 3.0], [1e-12, 1.0, 2.0, 3.0]], ids=["unsorted", "sorted"])
     def test_stores_a_sorted_read_only_copy(self, given):
         vals = np.array(given)
@@ -463,12 +467,18 @@ class TestAnalyticSpectra:
     @example(family="torus1", n=2**20 - 1, weight=3.0)
     @example(family="path", n=2**20, weight=1.0)
     def test_built_in_order_equals_sorted_per_index_values(self, family, n, weight):
-        # the spectra are built ascending; the values are those of k = 0..n-1
-        # in index order, sorted, bit for bit
-        period = 2 * n if family == "path" else n
-        per_index = np.square(np.sin(np.arange(n) / period * np.pi)) * 4.0 * weight
-        expected = np.sort(per_index)
-        assert family_spectrum(family, n, weight).eigenvalues.tobytes() == expected.tobytes()
+        # the spectra are built ascending, bit for bit equal to the sorted
+        # values of k = 0..n-1 in index order, where a ring's value of k > n/2
+        # is that of its twin n-k, computed from (n-k)/n < 1/2
+        eigenvalues = family_spectrum(family, n, weight).eigenvalues
+        if family == "path":
+            per_index = np.square(np.sin(np.arange(n) / (2 * n) * np.pi)) * 4.0 * weight
+        else:
+            lower = np.square(np.sin(np.arange(n // 2 + 1) / n * np.pi)) * 4.0 * weight
+            per_index = np.concatenate((lower, lower[1:(n + 1) // 2][::-1]))  # lambda_{n-k} = lambda_k
+            pairs = (n - 1) // 2
+            assert eigenvalues[1:2 * pairs:2].tobytes() == eigenvalues[2:2 * pairs + 1:2].tobytes()
+        assert eigenvalues.tobytes() == np.sort(per_index).tobytes()
 
     def test_large_ring_against_eigensolver(self):
         analytic = nc.ring_spectrum(512, 1.0)
@@ -523,11 +533,26 @@ class TestClosedFormPrecision:
         n = 2**20
         gains = nc.PGains(f=1.0, g=1.0, f0=1.0, g0=0.0)
         k = np.arange(1, n)
+        if spectrum_fn is nc.ring_spectrum:
+            k = np.minimum(k, n - k)  # sin(pi k / n) = sin(pi (n-k) / n), from the angle below pi/2
         lam = 4.0 * np.sin(np.pi * k / denominator(n)) ** 2
         terms = 1.0 / ((gains.f0 + gains.f * lam) * (gains.g0 + gains.g * lam))
         reference = math.fsum(terms.tolist()) / (2.0 * n)
         value = nc.p_variance(spectrum_fn(n, 1.0), gains).v_n
-        assert abs(value - reference) <= 1e-10 * reference
+        assert abs(value - reference) <= 1e-14 * reference
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16, reason="long double is no wider than double here")
+    @pytest.mark.parametrize("n", [2**20, 1_000_003])
+    def test_ring_ends_within_four_eps_of_long_double(self, n):
+        # the low modes set the coherence limits and the high modes lambda_max;
+        # both twins of each pair must keep the precision of the lower one
+        vals = nc.ring_spectrum(n, 1.0).eigenvalues
+        index = np.r_[0:64, n - 64:n]
+        k = (index + 1) // 2  # ascending order: 0, 1, 1, 2, 2, ...
+        pi = np.arccos(np.longdouble(-1.0))
+        reference = 4 * np.square(np.sin(pi * k.astype(np.longdouble) / n))
+        error = np.abs(vals[index] - reference)
+        assert (error <= 4 * np.finfo(float).eps * reference).all()
 
     def test_large_closed_form_spectra_stay_connected(self):
         assert nc.ring_spectrum(2**20, 1.0).is_connected

@@ -99,6 +99,11 @@ class TestSimulateEm:
                 nc.SimConfig(dt=0.01, horizon=0.1, seed=0, initial_state=np.zeros(3)),
             )
 
+    def test_unknown_initial_state_preset_rejected(self):
+        cfg = nc.SimConfig(dt=0.01, horizon=0.1, seed=0, initial_state="bogus")
+        with pytest.raises(InvalidParameterError, match="unknown initial-state preset 'bogus'"):
+            nc.simulate_em(small_system(), cfg)
+
     def test_config_validation(self):
         with pytest.raises(InvalidParameterError):
             nc.SimConfig(dt=0.0, horizon=1.0, seed=0)
@@ -164,7 +169,8 @@ class TestEmpiricalVariance:
         ({"accumulate_every": 0}, "accumulate_every must be >= 1"),
         ({"accumulate_every": -1}, "accumulate_every must be >= 1"),
         ({"accumulate_every": 2.5}, "accumulate_every must be >= 1"),
-    ], ids=["seed-1", "seed1.5", "numpy_seed-2", "every0", "every-1", "every2.5"])
+        ({"seeds": []}, "need at least one seed"),
+    ], ids=["seed-1", "seed1.5", "numpy_seed-2", "every0", "every-1", "every2.5", "no-seeds"])
     def test_bad_ensemble_arguments_rejected(self, options, message):
         # numpy's bare ValueError or TypeError for these seeds; a stride below 1
         # returned a variance (dividing by zero at 0), and 2.5 was a float modulus

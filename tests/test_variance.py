@@ -317,6 +317,14 @@ class TestFullOracle:
         with pytest.raises(MarginalModeObservableError):
             nc.full_variance(system)
 
+    def test_output_reading_the_network_average_aborts(self):
+        # uncentered positions see the marginal average mode that the deflation removes
+        base = nc.assemble_p(nc.build_ring(4, 1.0), nc.PGains(1.0, 1.0, 1.0, 1.0))
+        c = np.hstack([np.eye(4), np.zeros((4, 4))])
+        system = nc.ClosedLoopSystem(base.a, base.b, c, base.kind, base.n)
+        with pytest.raises(MarginalModeObservableError, match="network-average direction visible"):
+            nc.full_variance(system)
+
     def test_unstable_system_rejected(self):
         base = nc.assemble_p(nc.build_ring(4, 1.0), nc.PGains(1.0, 1.0, 1.0, 1.0))
         shifted = nc.ClosedLoopSystem(
