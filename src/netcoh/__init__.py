@@ -27,7 +27,6 @@ from .errors import (
     DisconnectedGraphError,
     FitError,
     GraphFormatError,
-    IdealPdRedirectError,
     InstabilityError,
     InvalidParameterError,
     InvalidSizeError,

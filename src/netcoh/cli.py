@@ -9,7 +9,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
-from .closed_loop import KIND_DAPI, assemble, parse_gains_config
+from .closed_loop import CONTROLLERS, KIND_DAPI, assemble, parse_gains_config
 from .errors import CoherenceError, InvalidParameterError
 from .graphs import FAMILIES, _ascii_number, build_family, family_spectrum, from_edge_list, spectrum
 from .scaling import run_scaling, write_scaling_csv
@@ -22,7 +22,7 @@ from .simulate import (
     write_trajectory_csv,
 )
 from .tuning import ScalarSearchConfig, _search, classify_c_star
-from .variance import full_variance, modal_variance, variance_by_kind
+from .variance import _check_oracle_size, full_variance, modal_variance, variance_by_kind
 
 
 def _ascii(convert):
@@ -85,6 +85,7 @@ def cmd_variance(args) -> int:
     elif args.method == "modal":
         report = modal_variance(source, kind, gains)
     else:
+        _check_oracle_size(source.node_count)  # before the N x N blocks are built
         report = full_variance(assemble(source, kind, gains))
     with _output(args) as stream:
         stream.write(report.to_csv())
@@ -108,7 +109,8 @@ def cmd_simulate(args) -> int:
         cfg = SimConfig(args.dt, args.horizon, args.seed, args.burn_in, args.noise_intensity,
                         record_every=1 if args.record_every is None else args.record_every)
     if args.with_aux and system.state_dim < 3 * system.n:
-        raise InvalidParameterError("--with-aux needs a dapi or fdpd loop; P control has no auxiliary state")
+        raise InvalidParameterError("--with-aux needs an auxiliary state; P control and ideal PD (F-DPD at tau = 0) "
+                                    "have none")
     traj = simulate_em(system, cfg)
     print(f"empirical_vn,{empirical_variance(traj)!r}")
     if args.out:
@@ -199,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="stochastic time-domain simulation")
     _add_graph_args(p_sim)
-    p_sim.add_argument("--controller", choices=("p", "dapi", "fdpd"))
+    p_sim.add_argument("--controller", choices=CONTROLLERS)
     p_sim.add_argument("--gains-file")
     p_sim.add_argument("--scenario", choices=sorted(SCENARIOS))
     p_sim.add_argument("--dt", type=_FLOAT)
@@ -223,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scale = sub.add_parser("scale", help="variance sweep across sizes")
     p_scale.add_argument("--family", choices=FAMILIES, required=True)
-    p_scale.add_argument("--controller", choices=("p", "dapi", "fdpd"))
+    p_scale.add_argument("--controller", choices=CONTROLLERS)
     p_scale.add_argument("--gains-file", required=True)
     p_scale.add_argument("--sizes", required=True, help="'a,b,c' or geometric:start:stop:factor")
     p_scale.add_argument("--l", type=_FLOAT, default=1.0, help="uniform edge weight")

@@ -12,17 +12,19 @@ from __future__ import annotations
 import configparser
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IdealPdRedirectError, InvalidParameterError
+from .errors import InvalidParameterError
 from .graphs import LaplacianSpectrum, WeightedGraph, _ascii_number, default_zero_tolerance, laplacian
 
 __all__ = [
     "KIND_P",
     "KIND_DAPI",
     "KIND_FDPD",
+    "CONTROLLERS",
     "PGains",
     "DapiGains",
     "FdpdGains",
@@ -126,7 +128,7 @@ class ClosedLoopSystem:
     block; B injects unit-intensity noise into the v-block and C maps x to
     its deviation from the network average.  :func:`assemble` also stores
     the modal form of ``L = U diag(lam) U^T``: ``U`` and the ``(N, d, d)``
-    stack ``alpha + beta * lam``, ``lam[0] = 0``.  That field cannot be
+    stack of :func:`modal_matrices`, ``lam[0] = 0``.  That field cannot be
     passed in and ``dataclasses.replace`` drops it: a hand-built or replaced
     loop has none, and the simulator runs it as given.
     """
@@ -149,48 +151,57 @@ def _centering_output(n: int, state_dim: int) -> np.ndarray:
     return c
 
 
+# The controllers, registered once: per name, the gains class; per gains-config
+# key, (field, default), None = required; and the block coefficients (alpha,
+# beta) of its gains.  Block (i, j) of the closed-loop matrix is alpha[i][j] * I
+# + beta[i][j] * L; rows and columns are the x, v and auxiliary blocks.
+_Controller = namedtuple("_Controller", "gains keys blocks")
+_CONTROLLERS = {
+    KIND_P: _Controller(PGains, {"f": ("f", 0.0), "g": ("g", 0.0), "f0": ("f0", 0.0), "g0": ("g0", 0.0)},
+                        lambda k: ([[0, 1], [-k.f0, -k.g0]], [[0, 0], [-k.f, -k.g]])),
+    KIND_DAPI: _Controller(DapiGains, {"f": ("f", None), "g": ("g", 0.0), "g0": ("g0", None), "ki": ("k_i", None),
+                                       "c": ("c", 0.0)},
+                           lambda k: ([[0, 1, 0], [0, -k.g0, k.k_i], [0, -1, 0]],
+                                      [[0, 0, 0], [-k.f, -k.g, 0], [0, 0, -k.c]])),
+    KIND_FDPD: _Controller(FdpdGains, {"f": ("f", 0.0), "g": ("g", 0.0), "f0": ("f0", None), "kd": ("k_d", None),
+                                       "tau": ("tau", None)},
+                           lambda k: ([[0, 1, 0], [-k.f0, 0, 1], [0, -k.k_d / k.tau, -1 / k.tau]],
+                                      [[0, 0, 0], [-k.f, -k.g, 0], [0, 0, 0]])),
+}
+CONTROLLERS = tuple(_CONTROLLERS)
+
+
 def _check_gains(kind: str, gains) -> None:
     """Raise :class:`InvalidParameterError` unless ``gains`` is the gains class of controller ``kind``."""
-    if kind not in _GAIN_KEYS:
+    if kind not in _CONTROLLERS:
         raise InvalidParameterError(f"unknown controller kind {kind!r}")
-    expected = _GAIN_KEYS[kind][0]
+    expected = _CONTROLLERS[kind].gains
     if not isinstance(gains, expected):
         raise InvalidParameterError(f"controller {kind!r} takes {expected.__name__}, got {type(gains).__name__}")
 
 
-def _coefficient_table(kind: str, gains) -> np.ndarray:
-    """Block coefficients ``(alpha, beta)`` of a controller, shape (2, d, d).
-
-    Block (i, j) of the closed-loop matrix is ``alpha[i, j] * I + beta[i, j]
-    * L``; rows and columns are the x, v and (DAPI, F-DPD) auxiliary blocks.
-    Assembly, the modal matrices and the stability test all derive from it.
+def _law(kind: str, gains) -> tuple:
+    """``(kind, gains, table)`` of the loop that controller ``kind`` runs, once its gains are checked:
+    F-DPD at tau = 0 is ideal PD, the P law of :func:`ideal_pd_equivalent`, and every other controller
+    runs as itself.  ``table`` is the law's block coefficients ``(alpha, beta)``, shape (2, d, d), from
+    which assembly, the modal matrices and the stability test derive; the closed forms sum the law's terms.
     """
     _check_gains(kind, gains)
-    if kind == KIND_P:
-        alpha = [[0, 1], [-gains.f0, -gains.g0]]
-        beta = [[0, 0], [-gains.f, -gains.g]]
-    elif kind == KIND_DAPI:
-        alpha = [[0, 1, 0], [0, -gains.g0, gains.k_i], [0, -1, 0]]
-        beta = [[0, 0, 0], [-gains.f, -gains.g, 0], [0, 0, -gains.c]]
-    else:  # F-DPD
-        if gains.tau == 0.0:
-            raise IdealPdRedirectError(
-                "tau = 0 is ideal PD: use kind 'p' (assemble_p) with gains ideal_pd_equivalent(...)"
-            )
-        alpha = [[0, 1, 0], [-gains.f0, 0, 1], [0, -gains.k_d / gains.tau, -1 / gains.tau]]
-        beta = [[0, 0, 0], [-gains.f, -gains.g, 0], [0, 0, 0]]
-    return np.array([alpha, beta], dtype=float)
+    if kind == KIND_FDPD and gains.tau == 0.0:
+        kind, gains = KIND_P, ideal_pd_equivalent(gains)
+    return kind, gains, np.array(_CONTROLLERS[kind].blocks(gains), dtype=float)
 
 
 def assemble(graph: WeightedGraph, kind: str, gains) -> ClosedLoopSystem:
-    """Block-matrix loop of controller ``kind`` ('p', 'dapi', 'fdpd') on a graph.
+    """Block-matrix loop of controller ``kind`` (one of :data:`CONTROLLERS`) on a graph.
 
     Noise enters the v-block and the output is the x-block's deviation from
-    the network average.  The Laplacian is diagonalized once: its spectrum
-    decides connectivity, as :func:`~netcoh.graphs.spectrum` would, and gives
-    the stored modal form (see :class:`ClosedLoopSystem`).
+    the network average.  F-DPD at tau = 0 assembles as its law, P control.
+    The Laplacian is diagonalized once: its spectrum decides connectivity, as
+    :func:`~netcoh.graphs.spectrum` would, and gives the stored modal form
+    (see :class:`ClosedLoopSystem`).
     """
-    table = _coefficient_table(kind, gains)
+    kind, gains, table = _law(kind, gains)
     n = graph.node_count
     lap, eye = laplacian(graph), np.eye(n)
     lam, basis = np.linalg.eigh(lap)
@@ -199,7 +210,8 @@ def assemble(graph: WeightedGraph, kind: str, gains) -> ClosedLoopSystem:
     a = np.block([[al * eye + be * lap for al, be in zip(*rows)] for rows in zip(*table)])
     b = np.eye(a.shape[0], n, -n)  # noise enters the v-block
     system = ClosedLoopSystem(a, b, _centering_output(n, a.shape[0]), kind, n)
-    object.__setattr__(system, "_modal", (basis, table[0] + table[1] * modes.eigenvalues[:, None, None]))
+    stack = np.ascontiguousarray(modal_matrices(kind, gains, modes.eigenvalues))  # one mode's matrix contiguous
+    object.__setattr__(system, "_modal", (basis, stack))
     return system
 
 
@@ -214,7 +226,7 @@ def assemble_dapi(graph: WeightedGraph, gains: DapiGains) -> ClosedLoopSystem:
 
 
 def assemble_fdpd(graph: WeightedGraph, gains: FdpdGains) -> ClosedLoopSystem:
-    """3N-state F-DPD loop with low-pass filtered derivative action."""
+    """3N-state F-DPD loop with low-pass filtered derivative action; at tau = 0, ideal PD's 2N-state P loop."""
     return assemble(graph, KIND_FDPD, gains)
 
 
@@ -222,13 +234,13 @@ def modal_matrices(kind: str, gains, lam: np.ndarray) -> np.ndarray:
     """Stacked ``(k, d, d)`` modal matrices ``alpha + beta * lam_k``.
 
     Diagonalizing the Laplacian decouples the loop into one d x d block per
-    eigenvalue (d = 2 for P, 3 for DAPI and F-DPD); noise enters the
-    v-component and the output reads the x-component.
+    eigenvalue (d = 2 for P and ideal PD, 3 for DAPI and F-DPD at tau > 0);
+    noise enters the v-component and the output reads the x-component.
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0.0):
         raise InvalidParameterError(f"laplacian eigenvalue must be >= 0, got {float(lam[lam < 0.0][0])}")
-    alpha, beta = _coefficient_table(kind, gains)
+    alpha, beta = _law(kind, gains)[2]
     return (alpha[..., None] + beta[..., None] * lam).transpose(2, 0, 1)  # each entry of all modes contiguous
 
 
@@ -308,16 +320,6 @@ def zero_averaging_equivalent(gains: DapiGains) -> PGains:
 # Gains config files: "key = value" lines, optional [power] preset block.
 # ---------------------------------------------------------------------------
 
-# controller -> gains class and, per config key, (field, default); None = required
-_GAIN_KEYS = {
-    KIND_P: (PGains, {"f": ("f", 0.0), "g": ("g", 0.0), "f0": ("f0", 0.0), "g0": ("g0", 0.0)}),
-    KIND_DAPI: (DapiGains, {"f": ("f", None), "g": ("g", 0.0), "g0": ("g0", None), "ki": ("k_i", None),
-                            "c": ("c", 0.0)}),
-    KIND_FDPD: (FdpdGains, {"f": ("f", 0.0), "g": ("g", 0.0), "f0": ("f0", None), "kd": ("k_d", None),
-                            "tau": ("tau", None)}),
-}
-
-
 def _reject_unknown(names, known, what: str) -> None:
     unknown = set(names) - set(known)
     if unknown:
@@ -365,9 +367,9 @@ def parse_gains_config(text: str):
     _reject_unknown(parser.sections(), ("gains", "power"), "gains config sections")
     main = parser["gains"]
     kind = main.get("controller", "").strip().lower()
-    if kind not in _GAIN_KEYS:
+    if kind not in _CONTROLLERS:
         raise InvalidParameterError(
-            f"controller must be one of p, dapi, fdpd; got {kind!r}"
+            f"controller must be one of {', '.join(CONTROLLERS)}; got {kind!r}"
         )
 
     def value(section, key, default=None):
@@ -394,6 +396,6 @@ def parse_gains_config(text: str):
             return kind, power_preset(m, d, b, l, value(main, "ki"), value(main, "c", 0.0))
         return kind, droop_preset(m, d, b, l)
 
-    gains_class, keys = _GAIN_KEYS[kind]
-    _reject_unknown(main, ("controller", *keys), "gains keys for this controller")
-    return kind, gains_class(**{name: value(main, key, default) for key, (name, default) in keys.items()})
+    entry = _CONTROLLERS[kind]
+    _reject_unknown(main, ("controller", *entry.keys), "gains keys for this controller")
+    return kind, entry.gains(**{name: value(main, key, default) for key, (name, default) in entry.keys.items()})

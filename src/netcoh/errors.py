@@ -24,10 +24,6 @@ class GraphFormatError(CoherenceError, ValueError):
         self.line_number, self.message, self.edge_index = line_number, message, edge_index
 
 
-class IdealPdRedirectError(CoherenceError):
-    """Filtered PD with tau = 0 must be assembled as P control with g0 <- kd."""
-
-
 class UnboundedVarianceError(CoherenceError):
     """A marginal mode makes the variance sum diverge."""
 

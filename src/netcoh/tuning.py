@@ -97,11 +97,12 @@ def c_star_complete(n: int, l: float, f: float, g: float, g0: float) -> float:
 
 
 def default_bracket_hi(spec: LaplacianSpectrum, gains: DapiGains) -> float:
-    """10 x the complete-graph form evaluated at the smallest mode lambda_2."""
+    """10 x the complete-graph form evaluated at the smallest mode lambda_2; a disconnected graph raises."""
     _check_gains(KIND_DAPI, gains)
-    lam2 = spec.lambda2
-    if lam2 <= 0.0:
+    lam = spec.connected_modes()
+    if not lam.size:  # one node
         raise SearchError("spectrum has no positive lambda_2; cannot bracket")
+    lam2 = float(lam[0])
     return 10.0 * (math.sqrt(gains.f / lam2) + gains.g + gains.g0 / lam2)
 
 

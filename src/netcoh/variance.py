@@ -45,7 +45,7 @@ from .closed_loop import (
     _check_gains,
     _hurwitz,
     _integer,
-    ideal_pd_equivalent,
+    _law,
     modal_matrices,
 )
 from .csvrows import indexed_csv_blocks
@@ -213,28 +213,32 @@ def _fdpd_den(lam: np.ndarray, gains: FdpdGains) -> np.ndarray:
     return pos * (g * lam + filt)
 
 
-# kind -> the denominator of its mode term, and what a non-positive one means
-_DENOMINATORS = {
-    KIND_P: (_p_den, "zero denominator under P control"),
-    KIND_DAPI: (_dapi_den, "non-positive denominator under DAPI"),
-    KIND_FDPD: (_fdpd_den, "non-positive denominator under F-DPD"),
+def dapi_bound(gains: DapiGains) -> float:
+    """Uniform-in-N upper bound (f + c*g0) / (2 * k_i * f * g0)."""
+    return (gains.f + gains.c * gains.g0) / (2.0 * gains.k_i * gains.f * gains.g0)
+
+
+def fdpd_bound(gains: FdpdGains) -> float:
+    """Uniform-in-N upper bound (tau^2 * f0 + 1) / (2 * f0 * k_d)."""
+    return (gains.tau**2 * gains.f0 + 1.0) / (2.0 * gains.f0 * gains.k_d)
+
+
+# kind -> the denominator of its mode term, what a non-positive one means, and its uniform-in-N bound
+_CLOSED_FORMS = {
+    KIND_P: (_p_den, "zero denominator under P control", None),
+    KIND_DAPI: (_dapi_den, "non-positive denominator under DAPI", dapi_bound),
+    KIND_FDPD: (_fdpd_den, "non-positive denominator under F-DPD", fdpd_bound),
 }
-
-
-def _term_law(kind: str, gains):
-    """The controller whose mode terms are evaluated: F-DPD at tau = 0 is the ideal-PD P law."""
-    if kind == KIND_FDPD and gains.tau == 0.0:
-        return KIND_P, ideal_pd_equivalent(gains)
-    return kind, gains
 
 
 def _terms(kind: str, gains, lam: np.ndarray, first: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """Mode terms 1/den of ``lam``, whose first entry is mode ``first + 2``.
 
     Raises :class:`UnboundedVarianceError` for the first mode whose
-    denominator is <= 0.  ``kind`` is not F-DPD at tau = 0 (see :func:`_term_law`).
+    denominator is <= 0.  ``kind`` and ``gains`` are a controller's law (see
+    :func:`~netcoh.closed_loop._law`): not F-DPD at tau = 0.
     """
-    den_of, what = _DENOMINATORS[kind]
+    den_of, what, _ = _CLOSED_FORMS[kind]
     den = den_of(lam, gains)
     bad = np.flatnonzero(den <= 0.0)
     if bad.size:
@@ -245,8 +249,8 @@ def _terms(kind: str, gains, lam: np.ndarray, first: int = 0, out: np.ndarray | 
 
 
 def _bound(kind: str, gains) -> float | None:
-    bounds = {KIND_DAPI: dapi_bound, KIND_FDPD: fdpd_bound}
-    return bounds[kind](gains) if kind in bounds else None
+    bound = _CLOSED_FORMS[kind][2]
+    return None if bound is None else bound(gains)
 
 
 def p_variance(spec: LaplacianSpectrum, gains: PGains) -> VarianceReport:
@@ -257,11 +261,6 @@ def p_variance(spec: LaplacianSpectrum, gains: PGains) -> VarianceReport:
     :class:`UnboundedVarianceError`.
     """
     return variance_by_kind(spec, KIND_P, gains)
-
-
-def dapi_bound(gains: DapiGains) -> float:
-    """Uniform-in-N upper bound (f + c*g0) / (2 * k_i * f * g0)."""
-    return (gains.f + gains.c * gains.g0) / (2.0 * gains.k_i * gains.f * gains.g0)
 
 
 def dapi_variance(spec: LaplacianSpectrum, gains: DapiGains) -> VarianceReport:
@@ -279,11 +278,6 @@ def dapi_variance(spec: LaplacianSpectrum, gains: DapiGains) -> VarianceReport:
     return variance_by_kind(spec, KIND_DAPI, gains)
 
 
-def fdpd_bound(gains: FdpdGains) -> float:
-    """Uniform-in-N upper bound (tau^2 * f0 + 1) / (2 * f0 * k_d)."""
-    return (gains.tau**2 * gains.f0 + 1.0) / (2.0 * gains.f0 * gains.k_d)
-
-
 def fdpd_variance(spec: LaplacianSpectrum, gains: FdpdGains) -> VarianceReport:
     """Closed-form variance under F-DPD control.
 
@@ -292,8 +286,8 @@ def fdpd_variance(spec: LaplacianSpectrum, gains: FdpdGains) -> VarianceReport:
         1 / ( (f0 + f*lam) * ( g*lam + k_d*(tau*g*lam + 1)
                                / (tau^2*(f0 + f*lam) + tau*g*lam + 1) ) )
 
-    tau = 0 is the ideal-PD case and is evaluated through the equivalent P
-    law with the derivative gain in place of g0.
+    tau = 0 is the ideal-PD case: its terms are those of the equivalent P
+    law, the derivative gain in place of g0, and its bound is 1/(2 f0 k_d).
     """
     return variance_by_kind(spec, KIND_FDPD, gains)
 
@@ -305,9 +299,8 @@ def variance_by_kind(spec: LaplacianSpectrum, kind: str, gains) -> VarianceRepor
     denominators' temporaries stay chunk-sized, and then summed once; every
     denominator is checked before any term is summed.
     """
-    _check_gains(kind, gains)
+    law = _law(kind, gains)[:2]
     lam = spec.connected_modes()
-    law = _term_law(kind, gains)
     terms = np.empty_like(lam)
     for i in range(0, lam.size, _SUM_CHUNK):
         _terms(*law, lam[i:i + _SUM_CHUNK], i, terms[i:i + _SUM_CHUNK])
@@ -379,14 +372,14 @@ def modal_variance(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
     A_n^T P_n + P_n A_n = -e_x e_x^T is solved in closed form (:func:`_companion_terms`).
 
     The network-average mode n = 1 produces no output and is excluded.
-    F-DPD with tau = 0 is routed through the equivalent P subsystems.
+    F-DPD with tau = 0 has the 2 x 2 subsystems of its law, ideal PD.
     Routh-Hurwitz is the only Hurwitz test; the lowest unstable mode raises.
     V_N is returned only if its error bound is at most ``MODAL_FORWARD_TOL``
     relative; otherwise :class:`NumericalError` names the worst mode.
     """
     _check_gains(kind, gains)
     lam = spec.connected_modes()
-    a = modal_matrices(*_term_law(kind, gains), lam)
+    a = modal_matrices(kind, gains, lam)
     coeffs = _char_poly(a)
     unstable = np.flatnonzero(~_hurwitz(coeffs))
     if unstable.size:
@@ -404,6 +397,14 @@ def modal_variance(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
     return VarianceReport(v_n, _bound(kind, gains), METHOD_MODAL_LYAPUNOV, lam, terms)
 
 
+def _check_oracle_size(n: int, size_limit: int = DEFAULT_ORACLE_LIMIT) -> None:
+    """Raise :class:`OracleSizeError` when ``n`` nodes exceed the full oracle's cap; cheap, so
+    that a caller can check before assembling the N x N blocks."""
+    _integer("size_limit", size_limit, 1)
+    if n > size_limit:
+        raise OracleSizeError(f"system has N={n} nodes, full oracle capped at {size_limit}")
+
+
 def full_variance(
     system: ClosedLoopSystem, size_limit: int = DEFAULT_ORACLE_LIMIT
 ) -> VarianceReport:
@@ -418,11 +419,7 @@ def full_variance(
     (Bartels-Stewart solve).  A marginal eigenvalue surviving the deflation
     is observable by construction and aborts the oracle.
     """
-    _integer("size_limit", size_limit, 1)
-    if system.n > size_limit:
-        raise OracleSizeError(
-            f"system has N={system.n} nodes, full oracle capped at {size_limit}"
-        )
+    _check_oracle_size(system.n, size_limit)
     import scipy.linalg  # its only user: importing it costs most of `import netcoh`
 
     n = system.n

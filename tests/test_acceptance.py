@@ -36,11 +36,7 @@ def test_criterion_1_oracle_equivalence():
         except nc.UnboundedVarianceError:
             continue
         modal = nc.modal_variance(spec, kind, gains).v_n
-        try:
-            system = nc.assemble(graph, kind, gains)
-        except nc.IdealPdRedirectError:
-            system = nc.assemble_p(graph, nc.ideal_pd_equivalent(gains))
-        full = nc.full_variance(system).v_n
+        full = nc.full_variance(nc.assemble(graph, kind, gains)).v_n
         assert abs(modal - closed) <= 1e-8 * closed, (kind, gains)
         assert abs(full - closed) <= 1e-8 * closed, (kind, gains)
         checked += 1

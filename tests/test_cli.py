@@ -6,6 +6,7 @@ from test_golden import CASES, GOLDEN_DIR, run_case
 import netcoh as nc
 from netcoh import cli, graphs, scaling, variance
 from netcoh.cli import build_parser, main
+from netcoh.closed_loop import CONTROLLERS
 from netcoh.graphs import FAMILIES
 
 # golden cases of variance --method closed|modal and tune on a --family member
@@ -68,6 +69,25 @@ class TestVarianceCommand:
         captured = capsys.readouterr()
         assert "V_N" not in captured.out
         assert "disconnected" in captured.err
+
+    def test_full_oracle_answers_zero_tau_as_its_ideal_pd_twin(self, capsys, tmp_path):
+        outputs = []
+        for text in ("controller = fdpd\nf = 1.0\ng = 0.5\nf0 = 0.3\nkd = 1.2\ntau = 0\n",
+                     "controller = p\nf = 1.0\ng = 0.5\nf0 = 0.3\ng0 = 1.2\n"):
+            gains_file = tmp_path / "gains.cfg"
+            gains_file.write_text(text)
+            assert main(["variance", "--family", "ring", "--n", "7", "--gains-file", str(gains_file),
+                         "--method", "full"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0].startswith("n,lambda,s_n\nV_N,")
+
+    @pytest.mark.parametrize("n", [65, 10**6])
+    def test_full_oracle_cap_checked_before_assembly(self, capsys, monkeypatch, p_gains_file, n):
+        # a million nodes: a dense Laplacian would take 8 TB
+        monkeypatch.setattr(cli, "assemble", lambda *a: pytest.fail("assembled past the cap"))
+        rc = main(["variance", "--family", "ring", "--n", str(n), "--gains-file", p_gains_file, "--method", "full"])
+        assert rc == 2
+        assert f"system has N={n} nodes, full oracle capped at {variance.DEFAULT_ORACLE_LIMIT}" in capsys.readouterr().err
 
     def test_output_file(self, tmp_path, p_gains_file):
         out = tmp_path / "report.csv"
@@ -189,6 +209,17 @@ class TestSimulateCommand:
                    "--dt", "0.01", "--horizon", "1", "--with-aux", "--out", str(out)])
         assert rc == 2
         assert "--with-aux" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_with_aux_under_ideal_pd_rejected(self, capsys, tmp_path):
+        # an F-DPD gains file with tau = 0 is ideal PD, a P loop with no auxiliary state
+        gains_file, out = tmp_path / "fdpd0.cfg", tmp_path / "traj.csv"
+        gains_file.write_text("controller = fdpd\nf = 1.0\ng = 0.5\nf0 = 0.3\nkd = 1.2\ntau = 0\n")
+        rc = main(["simulate", "--family", "ring", "--n", "5", "--gains-file", str(gains_file),
+                   "--dt", "0.01", "--horizon", "1", "--with-aux", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--with-aux needs an auxiliary state" in err and "ideal PD (F-DPD at tau = 0)" in err
         assert not out.exists()
 
 
@@ -366,6 +397,13 @@ class TestTopLevel:
         rc = main(["variance", "--family", "ring", "--gains-file", p_gains_file])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_controller_choices_are_the_registered_controllers(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name in ("simulate", "scale"):
+            controller = next(a for a in commands.choices[name]._actions if a.dest == "controller")
+            assert tuple(controller.choices) == CONTROLLERS == ("p", "dapi", "fdpd")
 
     def test_family_choices_are_the_registered_families(self):
         parser = build_parser()

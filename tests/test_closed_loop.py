@@ -12,7 +12,6 @@ from netcoh.closed_loop import modal_matrices, routh_hurwitz
 from netcoh.errors import (
     CoherenceError,
     DisconnectedGraphError,
-    IdealPdRedirectError,
     InvalidParameterError,
 )
 
@@ -95,9 +94,15 @@ class TestAssembleFdpd:
         assert system.c.shape == (100, 300)
 
     def test_zero_tau_redirects(self):
+        # tau = 0 is ideal PD: the loop is its P twin's, field by field and in its modal form
         g = nc.build_ring(4, 1.0)
-        with pytest.raises(IdealPdRedirectError):
-            nc.assemble_fdpd(g, nc.FdpdGains(f=1.0, g=1.0, f0=1.0, k_d=1.0, tau=0.0))
+        gains = nc.FdpdGains(f=1.0, g=1.0, f0=1.0, k_d=0.7, tau=0.0)
+        system = nc.assemble_fdpd(g, gains)
+        twin = nc.assemble(g, "p", nc.ideal_pd_equivalent(gains))
+        for name in ("a", "b", "c"):
+            assert np.array_equal(getattr(system, name), getattr(twin, name)), name
+        assert (system.kind, system.n, system.state_dim) == (twin.kind, twin.n, 8) == ("p", 4, 8)
+        assert all(np.array_equal(mine, its) for mine, its in zip(system._modal, twin._modal))
 
 
 def one_mode(kind, gains, lam):
@@ -147,8 +152,10 @@ class TestModalSubsystem:
         assert np.allclose(a, [[0, 1, 0], [-2, -1, 1], [0, -10, -10]])
 
     def test_fdpd_zero_tau_redirects(self):
-        with pytest.raises(IdealPdRedirectError):
-            one_mode("fdpd", nc.FdpdGains(f=1.0, g=1.0, f0=1.0, k_d=1.0, tau=0.0), 1.0)
+        gains = nc.FdpdGains(f=1.0, g=1.0, f0=1.0, k_d=0.7, tau=0.0)
+        a = one_mode("fdpd", gains, 1.0)
+        assert np.array_equal(a, one_mode("p", nc.ideal_pd_equivalent(gains), 1.0))
+        assert np.array_equal(a[0], [[0, 1], [-2, -1.7]])
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -163,6 +163,16 @@ class TestEmpiricalVariance:
             single = nc.empirical_variance(nc.simulate_em(system, cfg_single))
             assert single == pytest.approx(expected, rel=1e-10)
 
+    def test_fdpd_zero_tau_runs_as_its_ideal_pd_twin(self):
+        graph = nc.build_ring(6, 1.0)
+        gains = nc.FdpdGains(f=1.0, g=0.5, f0=0.3, k_d=1.2, tau=0.0)
+        system, twin = nc.assemble(graph, "fdpd", gains), nc.assemble(graph, "p", nc.ideal_pd_equivalent(gains))
+        cfg = nc.SimConfig(dt=0.01, horizon=20.0, seed=5, burn_in=2.0, initial_state="random_frequency_perturbation")
+        assert np.array_equal(nc.ensemble_variance(system, cfg, [5, 6]), nc.ensemble_variance(twin, cfg, [5, 6]))
+        traj, twin_traj = nc.simulate_em(system, cfg), nc.simulate_em(twin, cfg)
+        assert np.array_equal(traj.states, twin_traj.states) and np.array_equal(traj.times, twin_traj.times)
+        assert nc.slowest_time_constant(system) == nc.slowest_time_constant(twin)
+
     @pytest.mark.parametrize("options, message", [
         ({"seeds": [-1]}, "seed must be >= 0"), ({"seeds": [1.5]}, "seed must be >= 0"),
         ({"seeds": [0, np.int64(-2)]}, "seed must be >= 0"),

@@ -61,6 +61,8 @@ class TestClassification:
             nc.c_star_numeric(spec, gains)
         with pytest.raises(SearchError, match="no mode n >= 2"):
             nc.classify_c_star(spec, gains)
+        with pytest.raises(SearchError, match="no positive lambda_2"):
+            default_bracket_hi(spec, gains)
 
     def test_current_c_is_ignored(self):
         spec = nc.spectrum(nc.build_complete(4, 1.0))
@@ -168,10 +170,11 @@ class TestCStarNumeric:
         grid, values, c_star, v_star = _search(spec, gains, nc.ScalarSearchConfig(bracket_hi=0.5))
         assert c_star == grid[-1] == 0.5 and v_star == values[-1]
 
-    def test_search_error_without_spectral_gap(self):
+    def test_no_spectral_gap_is_a_disconnected_graph(self):
+        # a second zero mode is a disconnected graph here too, as for c_star_numeric
         spec = nc.LaplacianSpectrum(np.array([0.0, 0.0, 1.0]), 1e-9)
         gains = nc.DapiGains(f=1.0, g=0.0, g0=1.0, k_i=1.0, c=0.0)
-        with pytest.raises(SearchError):
+        with pytest.raises(nc.DisconnectedGraphError):
             default_bracket_hi(spec, gains)
 
     @pytest.mark.parametrize("field, value", [("bracket_hi", math.nan), ("bracket_hi", math.inf)])

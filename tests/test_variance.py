@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import netcoh as nc
-from netcoh import csvrows, variance
+from netcoh import closed_loop, csvrows, variance
 from netcoh.closed_loop import modal_matrices, routh_hurwitz
 from netcoh.errors import (
     InstabilityError,
@@ -23,6 +23,7 @@ from netcoh.errors import (
     UnboundedVarianceError,
 )
 from netcoh.graphs import family_spectrum
+from netcoh.tuning import default_bracket_hi
 from netcoh.variance import _SUM_CHUNK, _mode_sum
 
 from conftest import random_connected_graph, random_gains
@@ -287,6 +288,15 @@ class TestFullOracle:
         with pytest.raises(OracleSizeError):
             nc.full_variance(system, size_limit=8)
 
+    @pytest.mark.parametrize("graph", [nc.build_ring(8, 1.0), nc.build_path(7, 1.3),
+                                       nc.from_edge_list("5\n1 2 0.5\n2 3 1.7\n3 4 0.9\n4 5 1.1\n1 5 1.3\n2 4 0.8\n")],
+                             ids=["ring8", "path7", "graph5"])
+    def test_zero_tau_is_its_ideal_pd_twin_bit_for_bit(self, graph):
+        gains = nc.FdpdGains(f=1.0, g=0.5, f0=0.3, k_d=1.2, tau=0.0)
+        full = nc.full_variance(nc.assemble(graph, "fdpd", gains)).v_n
+        assert full == nc.full_variance(nc.assemble(graph, "p", nc.ideal_pd_equivalent(gains))).v_n
+        assert full == pytest.approx(nc.fdpd_variance(nc.spectrum(graph), gains).v_n, rel=1e-10)
+
     @pytest.mark.parametrize("limit", [math.nan, "10", 0])
     def test_size_cap_must_be_a_positive_integer(self, limit):
         # every comparison with nan is false: nan lifted the cap without a word
@@ -348,11 +358,7 @@ class TestThreeWayAgreement:
             except UnboundedVarianceError:
                 continue
             modal = nc.modal_variance(spec, kind, gains).v_n
-            try:
-                system = nc.assemble(graph, kind, gains)
-            except nc.IdealPdRedirectError:
-                system = nc.assemble_p(graph, nc.ideal_pd_equivalent(gains))
-            full = nc.full_variance(system).v_n
+            full = nc.full_variance(nc.assemble(graph, kind, gains)).v_n
             assert modal == pytest.approx(closed, rel=1e-8)
             assert full == pytest.approx(closed, rel=1e-8)
             checked += 1
@@ -493,7 +499,7 @@ class TestModalEqualsClosed:
         spec = family_spectrum(*member, 1.0)
         closed = nc.variance_by_kind(spec, kind, gains)
         modal = nc.modal_variance(spec, kind, gains)
-        if variance._term_law(kind, gains)[0] == "p":  # P, and F-DPD at tau = 0: the closed form's expression
+        if closed_loop._law(kind, gains)[0] == "p":  # P, and F-DPD at tau = 0: the closed form's expression
             assert np.array_equal(modal.terms, closed.terms) and modal.v_n == closed.v_n
             return
         assert abs(modal.v_n - closed.v_n) <= 1e-13 * closed.v_n
@@ -817,9 +823,10 @@ class TestDisconnectedGraph:
             lambda spec: nc.variance_by_kind(spec, "p", P_GAINS),
             lambda spec: nc.classify_c_star(spec, DAPI_GAINS),
             lambda spec: nc.c_star_numeric(spec, DAPI_GAINS),
+            lambda spec: default_bracket_hi(spec, DAPI_GAINS),  # it read lambda_2 = 3.9e-17 as a gap
             lambda spec: nc.fdpd_dv_dtau(spec, FDPD_GAINS),
         ],
-        ids=["p", "dapi", "fdpd", "fdpd_tau0", "by_kind", "classify", "c_star", "dv_dtau"],
+        ids=["p", "dapi", "fdpd", "fdpd_tau0", "by_kind", "classify", "c_star", "bracket", "dv_dtau"],
     )
     def test_two_disjoint_paths_raise(self, call):
         spec = nc.spectrum(nc.from_edge_list(TWO_PATHS))
