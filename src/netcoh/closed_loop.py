@@ -205,7 +205,7 @@ def assemble(graph: WeightedGraph, kind: str, gains) -> ClosedLoopSystem:
     n = graph.node_count
     lap, eye = laplacian(graph), np.eye(n)
     lam, basis = np.linalg.eigh(lap)
-    modes = LaplacianSpectrum(lam, default_zero_tolerance(lam[-1]))
+    modes = LaplacianSpectrum._adopt(lam, default_zero_tolerance(lam[-1]))
     modes.connected_modes()  # a disconnected graph raises, as it does for spectrum()
     a = np.block([[al * eye + be * lap for al, be in zip(*rows)] for rows in zip(*table)])
     b = np.eye(a.shape[0], n, -n)  # noise enters the v-block

@@ -420,7 +420,7 @@ def full_variance(
     is observable by construction and aborts the oracle.
     """
     _check_oracle_size(system.n, size_limit)
-    import scipy.linalg  # its only user: importing it costs most of `import netcoh`
+    import scipy.linalg  # on first use, as in spectrum()'s band route: importing it costs most of `import netcoh`
 
     n = system.n
     blocks = system.state_dim // n

@@ -188,6 +188,17 @@ class TestSpectrumValidation:
         assert spec.eigenvalues.tolist() == [0.0, 1.0, 2.0, 3.0]
         assert not spec.eigenvalues.flags.writeable
         assert vals.tolist() == given and vals.flags.writeable  # the caller's array is untouched
+        vals[:] = 7.0
+        assert spec.eigenvalues.tolist() == [0.0, 1.0, 2.0, 3.0]  # and never aliased
+
+    def test_producers_hand_over_their_array(self):
+        # the library's own fresh arrays are validated in place, not copied
+        vals = np.array([1e-12, 2.0, 1.0])
+        spec = graphs.LaplacianSpectrum._adopt(vals, 1e-9)
+        assert spec.eigenvalues is vals and vals.tolist() == [0.0, 1.0, 2.0]
+        assert not vals.flags.writeable
+        with pytest.raises(NumericalError, match="exceeds zero tolerance"):
+            graphs.LaplacianSpectrum._adopt(np.array([1e-3, 1.0]), 1e-9)
 
 
 @st.composite
@@ -408,6 +419,93 @@ class TestSpectrum:
         spec = nc.spectrum(nc.build_complete(300, 50.0))
         assert spec.eigenvalues[0] == 0.0
         assert spec.is_connected
+
+
+GOLDEN_GRAPH = "7\n1 2 0.5\n2 3 1.7\n3 4 0.9\n4 5 1.1\n5 6 2.3\n6 7 0.4\n1 7 1.3\n2 5 0.8\n3 6 0.6\n"
+
+
+def no_dense_solver(lap):
+    raise AssertionError("the dense eigensolver was called")
+
+
+def random_graph(n, p, seed):
+    """An Erdos-Renyi graph with weights in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    i, j = np.triu_indices(n, 1)
+    keep = rng.random(i.size) < p
+    return nc.WeightedGraph(n, zip(i[keep] + 1, j[keep] + 1, rng.uniform(0.5, 2.0, keep.sum())))
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Random trees, paths with random weights and edgeless pieces, up to four
+    of them side by side, their nodes shuffled."""
+    edges, n, weight = [], 0, st.floats(0.1, 10.0)
+    for kind in draw(st.lists(st.sampled_from(["tree", "path", "edgeless"]), min_size=1, max_size=4)):
+        size = draw(st.integers(1, 24))
+        if kind == "tree":
+            links = [(draw(st.integers(0, k - 1)), k) for k in range(1, size)]
+        else:
+            links = [(k - 1, k) for k in range(1, size)] if kind == "path" else []
+        edges += [(n + a, n + b, draw(weight)) for a, b in links]
+        n += size
+    label = draw(st.permutations(range(1, n + 1)))
+    return nc.WeightedGraph(n, [(label[a], label[b], w) for a, b, w in edges])
+
+
+class TestBandRoute:
+    """Narrow-band graphs (32 kd <= N under a breadth-first order) are solved in band storage."""
+
+    @pytest.mark.parametrize("family,n,weight", [("ring", 64, 1.0), ("ring", 65, 0.7), ("ring", 257, 2.5),
+                                                 ("ring", 1024, 1.0), ("path", 64, 1.3), ("path", 100, 1.0),
+                                                 ("path", 512, 0.4)])
+    def test_rings_and_paths_skip_the_dense_solver(self, monkeypatch, family, n, weight):
+        graph, closed = build_family(family, n, weight), family_spectrum(family, n, weight)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_dense_solver)
+        vals = nc.spectrum(graph).eigenvalues
+        assert vals[0] == 0.0
+        assert np.abs(vals - closed.eigenvalues).max() <= 1e-12 * closed.eigenvalues[-1]
+
+    @pytest.mark.parametrize("graph", [nc.build_complete(2, 1.0), nc.build_complete(40, 0.3),
+                                       nc.build_complete(300, 1.7), nc.from_edge_list(GOLDEN_GRAPH),
+                                       random_graph(40, 0.15, 3), nc.build_ring(63, 1.0),
+                                       nc.build_torus(16, 2, 1.0)],
+                             ids=["complete2", "complete40", "complete300", "golden7", "random40", "ring63",
+                                  "torus2_16"])
+    def test_other_graphs_keep_the_dense_solver_byte_for_byte(self, graph):
+        dense = np.linalg.eigvalsh(nc.laplacian(graph))
+        dense[0] = 0.0
+        assert nc.spectrum(graph).eigenvalues.tobytes() == dense.tobytes()
+
+    def test_a_failed_band_solve_raises(self, monkeypatch):
+        import scipy.linalg.lapack
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsbev", lambda band, **options: (band[0], None, 3))
+        with pytest.raises(NumericalError, match="dsbev info 3"):
+            nc.spectrum(nc.build_path(64, 1.0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(graph=sparse_graphs())
+    @example(graph=nc.WeightedGraph(1, ()))
+    @example(graph=nc.WeightedGraph(2, ()))
+    @example(graph=nc.WeightedGraph(2, ((1, 2, 0.5),)))
+    @example(graph=nc.WeightedGraph(5, ()))
+    def test_band_and_dense_routes_agree(self, graph):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "_laplacian_band", lambda *args: None)
+            dense = nc.spectrum(graph)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "_BAND_RATIO", 1)  # every graph has kd < N
+            patch.setattr(np.linalg, "eigvalsh", no_dense_solver)
+            band = nc.spectrum(graph)
+        assert np.abs(band.eigenvalues - dense.eigenvalues).max() <= 1e-12 * dense.eigenvalues[-1]
+        assert band.is_connected is dense.is_connected
+        for spec in (band, dense):
+            if dense.is_connected:
+                assert spec.connected_modes().size == graph.node_count - 1
+            else:
+                with pytest.raises(nc.DisconnectedGraphError):
+                    spec.connected_modes()
 
 
 class TestConnectivity:
