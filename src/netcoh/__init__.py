@@ -82,6 +82,5 @@ from .variance import (
     full_variance,
     modal_variance,
     p_variance,
-    solve_lyapunov,
     variance_by_kind,
 )

@@ -12,12 +12,13 @@ from __future__ import annotations
 import configparser
 import math
 import numbers
+import os
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, InvalidSizeError
 from .graphs import LaplacianSpectrum, WeightedGraph, _ascii_number, default_zero_tolerance, laplacian
 
 __all__ = [
@@ -199,10 +200,20 @@ def assemble(graph: WeightedGraph, kind: str, gains) -> ClosedLoopSystem:
     the network average.  F-DPD at tau = 0 assembles as its law, P control.
     The Laplacian is diagonalized once: its spectrum decides connectivity, as
     :func:`~netcoh.graphs.spectrum` would, and gives the stored modal form
-    (see :class:`ClosedLoopSystem`).
+    (see :class:`ClosedLoopSystem`).  A loop whose dense arrays (A, B, C, the
+    Laplacian and its eigenbasis) would exceed physical memory, where the
+    platform reports it, raises :class:`InvalidSizeError` before any is built.
     """
     kind, gains, table = _law(kind, gains)
-    n = graph.node_count
+    n, d = graph.node_count, table.shape[-1]
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):  # no sysconf, or no such name
+        memory = 0
+    need = 8 * n * n * (d * d + 2 * d + 2)  # bytes of A, B, C, the Laplacian and its eigenbasis
+    if 0 < memory < need:
+        raise InvalidSizeError(f"a {d * n}-state loop on N={n} nodes needs {need:.3g} bytes of dense arrays, "
+                               f"more than the {memory:.3g} bytes of physical memory")
     lap, eye = laplacian(graph), np.eye(n)
     lam, basis = np.linalg.eigh(lap)
     modes = LaplacianSpectrum._adopt(lam, default_zero_tolerance(lam[-1]))
@@ -244,45 +255,46 @@ def modal_matrices(kind: str, gains, lam: np.ndarray) -> np.ndarray:
     return (alpha[..., None] + beta[..., None] * lam).transpose(2, 0, 1)  # each entry of all modes contiguous
 
 
-def _char_poly(a: np.ndarray, sign: float = -1.0) -> list[np.ndarray]:
-    """``[a_{d-1}, ..., a_0]`` of det(sI - A_k) = s^d + a_{d-1} s^{d-1} + ... + a_0 for a ``(k, d, d)`` stack, d = 2
-    or 3, then for d = 3 the Hurwitz determinant h = (a_1 a_2 - a_0) / a_2 (a_1 for d = 2), by cofactor expansion:
-    h is -det of A_k's bialternate sum (Fuller 1968) with its first row divided by a_2, and like every value here
-    has no monomials of opposite sign for the fixed-sign entries of P, DAPI and F-DPD modes.  ``sign = 1`` makes
-    every subtraction an addition: on ``|A|`` each value is then its sum of |monomials| (h's over sum |a_ii|).
+def _char_poly(a: np.ndarray, mul=np.multiply) -> tuple[list, list]:
+    """Routh-Hurwitz factors of det(sI - A) = s^d + ... + a_0, d = 2 or 3, by cofactor expansion of a (k, d, d)
+    stack of k matrices, or of the k coefficients in lambda of a controller table's entries (product ``mul``),
+    expanded once for all modes: ``([a_1, a_0], [])`` for d = 2, ``([a_2, a_0], pairs)`` for d = 3 with
+    a_1 a_2 - a_0 = sum(r * c for r, c in pairs), -det of A's bialternate sum (Fuller 1968) along its first
+    row: no subtraction forms it.  For P, DAPI and F-DPD each value is a sum of monomials of one sign.
     """
-    d = a.shape[-1]
-    if a.ndim != 3 or d not in (2, 3) or a.shape[1] != d:
-        raise InvalidParameterError(f"unsupported modal matrix shape {a.shape[1:]}")
-    e = [list(row) for row in a.transpose(1, 2, 0)]  # e[i][j]: entry (i, j) of every matrix, a view
-    combine = np.add if sign > 0.0 else np.subtract
+    e = [list(row) for row in a.transpose(1, 2, 0)]  # e[i][j]: entry (i, j) along the first axis, a view
 
     def minor(m, i, j, r, s):
-        return combine(m[i][r] * m[j][s], m[i][s] * m[j][r])
+        return mul(m[i][r], m[j][s]) - mul(m[i][s], m[j][r])
 
-    def det(m):  # along the first row
-        return combine(m[0][0] * minor(m, 1, 2, 1, 2), m[0][1] * minor(m, 1, 2, 0, 2)) + m[0][2] * minor(m, 1, 2, 0, 1)
+    def first_row(m):  # its entries and their minors
+        return m[0], [minor(m, 1, 2, 1, 2), minor(m, 1, 2, 0, 2), minor(m, 1, 2, 0, 1)]
 
-    coeffs = [sign * np.trace(a, axis1=1, axis2=2), minor(e, 0, 1, 0, 1)]
-    if d == 3:
-        coeffs[1] = coeffs[1] + minor(e, 0, 2, 0, 2) + minor(e, 1, 2, 1, 2)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a non-finite h fails the test
-            first = [x / coeffs[0] for x in (e[0][0] + e[1][1], e[1][2], sign * e[0][2])]
-            coeffs += [sign * det(e), sign * det([first, [e[2][1], e[0][0] + e[2][2], e[0][1]],
-                                                  [sign * e[2][0], e[1][0], e[1][1] + e[2][2]]])]
-    return coeffs
+    if len(e) == 2:
+        return [-(e[0][0] + e[1][1]), minor(e, 0, 1, 0, 1)], []
+    (r0, r1, r2), (m0, m1, m2) = first_row(e)
+    factors = [-(e[0][0] + e[1][1] + e[2][2]), -(mul(r0, m0) - mul(r1, m1) + mul(r2, m2))]
+    (r0, r1, r2), (m0, m1, m2) = first_row([[e[0][0] + e[1][1], e[1][2], -e[0][2]],
+                                            [e[2][1], e[0][0] + e[2][2], e[0][1]],
+                                            [-e[2][0], e[1][0], e[1][1] + e[2][2]]])
+    return factors, [(-r0, m0), (r1, m1), (-r2, m2)]
 
 
-def _hurwitz(coeffs: list[np.ndarray]) -> np.ndarray:
-    """The Routh-Hurwitz verdict on :func:`_char_poly`'s output: every value is finite and > 0."""
-    return np.all([(c > 0.0) & np.isfinite(c) for c in coeffs], axis=0)
+def _hurwitz_h(a2, pairs):
+    """h = (a_1 a_2 - a_0) / a_2, each entry r divided by a_2 first, so that h keeps a_1's magnitude."""
+    return sum((r / a2) * c for r, c in pairs)
 
 
 def routh_hurwitz(a: np.ndarray) -> np.ndarray:
-    """Hurwitz verdict per matrix of a ``(k, d, d)`` stack, d = 2 or 3: the coefficients of
-    det(sI - A_k), by cofactor expansion, which keeps the relative precision of a tiny a_0
-    such as DAPI's f*c*lam^2, and their Hurwitz determinant are finite and positive."""
-    return _hurwitz(_char_poly(a))
+    """Hurwitz verdict per matrix of a ``(k, d, d)`` stack, d = 2 or 3: :func:`_char_poly`'s factors and h, whose
+    cofactor expansion keeps the relative precision of a tiny a_0 such as DAPI's f*c*lam^2, are finite and > 0."""
+    d = a.shape[-1]
+    if a.ndim != 3 or d not in (2, 3) or a.shape[1] != d:
+        raise InvalidParameterError(f"unsupported modal matrix shape {a.shape[1:]}")
+    with np.errstate(all="ignore"):  # a non-finite factor fails the test
+        factors, pairs = _char_poly(a)
+        factors += [_hurwitz_h(factors[0], pairs)] if pairs else []
+    return np.all([(x > 0.0) & np.isfinite(x) for x in factors], axis=0)
 
 
 def power_preset(

@@ -6,7 +6,7 @@ class CoherenceError(Exception):
 
 
 class InvalidSizeError(CoherenceError, ValueError):
-    """A graph-family constructor was called with an unsupported size."""
+    """A size is unsupported: a graph family's, or a loop's too large to assemble in memory."""
 
 
 class InvalidParameterError(CoherenceError, ValueError):

@@ -4,9 +4,9 @@ Three independent evaluation routes are provided and cross-checked in tests:
 
 * closed forms -- the per-mode sums for P, DAPI and F-DPD control together
   with the uniform-in-N upper bounds for the latter two;
-* a modal oracle -- every Laplacian mode's Lyapunov solution in closed form
-  from its characteristic polynomial, whose coefficients also give the
-  Routh-Hurwitz test, guarded by a running bound on its rounding error;
+* a modal oracle -- every Laplacian mode's H2 norm in closed form from the
+  controller table expanded as polynomials in lambda, with an a-priori
+  rounding bound; the same factors give the Routh-Hurwitz test;
 * a full-system oracle -- one real Schur form of the assembled block matrix,
   after deflating the marginal, unobservable network-average directions
   with ``scipy.linalg.helmert``, gives both the eigenvalue checks and a
@@ -42,11 +42,9 @@ from .closed_loop import (
     FdpdGains,
     PGains,
     _char_poly,
-    _check_gains,
-    _hurwitz,
+    _hurwitz_h,
     _integer,
     _law,
-    modal_matrices,
 )
 from .csvrows import indexed_csv_blocks
 from .errors import (
@@ -66,7 +64,6 @@ __all__ = [
     "fdpd_variance",
     "dapi_bound",
     "fdpd_bound",
-    "solve_lyapunov",
     "modal_variance",
     "full_variance",
     "variance_by_kind",
@@ -78,8 +75,6 @@ METHOD_MODAL_LYAPUNOV = "modal_lyapunov"
 METHOD_FULL_LYAPUNOV = "full_lyapunov"
 
 DEFAULT_ORACLE_LIMIT = 64
-# largest estimated relative error of a modal-oracle V_N, the cross-check tolerance
-MODAL_FORWARD_TOL = 1e-8
 
 _NO_VALUES = np.empty(0)  # the full oracle's eigenvalues and terms: it reports no modes
 _NO_VALUES.setflags(write=False)
@@ -313,86 +308,62 @@ def variance_by_kind(spec: LaplacianSpectrum, kind: str, gains) -> VarianceRepor
 # ---------------------------------------------------------------------------
 
 
-def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Solve A^T P + P A = -Q for a small finite Hurwitz A by Kronecker vectorization; the result
-    is symmetrized and its residual checked against 1e-10 * max(2 ||A|| ||P|| + ||Q||, 1), max-abs norms."""
-    a = np.asarray(a, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != q.shape:
-        raise InvalidParameterError(f"need square A and matching Q, got {a.shape}, {q.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(q).all()):  # eigvals raises a bare LinAlgError on them
-        raise InvalidParameterError("need finite A and Q")
-    eigs = np.linalg.eigvals(a)
-    if np.any(eigs.real >= 0.0):
-        raise InstabilityError(f"matrix is not Hurwitz (max real part {eigs.real.max():.3e})")
-    eye = np.eye(a.shape[0])
-    try:  # vec(A^T P + P A) = (I (x) A^T + A^T (x) I) vec(P), vec stacking columns
-        p = np.linalg.solve(np.kron(eye, a.T) + np.kron(a.T, eye), -q.ravel(order="F")).reshape(a.shape, order="F")
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular Kronecker system: {exc}") from None
-    p = 0.5 * (p + p.T)
-    residual = np.abs(a.T @ p + p @ a + q).max()
-    with np.errstate(over="ignore"):  # an overflowing P fails as an infinite tolerance
-        tol = 1e-10 * max(2.0 * np.abs(a).max() * np.abs(p).max() + np.abs(q).max(), 1.0)
-    if not residual <= tol < math.inf:
-        raise NumericalError(f"lyapunov residual {residual:.3e} exceeds tolerance {tol:.3e}")
-    return p
+def _horner(coeffs: list, lam: np.ndarray):
+    """The polynomial of ``coeffs``, lowest power first, at every ``lam`` in one fresh array; a float for a constant."""
+    *rest, out = coeffs
+    while rest and not out:  # from the highest non-zero power
+        *rest, out = rest
+    for x in reversed(rest):
+        out *= lam  # a new array the first time, in place after
+        if x:
+            out += x
+    return out
 
 
-def _companion_terms(a: np.ndarray, coeffs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Terms s_k = 2 ||G_k||^2 of a Routh-Hurwitz stable ``(k, d, d)`` stack, and their error bounds.
-
-    From :func:`_char_poly`'s ``[a_{d-1}, ..., a_0(, h)]`` and b_1 s + b_0 = e_x^T adj(sI - A_k) e_v,
-    Astrom's integral table (1970, ch. 5) gives b_0^2 / (a_0 a_1) for d = 2 and, for d = 3,
-    (b_1^2 a_0 + b_0^2 a_2) / (a_0 (a_1 a_2 - a_0)) = (b_1^2/a_2 + b_0^2/a_0) / h, whose products overflow.
-    A running error bound (Higham 2002, ch. 3) carries each value's error to first order: 5 roundings (a
-    product, a 2x2 minor, two sums) times its sum of |monomials|, and for h 9 (a sum, a division, a product, a
-    minor, two sums) plus a_2's relative error.  Only h can cancel, inside its expansion, for mixed-sign entries.
-    """
-    u = np.finfo(float).eps / 2.0
-    scales = _char_poly(np.abs(a), 1.0)
-    bounds = [5.0 * u * c for c in scales]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a non-finite bound refuses
-        if a.shape[-1] == 2:
-            (a1, a0), (e1, e0), b0 = coeffs, bounds, a[:, 0, 1]
-            terms = b0 * b0 / (a0 * a1)
-            return terms, (e0 / a0 + e1 / a1 + 3.0 * u) * np.abs(terms)
-        (a2, _, a0, h), (e2, _, e0, _), b1 = coeffs, bounds, a[:, 0, 1]
-        x, y = a[:, 0, 2] * a[:, 2, 1], b1 * a[:, 2, 2]
-        b0, r2 = x - y, e2 / a2
-        n1, n2 = b1 * (b1 / a2), b0 * (b0 / a0)
-        terms = (n1 + n2) / h
-        e_num = n1 * (r2 + 3.0 * u) + n2 * (e0 / a0 + 3.0 * u) + 4.0 * u * (np.abs(x) + np.abs(y)) * (np.abs(b0) / a0)
-        e_h = (9.0 * u + r2) * scales[-1] * (scales[0] / a2)  # h's sum of |monomials| is scales[-1] sum|a_ii| / a_2
-        return terms, (e_num + terms * e_h) / h + u * terms
+def _modal_terms(factors: list[list], lam: np.ndarray, first: int, out: np.ndarray) -> None:
+    """Terms of modes ``first + 2, ...`` at ``lam`` into ``out``; NumericalError if a Hurwitz factor is out of range."""
+    with np.errstate(all="ignore"):
+        values = [_horner(poly, lam) for poly in factors]
+        if len(values) == 3:
+            (a1, a0, b0), hurwitz = values, values[:2]
+            np.divide(b0 * b0, a0 * a1, out=out)
+        else:
+            a2, a0, b1, b0, *products = values
+            hurwitz = [a2, a0, _hurwitz_h(a2, zip(products[::2], products[1::2]))]
+            np.divide(b1 * (b1 / a2) + b0 * (b0 / a0), hurwitz[2], out=out)
+    if not all(np.min(x) > 0.0 and np.max(x) < math.inf for x in hurwitz):  # nan fails too
+        i = int(np.argmin(np.all([(x > 0.0) & (x < math.inf) for x in np.broadcast_arrays(*hurwitz)], axis=0)))
+        raise NumericalError(f"mode {first + i + 2} (lambda={lam[i]:.6g}) has a Hurwitz factor out of float range")
 
 
 def modal_variance(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
-    """Per-mode oracle: the sum over modes n >= 2 of s_n = 2 e_v^T P_n e_v, where
-    A_n^T P_n + P_n A_n = -e_x e_x^T is solved in closed form (:func:`_companion_terms`).
+    """Per-mode oracle: V_N = (1/2N) sum over modes n >= 2 of s_n = 2 ||G_n||^2, G_n(s) = (b_1 s + b_0) / det(sI
+    - A_n) mode n's transfer function from the noise on v to x, b_1 s + b_0 = e_x^T adj(sI - A_n) e_v.
 
-    The network-average mode n = 1 produces no output and is excluded.
-    F-DPD with tau = 0 has the 2 x 2 subsystems of its law, ideal PD.
-    Routh-Hurwitz is the only Hurwitz test; the lowest unstable mode raises.
-    V_N is returned only if its error bound is at most ``MODAL_FORWARD_TOL``
-    relative; otherwise :class:`NumericalError` names the worst mode.
+    A_n = alpha + beta lam_n (:func:`~netcoh.closed_loop._law`): one cofactor expansion of that table in lambda
+    (:func:`~netcoh.closed_loop._char_poly`) gives every factor, Horner's rule evaluates each on the spectrum, and
+    Astrom's integral table (1970, ch. 5) combines them: b_0^2 / (a_0 a_1) for d = 2, under P the closed form's
+    own expression, and (b_1^2/a_2 + b_0^2/a_0) / h for d = 3.  A coefficient < 0 raises NumericalError; else
+    nothing cancels, and a priori, away from underflow and overflow, a term is within gamma_51 = 51u / (1 - 51u)
+    < 5.7e-15 relative (gamma_17 for d = 2) of the exact term of the table's entries, u = 2**-53: no path to it
+    holds more than 51 roundings of values of one sign.  Routh-Hurwitz is "every factor is > 0": a zero factor
+    polynomial fails at every mode, and InstabilityError names mode 2; any other is > 0 at lambda > 0, so one
+    that rounds to 0 or overflows puts its term out of range, and NumericalError names the lowest such mode.
     """
-    _check_gains(kind, gains)
+    table = _law(kind, gains)[2]  # (alpha, beta): the coefficients of polynomial entries in lambda
+    factors, pairs = _char_poly(table, np.convolve)
+    factors.append(table[:, 0, 1])  # [a_1, a_0, b_0] for d = 2; [a_2, a_0, b_1, b_0, r, c, ...] for d = 3
+    if pairs:  # with the non-zero Hurwitz pairs
+        factors.append(np.convolve(table[:, 0, 2], table[:, 2, 1]) - np.convolve(table[:, 0, 1], table[:, 2, 2]))
+        factors += [x for pair in pairs if all(x.any() for x in pair) for x in pair]
+    if not (np.concatenate(factors) >= 0.0).all():  # nan fails too
+        raise NumericalError(f"{kind} gains {gains} give a mode factor a negative or nan coefficient in lambda")
     lam = spec.connected_modes()
-    a = modal_matrices(kind, gains, lam)
-    coeffs = _char_poly(a)
-    unstable = np.flatnonzero(~_hurwitz(coeffs))
-    if unstable.size:
-        i = int(unstable[0])
-        raise InstabilityError(f"mode {i + 2} (lambda={lam[i]:.6g}) is not Hurwitz", mode_index=i + 2)
-    terms, errors = _companion_terms(a, coeffs)
-    error, total = errors.sum(), abs(terms.sum())
-    if not error <= MODAL_FORWARD_TOL * total:  # a nan bound is refused too
-        i = int(np.argmax(errors))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            estimate = error / total
-        raise NumericalError(f"modal V_N forward error estimate {estimate:.3e} exceeds {MODAL_FORWARD_TOL:.0e}; "
-                             f"mode {i + 2} (lambda={lam[i]:.6g}) is ill-conditioned")
+    if lam.size and not (factors[0].any() and factors[1].any() and len(factors) != 4):  # d = 3: a non-zero pair
+        raise InstabilityError(f"mode 2 (lambda={lam[0]:.6g}) is not Hurwitz: a factor is 0", mode_index=2)
+    terms, factors = np.empty_like(lam), [x.tolist() for x in factors]
+    for i in range(0, lam.size, _SUM_CHUNK):
+        _modal_terms(factors, lam[i:i + _SUM_CHUNK], i, terms[i:i + _SUM_CHUNK])
     v_n = _mode_sum(terms) / (2.0 * spec.node_count)
     return VarianceReport(v_n, _bound(kind, gains), METHOD_MODAL_LYAPUNOV, lam, terms)
 

@@ -4,7 +4,7 @@ import pytest
 from test_golden import CASES, GOLDEN_DIR, run_case
 
 import netcoh as nc
-from netcoh import cli, graphs, scaling, variance
+from netcoh import cli, closed_loop, graphs, scaling, variance
 from netcoh.cli import build_parser, main
 from netcoh.closed_loop import CONTROLLERS
 from netcoh.graphs import FAMILIES
@@ -222,6 +222,15 @@ class TestSimulateCommand:
         assert "--with-aux needs an auxiliary state" in err and "ideal PD (F-DPD at tau = 0)" in err
         assert not out.exists()
 
+
+    def test_system_past_physical_memory_exits_2(self, capsys, monkeypatch, tmp_path, p_gains_file):
+        # 10^6 nodes with no edges: a typed refusal before any N x N array, not a MemoryError
+        graph = tmp_path / "big.edges"
+        graph.write_text("1000000\n")
+        monkeypatch.setattr(closed_loop, "laplacian", lambda graph: pytest.fail("the Laplacian was built"))
+        rc = main(["simulate", "--graph", str(graph), "--gains-file", p_gains_file, "--dt", "0.01", "--horizon", "1"])
+        assert rc == 2
+        assert "physical memory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--with-velocity", "--with-aux"])
     def test_trajectory_flag_without_out_rejected(self, capsys, monkeypatch, flag):

@@ -1,18 +1,22 @@
 import math
+import os
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netcoh as nc
+from netcoh import closed_loop
 from netcoh.closed_loop import modal_matrices, routh_hurwitz
 from netcoh.errors import (
     CoherenceError,
     DisconnectedGraphError,
     InvalidParameterError,
+    InvalidSizeError,
 )
 
 OMEGA_REF = 2.0 * math.pi * 60.0
@@ -57,6 +61,17 @@ class TestAssembleP:
         assert not nc.spectrum(weak_bridge).is_connected
         with pytest.raises(DisconnectedGraphError, match="more than one zero mode"):
             nc.assemble_p(weak_bridge, nc.PGains(1.0, 1.0, 1.0, 1.0))
+
+
+    @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="the platform does not report physical memory")
+    @pytest.mark.parametrize("kind,gains", [("p", nc.PGains(1.0, 1.0, 1.0, 1.0)), ("dapi", DAPI_README)])
+    def test_loop_past_physical_memory_is_refused_before_it_is_built(self, monkeypatch, kind, gains):
+        # an edgeless graph of 10^6 nodes is three empty arrays, but its loop
+        # needs 8e12 (d^2 + 2d + 2) bytes of dense arrays; the Laplacian, the
+        # first of them, must not be built
+        monkeypatch.setattr(closed_loop, "laplacian", lambda graph: pytest.fail("the Laplacian was built"))
+        with pytest.raises(InvalidSizeError, match=r"N=1000000 nodes needs .* more than the .* physical memory"):
+            nc.assemble(nc.WeightedGraph(10**6, []), kind, gains)
 
 
 class TestAssembleDapi:
@@ -142,7 +157,7 @@ class TestModalSubsystem:
         # B = e_v, C = e_x, so s_n = 2 e_v^T P e_v with A^T P + P A = -e_x e_x^T
         a = one_mode(kind, gains, 1.5)[0]
         e_x, e_v = np.eye(len(a))[:2]
-        p = nc.solve_lyapunov(a, np.outer(e_x, e_x))
+        p = scipy.linalg.solve_continuous_lyapunov(a.T, -np.outer(e_x, e_x))  # A^T P + P A = -e_x e_x^T
         assert modal_term(kind, gains, 1.5) == pytest.approx(2.0 * e_v @ p @ e_v, rel=1e-12)
         assert modal_term(kind, gains, 1.5) == pytest.approx(closed_term(kind, gains, 1.5), rel=1e-10)
 

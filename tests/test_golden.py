@@ -21,7 +21,10 @@ Every ``c`` cell of ``tune`` is a plain float ``repr``.  The eleven ring and
 torus cases were re-captured when each ring value of k > N/2 became that of
 its twin N-k, computed from (N-k)/N < 1/2 (cells moved by at most 2.8e-15
 relative; ``c_star`` stays 0.0 on ring 16, and ring 12's P modal case still
-equals its closed-form twin).
+equals its closed-form twin).  ``variance_path9_dapi_modal`` was re-captured
+when the modal oracle took its factors from one expansion of the controller
+table as polynomials in lambda (5 cells moved, by at most 1.9e-16 relative;
+the other modal cases are byte-identical).
 
 Regenerate files only for a deliberate output change: the entry point
 writes the named cases, or every case when none is named::
