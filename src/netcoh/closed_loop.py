@@ -255,17 +255,16 @@ def modal_matrices(kind: str, gains, lam: np.ndarray) -> np.ndarray:
     return (alpha[..., None] + beta[..., None] * lam).transpose(2, 0, 1)  # each entry of all modes contiguous
 
 
-def _char_poly(a: np.ndarray, mul=np.multiply) -> tuple[list, list]:
-    """Routh-Hurwitz factors of det(sI - A) = s^d + ... + a_0, d = 2 or 3, by cofactor expansion of a (k, d, d)
-    stack of k matrices, or of the k coefficients in lambda of a controller table's entries (product ``mul``),
-    expanded once for all modes: ``([a_1, a_0], [])`` for d = 2, ``([a_2, a_0], pairs)`` for d = 3 with
-    a_1 a_2 - a_0 = sum(r * c for r, c in pairs), -det of A's bialternate sum (Fuller 1968) along its first
-    row: no subtraction forms it.  For P, DAPI and F-DPD each value is a sum of monomials of one sign.
+def _char_poly(e: list) -> tuple[list, list]:
+    """Routh-Hurwitz factors of det(sI - A) = s^d + ... + a_0, d = 2 or 3, by cofactor expansion of A's entries
+    ``e[i][j]``: arrays over a stack of matrices, or polynomials in lambda of a controller table's entries, any
+    values with ``+``, ``-`` and ``*``, expanded once for all modes: ``([a_1, a_0], [])`` for d = 2,
+    ``([a_2, a_0], pairs)`` for d = 3 with a_1 a_2 - a_0 = sum(r * c for r, c in pairs), -det of A's bialternate
+    sum (Fuller 1968) along its first row: no subtraction forms it.  For P, DAPI and F-DPD each value is a sum of
+    monomials of one sign.
     """
-    e = [list(row) for row in a.transpose(1, 2, 0)]  # e[i][j]: entry (i, j) along the first axis, a view
-
     def minor(m, i, j, r, s):
-        return mul(m[i][r], m[j][s]) - mul(m[i][s], m[j][r])
+        return m[i][r] * m[j][s] - m[i][s] * m[j][r]
 
     def first_row(m):  # its entries and their minors
         return m[0], [minor(m, 1, 2, 1, 2), minor(m, 1, 2, 0, 2), minor(m, 1, 2, 0, 1)]
@@ -273,7 +272,7 @@ def _char_poly(a: np.ndarray, mul=np.multiply) -> tuple[list, list]:
     if len(e) == 2:
         return [-(e[0][0] + e[1][1]), minor(e, 0, 1, 0, 1)], []
     (r0, r1, r2), (m0, m1, m2) = first_row(e)
-    factors = [-(e[0][0] + e[1][1] + e[2][2]), -(mul(r0, m0) - mul(r1, m1) + mul(r2, m2))]
+    factors = [-(e[0][0] + e[1][1] + e[2][2]), -(r0 * m0 - r1 * m1 + r2 * m2)]
     (r0, r1, r2), (m0, m1, m2) = first_row([[e[0][0] + e[1][1], e[1][2], -e[0][2]],
                                             [e[2][1], e[0][0] + e[2][2], e[0][1]],
                                             [-e[2][0], e[1][0], e[1][1] + e[2][2]]])
@@ -292,7 +291,7 @@ def routh_hurwitz(a: np.ndarray) -> np.ndarray:
     if a.ndim != 3 or d not in (2, 3) or a.shape[1] != d:
         raise InvalidParameterError(f"unsupported modal matrix shape {a.shape[1:]}")
     with np.errstate(all="ignore"):  # a non-finite factor fails the test
-        factors, pairs = _char_poly(a)
+        factors, pairs = _char_poly([list(row) for row in a.transpose(1, 2, 0)])  # entry (i, j) over the stack
         factors += [_hurwitz_h(factors[0], pairs)] if pairs else []
     return np.all([(x > 0.0) & np.isfinite(x) for x in factors], axis=0)
 

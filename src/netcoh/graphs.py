@@ -12,6 +12,7 @@ reproducibility.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 import operator
@@ -398,14 +399,18 @@ def _laplacian_band(graph: WeightedGraph, max_kd: int) -> np.ndarray | None:
     Row ``d`` of the ``(kd + 1, N)`` result holds the ``d``-th subdiagonal:
     ``band[d, p] = L[p + d, p]`` in the new numbering.  Every order has
     ``kd >= ceil(max degree / 2)``, so a graph whose degrees exceed that is
-    refused before any ordering work.
+    refused before any ordering work, and one whose first breadth-first pass
+    bounds ``kd`` above ``max_kd`` before the second.
     """
     n = graph.node_count
     ends = np.concatenate((graph.lo, graph.hi)) - 1
     if ends.size and (int(np.bincount(ends).max()) + 1) // 2 > max_kd:
         return None
+    order = _breadth_first_order(n, ends, max_kd)
+    if order is None:
+        return None
     position = np.empty(n, dtype=np.intp)
-    position[_breadth_first_order(n, ends)] = np.arange(n)
+    position[order] = np.arange(n)
     first, second = np.split(position[ends], 2)
     low, offset = np.minimum(first, second), np.abs(first - second)
     kd = int(offset.max()) if offset.size else 0
@@ -417,10 +422,16 @@ def _laplacian_band(graph: WeightedGraph, max_kd: int) -> np.ndarray | None:
     return band
 
 
-def _breadth_first_order(n: int, ends: np.ndarray) -> list:
+def _breadth_first_order(n: int, ends: np.ndarray, max_kd: int) -> list | None:
     """0-based nodes numbered breadth-first, one component after another, each
     from a pseudo-peripheral node: the last node reached by a first pass from
     its least node, so that a path is numbered from one end (Cuthill-McKee).
+
+    None when that first pass already shows that no order has a half-bandwidth
+    ``<= max_kd``.  In any order the ``b`` nodes within distance ``r`` of the
+    root lie within ``r * kd`` places of it, so ``kd >= (b - 1) / (2 r)``; the
+    bound is read at ``r`` = the root's eccentricity, where ``b`` is the
+    component size, and at half, a quarter, ... of it.
 
     ``ends`` holds the 0-based endpoints of the edges, all ``lo`` then all ``hi``.
     """
@@ -428,23 +439,33 @@ def _breadth_first_order(n: int, ends: np.ndarray) -> list:
     by_node = np.argsort(ends, kind="stable")
     neighbors = np.concatenate((ends[half:], ends[:half]))[by_node].tolist()
     starts = np.searchsorted(ends[by_node], np.arange(n + 1)).tolist()
-    marks = [0] * n  # 0 unseen, 1 reached by the first pass, 2 numbered
-
-    def reach(root: int, unseen: int) -> list:
-        marks[root] = unseen + 1
-        order = [root]
-        for node in order:  # the list grows as it is read: a queue
-            for other in neighbors[starts[node] : starts[node + 1]]:
-                if marks[other] == unseen:
-                    marks[other] = unseen + 1
-                    order.append(other)
-        return order
-
+    marks = [0] * n  # 0 unseen; else 1 + its level in the first pass, n + 1 + its level in the second
     numbered = []
     for root in range(n):
         if not marks[root]:
-            numbered += reach(reach(root, 0)[-1], 1)
+            first = _reach(root, 1, neighbors, starts, marks)
+            radius = marks[first[-1]] - 1  # the root's eccentricity
+            while radius:
+                ball = bisect.bisect_right(first, radius + 1, key=marks.__getitem__)  # levels 0..radius
+                if ball - 1 > 2 * radius * max_kd:
+                    return None
+                radius //= 2
+            numbered += _reach(first[-1], n + 1, neighbors, starts, marks)
     return numbered
+
+
+def _reach(root: int, base: int, neighbors: list, starts: list, marks: list) -> list:
+    """The nodes that ``root`` reaches, breadth-first, over those whose mark is below ``base``; each
+    gets the mark ``base`` + its level, so the order's marks never fall."""
+    marks[root] = base
+    order = [root]
+    for node in order:  # the list grows as it is read: a queue
+        level = marks[node] + 1
+        for other in neighbors[starts[node] : starts[node + 1]]:
+            if marks[other] < base:
+                marks[other] = level
+                order.append(other)
+    return order
 
 
 # ---------------------------------------------------------------------------

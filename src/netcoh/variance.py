@@ -7,17 +7,20 @@ Three independent evaluation routes are provided and cross-checked in tests:
 * a modal oracle -- every Laplacian mode's H2 norm in closed form from the
   controller table expanded as polynomials in lambda, with an a-priori
   rounding bound; the same factors give the Routh-Hurwitz test;
-* a full-system oracle -- one real Schur form of the assembled block matrix,
-  after deflating the marginal, unobservable network-average directions
-  with ``scipy.linalg.helmert``, gives both the eigenvalue checks and a
-  triangular Sylvester solve.
+* a full-system oracle -- the marginal, unobservable network-average
+  directions are deflated block by block with the rows of
+  ``scipy.linalg.helmert``; one real Schur form of the deflated matrix gives
+  both the eigenvalue checks and a triangular Lyapunov equation, solved by
+  recursive blocking into ``dtrsyl`` calls of at most 64 states and matrix
+  products.
 
 The closed forms are numpy array expressions over the eigenvalues of modes
 n >= 2, in two steps: the terms are filled in chunks of 2**16 modes, then
 summed once.  Their terms, like the modal oracle's, are summed exactly in
 numpy and rounded once, so each sum is correctly rounded at any N and
-equals ``math.fsum`` of the terms bit for bit.  A non-finite term or an
-overflowing sum raises :class:`NumericalError`, naming the mode of the term.
+equals ``math.fsum`` of the terms bit for bit.  A closed-form denominator
+that overflows, a non-finite term or an overflowing sum raises
+:class:`NumericalError`, naming the mode, and no floating-point warning.
 
 A :class:`VarianceReport` is its modes: ``v_n``, ``bound`` and ``method``
 with two read-only arrays, the spectrum's eigenvalues of modes 2..N, by
@@ -27,7 +30,9 @@ on first read, and ``to_csv`` writes from the two arrays without building it.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 
@@ -75,6 +80,7 @@ METHOD_MODAL_LYAPUNOV = "modal_lyapunov"
 METHOD_FULL_LYAPUNOV = "full_lyapunov"
 
 DEFAULT_ORACLE_LIMIT = 64
+_LYAPUNOV_LEAF = 64  # the full oracle's triangular Lyapunov solve: states per unblocked dtrsyl call
 
 _NO_VALUES = np.empty(0)  # the full oracle's eigenvalues and terms: it reports no modes
 _NO_VALUES.setflags(write=False)
@@ -230,17 +236,27 @@ def _terms(kind: str, gains, lam: np.ndarray, first: int = 0, out: np.ndarray | 
     """Mode terms 1/den of ``lam``, whose first entry is mode ``first + 2``.
 
     Raises :class:`UnboundedVarianceError` for the first mode whose
-    denominator is <= 0.  ``kind`` and ``gains`` are a controller's law (see
-    :func:`~netcoh.closed_loop._law`): not F-DPD at tau = 0.
+    denominator is <= 0, then :class:`NumericalError` for the first whose
+    denominator overflows, where the term would round to 0.  A term that is
+    not finite is left to the sum to name.  ``kind`` and ``gains`` are a
+    controller's law (see :func:`~netcoh.closed_loop._law`): not F-DPD at
+    tau = 0.
     """
     den_of, what, _ = _CLOSED_FORMS[kind]
-    den = den_of(lam, gains)
-    bad = np.flatnonzero(den <= 0.0)
-    if bad.size:
-        i = int(bad[0])
-        n = first + i + 2
-        raise UnboundedVarianceError(f"mode {n} (lambda={lam[i]:.6g}) has {what}", mode_index=n)
-    return np.divide(1.0, den, out=out)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves an inf or a nan, named below
+        den = den_of(lam, gains)
+        if den.size and not (den.min() > 0.0 and den.max() < math.inf):  # nan fails too
+            bad = np.flatnonzero(den <= 0.0)
+            if bad.size:
+                i = int(bad[0])
+                n = first + i + 2
+                raise UnboundedVarianceError(f"mode {n} (lambda={lam[i]:.6g}) has {what}", mode_index=n)
+            bad = np.flatnonzero(den == math.inf)
+            if bad.size:
+                i = int(bad[0])
+                raise NumericalError(f"mode {first + i + 2} (lambda={lam[i]:.6g}) has a denominator out of "
+                                     f"float range")
+        return np.divide(1.0, den, out=out)
 
 
 def _bound(kind: str, gains) -> float | None:
@@ -308,11 +324,38 @@ def variance_by_kind(spec: LaplacianSpectrum, kind: str, gains) -> VarianceRepor
 # ---------------------------------------------------------------------------
 
 
-def _horner(coeffs: list, lam: np.ndarray):
-    """The polynomial of ``coeffs``, lowest power first, at every ``lam`` in one fresh array; a float for a constant."""
+class _Poly(tuple):
+    """A polynomial in lambda as its float coefficients, lowest power first: the entries of a controller table
+    and what :func:`~netcoh.closed_loop._char_poly` forms of them, on plain floats.  Sums take operands of one
+    length; a product is the convolution.  Every coefficient of a registered controller's expansion is one
+    product of table entries, so the factors equal those of ``np.convolve`` bit for bit."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Poly(map(operator.add, self, other))
+
+    def __sub__(self, other):
+        return _Poly(map(operator.sub, self, other))
+
+    def __neg__(self):
+        return _Poly(map(operator.neg, self))
+
+    def __mul__(self, other):
+        out = [0.0] * (len(self) + len(other) - 1)
+        for i, x in enumerate(self):
+            for k, y in enumerate(other, i):
+                out[k] += x * y
+        return _Poly(out)
+
+
+def _horner(coeffs, lam: np.ndarray) -> np.ndarray:
+    """The polynomial of ``coeffs``, lowest power first, at every ``lam`` in one fresh array."""
     *rest, out = coeffs
     while rest and not out:  # from the highest non-zero power
         *rest, out = rest
+    if not rest:
+        return np.full_like(lam, out)
     for x in reversed(rest):
         out *= lam  # a new array the first time, in place after
         if x:
@@ -320,7 +363,7 @@ def _horner(coeffs: list, lam: np.ndarray):
     return out
 
 
-def _modal_terms(factors: list[list], lam: np.ndarray, first: int, out: np.ndarray) -> None:
+def _modal_terms(factors: list, lam: np.ndarray, first: int, out: np.ndarray) -> None:
     """Terms of modes ``first + 2, ...`` at ``lam`` into ``out``; NumericalError if a Hurwitz factor is out of range."""
     with np.errstate(all="ignore"):
         values = [_horner(poly, lam) for poly in factors]
@@ -331,8 +374,9 @@ def _modal_terms(factors: list[list], lam: np.ndarray, first: int, out: np.ndarr
             a2, a0, b1, b0, *products = values
             hurwitz = [a2, a0, _hurwitz_h(a2, zip(products[::2], products[1::2]))]
             np.divide(b1 * (b1 / a2) + b0 * (b0 / a0), hurwitz[2], out=out)
-    if not all(np.min(x) > 0.0 and np.max(x) < math.inf for x in hurwitz):  # nan fails too
-        i = int(np.argmin(np.all([(x > 0.0) & (x < math.inf) for x in np.broadcast_arrays(*hurwitz)], axis=0)))
+        hurwitz = np.array(hurwitz)
+    if not (hurwitz.min() > 0.0 and hurwitz.max() < math.inf):  # nan fails too
+        i = int(np.argmin(np.all((hurwitz > 0.0) & (hurwitz < math.inf), axis=0)))
         raise NumericalError(f"mode {first + i + 2} (lambda={lam[i]:.6g}) has a Hurwitz factor out of float range")
 
 
@@ -350,18 +394,19 @@ def modal_variance(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
     polynomial fails at every mode, and InstabilityError names mode 2; any other is > 0 at lambda > 0, so one
     that rounds to 0 or overflows puts its term out of range, and NumericalError names the lowest such mode.
     """
-    table = _law(kind, gains)[2]  # (alpha, beta): the coefficients of polynomial entries in lambda
-    factors, pairs = _char_poly(table, np.convolve)
-    factors.append(table[:, 0, 1])  # [a_1, a_0, b_0] for d = 2; [a_2, a_0, b_1, b_0, r, c, ...] for d = 3
+    alpha, beta = _law(kind, gains)[2].tolist()  # the coefficients of polynomial entries in lambda
+    e = [[_Poly(entry) for entry in zip(*rows)] for rows in zip(alpha, beta)]
+    factors, pairs = _char_poly(e)
+    factors.append(e[0][1])  # [a_1, a_0, b_0] for d = 2; [a_2, a_0, b_1, b_0, r, c, ...] for d = 3
     if pairs:  # with the non-zero Hurwitz pairs
-        factors.append(np.convolve(table[:, 0, 2], table[:, 2, 1]) - np.convolve(table[:, 0, 1], table[:, 2, 2]))
-        factors += [x for pair in pairs if all(x.any() for x in pair) for x in pair]
-    if not (np.concatenate(factors) >= 0.0).all():  # nan fails too
+        factors.append(e[0][2] * e[2][1] - e[0][1] * e[2][2])
+        factors += [x for pair in pairs if all(any(x) for x in pair) for x in pair]
+    if not all(x >= 0.0 for x in itertools.chain.from_iterable(factors)):  # nan fails too
         raise NumericalError(f"{kind} gains {gains} give a mode factor a negative or nan coefficient in lambda")
     lam = spec.connected_modes()
-    if lam.size and not (factors[0].any() and factors[1].any() and len(factors) != 4):  # d = 3: a non-zero pair
+    if lam.size and not (any(factors[0]) and any(factors[1]) and len(factors) != 4):  # d = 3: a non-zero pair
         raise InstabilityError(f"mode 2 (lambda={lam[0]:.6g}) is not Hurwitz: a factor is 0", mode_index=2)
-    terms, factors = np.empty_like(lam), [x.tolist() for x in factors]
+    terms = np.empty_like(lam)
     for i in range(0, lam.size, _SUM_CHUNK):
         _modal_terms(factors, lam[i:i + _SUM_CHUNK], i, terms[i:i + _SUM_CHUNK])
     v_n = _mode_sum(terms) / (2.0 * spec.node_count)
@@ -376,6 +421,41 @@ def _check_oracle_size(n: int, size_limit: int = DEFAULT_ORACLE_LIMIT) -> None:
         raise OracleSizeError(f"system has N={n} nodes, full oracle capped at {size_limit}")
 
 
+def _trsyl(t11: np.ndarray, t22: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Y with ``t11 Y + Y t22^T = rhs`` by LAPACK ``dtrsyl``; NumericalError unless it solves at scale 1."""
+    from scipy.linalg.lapack import dtrsyl  # scipy is loaded by then: full_variance imports it
+
+    y, scale, info = dtrsyl(t11, t22, rhs, tranb="T")
+    if info or scale != 1.0:
+        raise NumericalError(f"full-oracle Lyapunov solve failed (info={info}, scale={scale})")
+    return y
+
+
+def _lyapunov_schur(t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Y with ``T Y + Y T^T = R`` for a real Schur form ``T`` and a symmetric ``R``, recursively blocked.
+
+    With ``T = [[T11, T12], [0, T22]]`` the blocks of Y solve, in turn, the Lyapunov equation of T22, the
+    Sylvester equation ``T11 Y12 + Y12 T22^T = R12 - T12 Y22`` (one ``dtrsyl`` call), ``Y21 = Y12^T``, and
+    the Lyapunov equation of T11 with ``R11 - T12 Y12^T - Y12 T12^T`` (Jonsson & Kagstrom, ACM TOMS 2002):
+    most of the work moves into matrix products.  The cut is at m/2, one row later where it would split a
+    2x2 block of T.  A system of at most ``_LYAPUNOV_LEAF`` states is one ``dtrsyl`` call.
+    """
+    m = t.shape[0]
+    if m <= _LYAPUNOV_LEAF:
+        return _trsyl(t, t, r)
+    k = m // 2
+    if t[k, k - 1]:  # a 2x2 block of complex eigenvalues: keep it whole
+        k += 1
+    t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
+    y = np.empty_like(r)
+    y[k:, k:] = y22 = _lyapunov_schur(t22, r[k:, k:])
+    y[:k, k:] = y12 = _trsyl(t11, t22, r[:k, k:] - t12 @ y22)
+    y[k:, :k] = y12.T
+    w = t12 @ y12.T
+    y[:k, :k] = _lyapunov_schur(t11, r[:k, :k] - w - w.T)
+    return y
+
+
 def full_variance(
     system: ClosedLoopSystem, size_limit: int = DEFAULT_ORACLE_LIMIT
 ) -> VarianceReport:
@@ -383,25 +463,26 @@ def full_variance(
 
     Every state block acts on the all-ones vector through a scalar (the
     Laplacian annihilates it), so the network-average directions span an
-    exactly invariant subspace that the centering output cannot see.  They
-    are projected out with the orthonormal ``scipy.linalg.helmert`` basis per
-    block -- this removes the marginal average dynamics -- and the variance is
-    tr(C X C^T) with X the controllability Gramian of the reduced system
-    (Bartels-Stewart solve).  A marginal eigenvalue surviving the deflation
-    is observable by construction and aborts the oracle.
+    exactly invariant subspace that the centering output cannot see: every
+    block of C must sum to zero along each row.  They are projected out
+    with rows 1..N-1 of ``scipy.linalg.helmert(N)``, an orthonormal basis
+    of the rest, applied to each N-row and N-column block -- this removes
+    the marginal average dynamics -- and the variance is tr(C X C^T) with X
+    the controllability Gramian of the reduced system: one real Schur form
+    gives the eigenvalue checks and the triangular Lyapunov equation, which
+    :func:`_lyapunov_schur` solves (Bartels-Stewart, recursively blocked).
+    A marginal eigenvalue surviving the deflation is observable by
+    construction and aborts the oracle.
     """
     _check_oracle_size(system.n, size_limit)
     import scipy.linalg  # on first use, as in spectrum()'s band route: importing it costs most of `import netcoh`
 
     n = system.n
     blocks = system.state_dim // n
-    # Helmert row 0 is the network average 1/sqrt(n); rows 1..n-1 span its complement
-    helmert = scipy.linalg.helmert(n, full=True)
-    basis = scipy.linalg.block_diag(*([helmert[1:].T] * blocks))
 
-    # the deflated directions must be invisible in the output
-    averages = scipy.linalg.block_diag(*([helmert[:1].T] * blocks))
-    observability = float(np.abs(system.c @ averages).max())
+    # the deflated directions must be invisible in the output: |C v| for v = 1/sqrt(n) on one block
+    sums = system.c.reshape(system.c.shape[0], blocks, n).sum(axis=2)
+    observability = float(np.abs(sums).max()) / math.sqrt(n)
     if observability > 1e-10:
         raise MarginalModeObservableError(
             f"network-average direction visible in output (|C v| = {observability:.3e})"
@@ -409,9 +490,18 @@ def full_variance(
 
     if n == 1:  # nothing is left after deflation: the centering output of one node is zero
         return VarianceReport(0.0, None, METHOD_FULL_LYAPUNOV)
-    a_red = basis.T @ system.a @ basis
-    b_red = basis.T @ system.b
-    c_red = system.c @ basis
+    helmert = scipy.linalg.helmert(n)  # (n - 1, n): Helmert rows 1..n-1, without the average row 1/sqrt(n)
+
+    def rows(m):  # helmert on every n-row block of m
+        return (helmert @ m.reshape(blocks, n, -1)).reshape(blocks * (n - 1), -1)
+
+    def columns(m):  # helmert^T on every n-column block of m
+        return (m.reshape(-1, n) @ helmert.T).reshape(m.shape[0], -1)
+
+    a_red = columns(rows(system.a))
+    b_red = rows(system.b)
+    c_red = columns(system.c)
+    noise = b_red @ b_red.T
 
     # one real Schur form a_red = Z T Z^T serves the checks and the solve
     gees = scipy.linalg.lapack.dgees
@@ -428,12 +518,10 @@ def full_variance(
             "marginal mode outside the network-average subspace; variance undefined"
         )
     # T Y + Y T^T = Z^T (-B B^T) Z, then X = Z Y Z^T
-    y, trsyl_scale, info = scipy.linalg.lapack.dtrsyl(t, t, z.T @ (-b_red @ b_red.T @ z), tranb="T")
-    if info or trsyl_scale != 1.0:
-        raise NumericalError(f"full-oracle Lyapunov solve failed (info={info}, scale={trsyl_scale})")
+    y = _lyapunov_schur(t, z.T @ (-noise @ z))
     x = z @ y @ z.T
     x = 0.5 * (x + x.T)
-    residual = np.abs(a_red @ x + x @ a_red.T + b_red @ b_red.T).max()
+    residual = np.abs(a_red @ x + x @ a_red.T + noise).max()
     if residual > 1e-8 * max(1.0, float(np.abs(x).max())) * scale:
         raise NumericalError(f"full-oracle residual {residual:.3e} too large")
     v = float(np.trace(c_red @ x @ c_red.T))

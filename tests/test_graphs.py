@@ -477,6 +477,33 @@ class TestBandRoute:
         dense[0] = 0.0
         assert nc.spectrum(graph).eigenvalues.tobytes() == dense.tobytes()
 
+    @pytest.mark.parametrize("graph", [nc.build_torus(16, 2, 1.0), nc.build_torus(8, 3, 1.0)],
+                             ids=["torus2_16", "torus3_8"])
+    def test_a_ball_too_large_for_the_band_refuses_after_one_pass(self, monkeypatch, graph):
+        # torus2 16: the 143 nodes within distance 8 of node 1 need kd >= 142 / 16 > 8 = N / 32;
+        # torus3 8: its 512 nodes within distance 12 need kd >= 511 / 24 > 16
+        reach, roots = graphs._reach, []
+        monkeypatch.setattr(graphs, "_reach", lambda root, *args: roots.append(root) or reach(root, *args))
+        dense = np.linalg.eigvalsh(nc.laplacian(graph))
+        dense[0] = 0.0
+        assert nc.spectrum(graph).eigenvalues.tobytes() == dense.tobytes()
+        assert roots == [0]
+
+    @pytest.mark.parametrize("graph", [nc.build_torus(side, dims, 1.0) for side, dims in
+                                       [(3, 2), (5, 2), (16, 2), (7, 3), (8, 3), (6, 3)]]
+                             + [nc.build_ring(40, 1.0), nc.build_path(33, 0.5), nc.from_edge_list(GOLDEN_GRAPH),
+                                nc.WeightedGraph(6, ((1, 2, 1.0), (2, 3, 1.0), (4, 5, 1.0), (5, 6, 1.0), (6, 4, 1.0))),
+                                random_graph(60, 0.05, 5), random_graph(40, 0.15, 3)],
+                             ids=["torus2_3", "torus2_5", "torus2_16", "torus3_7", "torus3_8", "torus3_6",
+                                  "ring40", "path33", "golden7", "two_pieces", "random60", "random40"])
+    def test_early_refusal_refuses_only_a_band_too_wide(self, graph):
+        whole = graphs._laplacian_band(graph, graph.node_count)  # kd <= N - 1: nothing refuses it
+        kd = whole.shape[0] - 1
+        for max_kd in range(kd + 2):
+            band = graphs._laplacian_band(graph, max_kd)
+            assert (band is None) == (max_kd < kd)
+            assert band is None or band.tobytes() == whole.tobytes()
+
     def test_a_failed_band_solve_raises(self, monkeypatch):
         import scipy.linalg.lapack
 

@@ -3,11 +3,13 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -22,7 +24,7 @@ from netcoh.errors import (
     OracleSizeError,
     UnboundedVarianceError,
 )
-from netcoh.graphs import family_spectrum
+from netcoh.graphs import build_family, family_spectrum
 from netcoh.tuning import default_bracket_hi
 from netcoh.variance import _SUM_CHUNK, _mode_sum
 
@@ -126,6 +128,27 @@ class TestFdpdVariance:
         closed = nc.fdpd_variance(spec, gains).v_n
         oracle = nc.modal_variance(spec, "fdpd", gains).v_n
         assert closed == pytest.approx(oracle, rel=1e-10)
+
+
+class TestClosedFormRange:
+    SPEC = nc.LaplacianSpectrum(np.array([0.0, 1.0, 1e155]), 1e-9)
+
+    @pytest.mark.parametrize("kind,gains", [("p", nc.PGains(1.0, 0.5, 1.0, 0.8)),
+                                            ("dapi", nc.DapiGains(1.0, 0.5, 1.0, 0.8, 0.1)),
+                                            ("fdpd", nc.FdpdGains(1.0, 0.5, 1.0, 0.8, 0.1))])
+    def test_an_overflowing_denominator_names_its_mode(self, kind, gains):
+        # each denominator is about 5e309 at lambda = 1e155: numpy warned, and the term came out 0.0, not 2e-310
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"^mode 3 \(lambda=1e\+155\) has a denominator out of float "
+                                                     r"range$"):
+                nc.variance_by_kind(self.SPEC, kind, gains)
+
+    def test_the_modal_route_names_the_same_mode(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"^mode 3 \(lambda=1e\+155\)"):
+                nc.modal_variance(self.SPEC, "dapi", nc.DapiGains(1.0, 0.5, 1.0, 0.8, 0.1))
 
 
 class TestModalOracle:
@@ -290,6 +313,73 @@ class TestFullOracle:
         )
         with pytest.raises(InstabilityError):
             nc.full_variance(shifted)
+
+
+def schur_form(m: int, pairs: list[int], seed: int) -> np.ndarray:
+    """A real Schur form of ``m`` states: stable real eigenvalues, and standard 2x2 blocks of complex
+    pairs on rows ``(i, i + 1)`` for each ``i`` in ``pairs``."""
+    rng = np.random.default_rng(seed)
+    t = np.triu(rng.uniform(-1.0, 1.0, (m, m)), 1) / math.sqrt(m)
+    t[np.diag_indices(m)] = -rng.uniform(0.5, 3.0, m)
+    for i in pairs:
+        t[i + 1, i + 1] = t[i, i]
+        t[i, i + 1], t[i + 1, i] = rng.uniform(0.5, 2.0), -rng.uniform(0.5, 2.0)
+    return t
+
+
+class TestRecursiveLyapunovSolve:
+    """variance._lyapunov_schur: T Y + Y T^T = R on a real Schur form, blocked above 64 states."""
+
+    @pytest.mark.parametrize("m,pairs", [(65, [20]), (130, [32, 64, 100]), (189, [94, 140]), (256, [127, 63])],
+                             ids=["65", "130_cut_in_blocks", "189_cut_in_a_block", "256_cut_in_blocks"])
+    def test_equals_scipy_lyapunov(self, m, pairs):
+        # m = 130: the cut m // 2 = 65 falls inside the block on rows 64..65, the cut of the 66 states
+        # above it inside the one on rows 32..33; m = 189: the cut 94 is a block's first row, and the
+        # cut of the 95 states below it falls inside the block on rows 140..141
+        t = schur_form(m, pairs, m)
+        r = np.random.default_rng(m + 1).standard_normal((m, m))
+        r += r.T
+        y = variance._lyapunov_schur(t, r)
+        expected = scipy.linalg.solve_continuous_lyapunov(t, r)
+        assert np.abs(y - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_cut_inside_a_block_moves_past_it(self):
+        t = schur_form(130, [64, 32], 3)
+        assert t[65, 64] and t[33, 32]  # both halving cuts would split a block
+        r = np.eye(130)
+        y = variance._lyapunov_schur(t, r)
+        assert np.abs(t @ y + y @ t.T - r).max() <= 1e-12
+
+    def test_up_to_64_states_is_one_trsyl_call(self):
+        t = schur_form(64, [31], 5)
+        r = np.random.default_rng(6).standard_normal((64, 64))
+        r += r.T
+        expected = scipy.linalg.lapack.dtrsyl(t, t, r, tranb="T")[0]
+        assert variance._lyapunov_schur(t, r).tobytes() == expected.tobytes()
+
+    def test_an_inner_solve_below_scale_one_raises(self, monkeypatch):
+        real, sizes = scipy.linalg.lapack.dtrsyl, []
+
+        def scaled(a, b, c, **options):
+            y, scale, info = real(a, b, c, **options)
+            sizes.append((a.shape[0], b.shape[0]))
+            return y, 0.5 if len(sizes) == 2 else scale, info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", scaled)
+        system = nc.assemble_p(nc.build_ring(40, 1.0), nc.PGains(1.0, 1.0, 1.0, 1.0))  # 78 reduced states
+        with pytest.raises(NumericalError, match=r"^full-oracle Lyapunov solve failed \(info=0, scale=0.5\)$"):
+            nc.full_variance(system)
+        assert len(sizes) == 2 and sum(sizes[1]) == 78  # the leaf Y22, then the Sylvester solve of Y12
+
+    @pytest.mark.parametrize("family", ["path", "ring"])
+    @pytest.mark.parametrize("kind,gains", [("dapi", nc.DapiGains(f=2.0, g=0.3, g0=1.0, k_i=0.8, c=0.1)),
+                                            ("fdpd", nc.FdpdGains(f=1.0, g=0.5, f0=0.3, k_d=1.2, tau=0.4))])
+    def test_full_oracle_at_the_cap_equals_the_closed_form(self, family, kind, gains):
+        graph = build_family(family, variance.DEFAULT_ORACLE_LIMIT, 1.0)
+        system = nc.assemble(graph, kind, gains)
+        assert system.state_dim - system.state_dim // system.n == 189  # reduced states
+        full = nc.full_variance(system).v_n
+        assert full == pytest.approx(nc.variance_by_kind(nc.spectrum(graph), kind, gains).v_n, rel=1e-10)
 
 
 class TestThreeWayAgreement:
@@ -477,6 +567,27 @@ class TestModalEqualsClosed:
         spec = nc.LaplacianSpectrum(np.array([0.0, *lams]), 1e-13)
         modal, closed = nc.modal_variance(spec, kind, gains).terms, nc.variance_by_kind(spec, kind, gains).terms
         assert np.all(np.abs(modal - closed) <= 1e-13 * closed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind_gains=LOG_KIND_GAINS)
+    @example(kind_gains=("dapi", nc.DapiGains(1e200, 1e200, 1e-200, 1e200, 1e200)))
+    def test_plain_float_expansion_is_np_convolve_bit_for_bit(self, kind_gains):
+        # every coefficient of the registered tables' expansion is one product, so any order of summing agrees
+        kind, gains = kind_gains
+        table = closed_loop._law(kind, gains)[2]
+        plain = closed_loop._char_poly([[variance._Poly(x) for x in zip(*rows)] for rows in zip(*table.tolist())])
+        with np.errstate(all="ignore"):
+            convolved = closed_loop._char_poly([list(row) for row in table.transpose(1, 2, 0).view(ConvolvedPoly)])
+        floats = lambda x: list(map(float, x))
+        as_lists = lambda factors, pairs: ([floats(x) for x in factors], [[floats(x) for x in pair] for pair in pairs])
+        assert repr(as_lists(*plain)) == repr(as_lists(*convolved))
+
+
+class ConvolvedPoly(np.ndarray):
+    """Coefficient arrays, lowest power first, whose product is ``np.convolve``."""
+
+    def __mul__(self, other):
+        return np.convolve(self, other).view(ConvolvedPoly)
 
 
 class TestReportSerialization:
