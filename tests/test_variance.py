@@ -144,12 +144,6 @@ class TestClosedFormRange:
                                                      r"range$"):
                 nc.variance_by_kind(self.SPEC, kind, gains)
 
-    def test_the_modal_route_names_the_same_mode(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match=r"^mode 3 \(lambda=1e\+155\)"):
-                nc.modal_variance(self.SPEC, "dapi", nc.DapiGains(1.0, 0.5, 1.0, 0.8, 0.1))
-
 
 class TestModalOracle:
     def test_complete2(self):
