@@ -4,7 +4,7 @@ Each controller is defined once, as a table of block coefficients: every
 block of its closed-loop matrix is ``alpha * I + beta * L``.  The full
 block-matrix dynamics driven by per-node white noise, the stacked per-mode
 2x2 / 3x3 matrices obtained by diagonalizing the Laplacian (L -> lambda), and
-one Routh-Hurwitz stability test shared by all controllers derive from it.
+one Routh-Hurwitz verdict per law, from the table's sign pattern, derive from it.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import math
 import numbers
+import operator
 import os
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -35,7 +36,6 @@ __all__ = [
     "assemble_dapi",
     "assemble_fdpd",
     "modal_matrices",
-    "routh_hurwitz",
     "power_preset",
     "droop_preset",
     "ideal_pd_equivalent",
@@ -128,10 +128,10 @@ class ClosedLoopSystem:
     States are stacked as x-block, v-block and (for dapi/fdpd) the auxiliary
     block; B injects unit-intensity noise into the v-block and C maps x to
     its deviation from the network average.  :func:`assemble` also stores
-    the modal form of ``L = U diag(lam) U^T``: ``U`` and the ``(N, d, d)``
-    stack of :func:`modal_matrices`, ``lam[0] = 0``.  That field cannot be
-    passed in and ``dataclasses.replace`` drops it: a hand-built or replaced
-    loop has none, and the simulator runs it as given.
+    the modal form of ``L = U diag(lam) U^T``: ``U``, the ``(N, d, d)``
+    stack of :func:`modal_matrices`, ``lam[0] = 0``, and the law's table.
+    That field cannot be passed in and ``dataclasses.replace`` drops it: a
+    hand-built or replaced loop has none, and the simulator runs it as given.
     """
 
     a: np.ndarray
@@ -139,7 +139,7 @@ class ClosedLoopSystem:
     c: np.ndarray
     kind: str
     n: int
-    _modal: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+    _modal: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def state_dim(self) -> int:
@@ -152,22 +152,41 @@ def _centering_output(n: int, state_dim: int) -> np.ndarray:
     return c
 
 
+def droop_preset(m: float, d: float, b: float, l: float) -> PGains:
+    """Droop-only P gains from swing-equation constants.
+
+    Inertia m and damping d give g0 = d/m; line susceptance b over edge
+    weight l gives the relative position gain f = b/(l*m); there is no
+    relative velocity coupling and no absolute position feedback.
+    """
+    for name, value in (("m", m), ("d", d), ("b", b), ("l", l)):
+        _positive(name, value)
+    return PGains(f=b / (l * m), g=0.0, f0=0.0, g0=d / m)
+
+
+def power_preset(m: float, d: float, b: float, l: float, k_i: float, c: float) -> DapiGains:
+    """DAPI gains from the same swing-equation constants: :func:`droop_preset`'s f and g0."""
+    droop = droop_preset(m, d, b, l)
+    return DapiGains(f=droop.f, g=0.0, g0=droop.g0, k_i=k_i, c=c)
+
+
 # The controllers, registered once: per name, the gains class; per gains-config
-# key, (field, default), None = required; and the block coefficients (alpha,
-# beta) of its gains.  Block (i, j) of the closed-loop matrix is alpha[i][j] * I
-# + beta[i][j] * L; rows and columns are the x, v and auxiliary blocks.
-_Controller = namedtuple("_Controller", "gains keys blocks")
+# key, (field, default), None = required; the block coefficients (alpha, beta)
+# of its gains; and its [power] preset and the keys read beside it, or None.
+# Block (i, j) of the closed-loop matrix is alpha[i][j] * I + beta[i][j] * L.
+_Controller = namedtuple("_Controller", "gains keys blocks preset")
 _CONTROLLERS = {
     KIND_P: _Controller(PGains, {"f": ("f", 0.0), "g": ("g", 0.0), "f0": ("f0", 0.0), "g0": ("g0", 0.0)},
-                        lambda k: ([[0, 1], [-k.f0, -k.g0]], [[0, 0], [-k.f, -k.g]])),
+                        lambda k: ([[0, 1], [-k.f0, -k.g0]], [[0, 0], [-k.f, -k.g]]), (droop_preset, {})),
     KIND_DAPI: _Controller(DapiGains, {"f": ("f", None), "g": ("g", 0.0), "g0": ("g0", None), "ki": ("k_i", None),
                                        "c": ("c", 0.0)},
                            lambda k: ([[0, 1, 0], [0, -k.g0, k.k_i], [0, -1, 0]],
-                                      [[0, 0, 0], [-k.f, -k.g, 0], [0, 0, -k.c]])),
+                                      [[0, 0, 0], [-k.f, -k.g, 0], [0, 0, -k.c]]),
+                           (power_preset, {"ki": ("k_i", None), "c": ("c", 0.0)})),
     KIND_FDPD: _Controller(FdpdGains, {"f": ("f", 0.0), "g": ("g", 0.0), "f0": ("f0", None), "kd": ("k_d", None),
                                        "tau": ("tau", None)},
                            lambda k: ([[0, 1, 0], [-k.f0, 0, 1], [0, -k.k_d / k.tau, -1 / k.tau]],
-                                      [[0, 0, 0], [-k.f, -k.g, 0], [0, 0, 0]])),
+                                      [[0, 0, 0], [-k.f, -k.g, 0], [0, 0, 0]]), None),
 }
 CONTROLLERS = tuple(_CONTROLLERS)
 
@@ -222,7 +241,7 @@ def assemble(graph: WeightedGraph, kind: str, gains) -> ClosedLoopSystem:
     b = np.eye(a.shape[0], n, -n)  # noise enters the v-block
     system = ClosedLoopSystem(a, b, _centering_output(n, a.shape[0]), kind, n)
     stack = np.ascontiguousarray(modal_matrices(kind, gains, modes.eigenvalues))  # one mode's matrix contiguous
-    object.__setattr__(system, "_modal", (basis, stack))
+    object.__setattr__(system, "_modal", (basis, stack, table))
     return system
 
 
@@ -255,13 +274,43 @@ def modal_matrices(kind: str, gains, lam: np.ndarray) -> np.ndarray:
     return (alpha[..., None] + beta[..., None] * lam).transpose(2, 0, 1)  # each entry of all modes contiguous
 
 
+class _Poly(tuple):
+    """A polynomial in lambda as its float coefficients, lowest power first: an entry of a controller table and
+    what :func:`_char_poly` forms of them, on plain floats.  Sums take operands of one length; a product is the
+    convolution.  Every coefficient of a registered controller's expansion is one product of table entries, so
+    the factors equal those of ``np.convolve`` bit for bit."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Poly(map(operator.add, self, other))
+
+    def __sub__(self, other):
+        return _Poly(map(operator.sub, self, other))
+
+    def __neg__(self):
+        return _Poly(map(operator.neg, self))
+
+    def __mul__(self, other):
+        out = [0.0] * (len(self) + len(other) - 1)
+        for i, x in enumerate(self):
+            for k, y in enumerate(other, i):
+                out[k] += x * y
+        return _Poly(out)
+
+
+def _entries(table: np.ndarray) -> list:
+    """The entries ``alpha + beta * lambda`` of a law's ``(alpha, beta)`` table as rows of :class:`_Poly`."""
+    alpha, beta = table.tolist()
+    return [[_Poly(entry) for entry in zip(*rows)] for rows in zip(alpha, beta)]
+
+
 def _char_poly(e: list) -> tuple[list, list]:
-    """Routh-Hurwitz factors of det(sI - A) = s^d + ... + a_0, d = 2 or 3, by cofactor expansion of A's entries
-    ``e[i][j]``: arrays over a stack of matrices, or polynomials in lambda of a controller table's entries, any
-    values with ``+``, ``-`` and ``*``, expanded once for all modes: ``([a_1, a_0], [])`` for d = 2,
-    ``([a_2, a_0], pairs)`` for d = 3 with a_1 a_2 - a_0 = sum(r * c for r, c in pairs), -det of A's bialternate
-    sum (Fuller 1968) along its first row: no subtraction forms it.  For P, DAPI and F-DPD each value is a sum of
-    monomials of one sign.
+    """Routh-Hurwitz factors of det(sI - A) = s^d + ... + a_0, d = 2 or 3, by cofactor expansion of the entries
+    ``e[i][j]`` of A: a controller table's polynomials in lambda (:func:`_entries`), expanded once for all
+    modes.  Returns ``([a_1, a_0], [])`` for d = 2 and ``([a_2, a_0], pairs)`` for d = 3 with a_1 a_2 - a_0 =
+    sum(r * c for r, c in pairs), -det of A's bialternate sum (Fuller 1968) along its first row: no subtraction
+    forms it.  For P, DAPI and F-DPD each coefficient is a sum of monomials of one sign in the table's entries.
     """
     def minor(m, i, j, r, s):
         return m[i][r] * m[j][s] - m[i][s] * m[j][r]
@@ -279,42 +328,15 @@ def _char_poly(e: list) -> tuple[list, list]:
     return factors, [(-r0, m0), (r1, m1), (-r2, m2)]
 
 
-def _hurwitz_h(a2, pairs):
-    """h = (a_1 a_2 - a_0) / a_2, each entry r divided by a_2 first, so that h keeps a_1's magnitude."""
-    return sum((r / a2) * c for r, c in pairs)
+def _is_hurwitz(table: np.ndarray) -> bool:
+    """Routh-Hurwitz verdict of a law's ``(alpha, beta)`` table at every lambda > 0, from its sign pattern alone.
 
-
-def routh_hurwitz(a: np.ndarray) -> np.ndarray:
-    """Hurwitz verdict per matrix of a ``(k, d, d)`` stack, d = 2 or 3: :func:`_char_poly`'s factors and h, whose
-    cofactor expansion keeps the relative precision of a tiny a_0 such as DAPI's f*c*lam^2, are finite and > 0."""
-    d = a.shape[-1]
-    if a.ndim != 3 or d not in (2, 3) or a.shape[1] != d:
-        raise InvalidParameterError(f"unsupported modal matrix shape {a.shape[1:]}")
-    with np.errstate(all="ignore"):  # a non-finite factor fails the test
-        factors, pairs = _char_poly([list(row) for row in a.transpose(1, 2, 0)])  # entry (i, j) over the stack
-        factors += [_hurwitz_h(factors[0], pairs)] if pairs else []
-    return np.all([(x > 0.0) & np.isfinite(x) for x in factors], axis=0)
-
-
-def power_preset(
-    m: float, d: float, b: float, l: float, k_i: float, c: float
-) -> DapiGains:
-    """DAPI gains from swing-equation constants.
-
-    Inertia m and damping d give g0 = d/m; line susceptance b over edge
-    weight l gives the relative position gain f = b/(l*m); there is no
-    relative velocity coupling.
+    Each coefficient of :func:`_char_poly`'s factors and of h = sum(r * c) sums monomials of one sign in the
+    table's entries, so a factor is > 0 at every lambda > 0 unless it is the zero polynomial.  Expanding
+    ``np.sign(table)`` is exact: DAPI's a_0 = f c lambda^2 at f = c = 1e-170 underflows to 0, but not there.
     """
-    for name, value in (("m", m), ("d", d), ("b", b), ("l", l)):
-        _positive(name, value)
-    return DapiGains(f=b / (l * m), g=0.0, g0=d / m, k_i=k_i, c=c)
-
-
-def droop_preset(m: float, d: float, b: float, l: float) -> PGains:
-    """Droop-only P gains from the same swing-equation constants."""
-    for name, value in (("m", m), ("d", d), ("b", b), ("l", l)):
-        _positive(name, value)
-    return PGains(f=b / (l * m), g=0.0, f0=0.0, g0=d / m)
+    factors, pairs = _char_poly(_entries(np.sign(table)))
+    return all(map(any, factors)) and (not pairs or any(any(r * c) for r, c in pairs))  # no r * c cancels another
 
 
 def ideal_pd_equivalent(gains: FdpdGains) -> PGains:
@@ -395,18 +417,14 @@ def parse_gains_config(text: str):
                 f"key {key!r} is not a number: {section[key]!r}"
             ) from None
 
-    if "power" in parser:
-        if kind == KIND_FDPD:
-            raise InvalidParameterError("power preset applies to controller p or dapi only")
-        power = parser["power"]
-        _reject_unknown(power, ("m", "d", "b", "l"), "[power] keys")
-        _reject_unknown(main, ("controller", "ki", "c") if kind == KIND_DAPI else ("controller",),
-                        "gains keys for this controller beside [power]")
-        m, d, b, l = (value(power, key) for key in ("m", "d", "b", "l"))
-        if kind == KIND_DAPI:
-            return kind, power_preset(m, d, b, l, value(main, "ki"), value(main, "c", 0.0))
-        return kind, droop_preset(m, d, b, l)
-
     entry = _CONTROLLERS[kind]
-    _reject_unknown(main, ("controller", *entry.keys), "gains keys for this controller")
-    return kind, entry.gains(**{name: value(main, key, default) for key, (name, default) in entry.keys.items()})
+    build, keys, beside = entry.gains, entry.keys, ""  # the plain form, or the [power] preset
+    if "power" in parser:
+        if entry.preset is None:
+            names = (name for name, other in _CONTROLLERS.items() if other.preset is not None)
+            raise InvalidParameterError(f"power preset applies to controller {' or '.join(names)} only")
+        _reject_unknown(parser["power"], ("m", "d", "b", "l"), "[power] keys")
+        (build, keys), beside = entry.preset, " beside [power]"
+    _reject_unknown(main, ("controller", *keys), "gains keys for this controller" + beside)
+    swing = [value(parser["power"], key) for key in ("m", "d", "b", "l")] if "power" in parser else []
+    return kind, build(*swing, **{name: value(main, key, default) for key, (name, default) in keys.items()})

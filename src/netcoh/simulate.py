@@ -63,11 +63,11 @@ from .closed_loop import (
     FdpdGains,
     PGains,
     _integer,
+    _is_hurwitz,
     _positive,
     assemble,
     droop_preset,
     power_preset,
-    routh_hurwitz,
 )
 from .csvrows import csv_blocks
 from .errors import (
@@ -167,17 +167,18 @@ class _Modes(NamedTuple):
     a: np.ndarray  # (K, d, d) mode matrices
     inject: np.ndarray  # (K, d, r) noise input of a step: r = 1 rotated draw per mode, or all N
     output: np.ndarray  # (K, d, p): ||y||^2 is the squared norm of the outputs of all modes
+    table: np.ndarray | None  # the law's (alpha, beta), of which every mode is alpha + beta lam_k; None if hand-built
 
 
 def _modes(system: ClosedLoopSystem) -> _Modes:
     if system._modal is None:  # hand-built or replaced: one mode of size dim, U = I
-        return _Modes(np.ones((1, 1)), system.a[None], system.b[None], system.c.T[None])
-    basis, a = system._modal
+        return _Modes(np.ones((1, 1)), system.a[None], system.b[None], system.c.T[None], None)
+    basis, a, table = system._modal
     inject = np.zeros((system.n, a.shape[1], 1))
     inject[:, 1] = 1.0  # noise enters v
     output = np.zeros_like(inject)
     output[1:, 0] = 1.0  # y sees x of every mode but the network average
-    return _Modes(basis, a, inject, output)
+    return _Modes(basis, a, inject, output, table)
 
 
 def _stable_eigs(modes: _Modes) -> np.ndarray:
@@ -185,9 +186,9 @@ def _stable_eigs(modes: _Modes) -> np.ndarray:
 
     Mode 0 (the network average; all of a hand-built loop) drops the
     eigenvalues within ``tol = 1e-6 * max(1, |xi|max)`` of the axis and
-    raises above it; every other mode must have ``Re xi < 0``, or raises
-    :class:`NumericalError` if Routh-Hurwitz calls it stable (a slow root
-    below eigenvalue resolution).
+    raises above it; every other mode must have ``Re xi < 0``, or the law's
+    Routh-Hurwitz verdict tells an unstable mode (:class:`InstabilityError`)
+    from a root below eigenvalue resolution (:class:`NumericalError`).
     """
     eigs = np.linalg.eigvals(modes.a)
     tol = 1e-6 * max(1.0, float(np.abs(eigs).max()))
@@ -195,9 +196,8 @@ def _stable_eigs(modes: _Modes) -> np.ndarray:
         raise InstabilityError(f"closed loop is unstable (max eigenvalue real part {eigs.real.max():.3e})")
     marginal = 1 + np.flatnonzero(np.any(eigs[1:].real >= 0.0, axis=1))
     if marginal.size:
-        hurwitz = routh_hurwitz(modes.a[marginal])
-        if not hurwitz.all():
-            raise InstabilityError(f"mode {marginal[~hurwitz][0] + 1} is not strictly stable")
+        if not _is_hurwitz(modes.table):  # a zero factor: every mode but the network average fails
+            raise InstabilityError(f"mode {marginal[0] + 1} is not strictly stable")
         raise NumericalError(f"mode {marginal[0] + 1} is stable by Routh-Hurwitz, but its slowest root is below "
                              f"eigenvalue resolution (computed real part {eigs[marginal[0]].real.max():.3e})")
     stable = np.concatenate([eigs[0][eigs[0].real < -tol], eigs[1:].ravel()])

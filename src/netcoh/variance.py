@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import threading
 from dataclasses import dataclass, field
 
@@ -47,8 +46,9 @@ from .closed_loop import (
     FdpdGains,
     PGains,
     _char_poly,
-    _hurwitz_h,
+    _entries,
     _integer,
+    _is_hurwitz,
     _law,
 )
 from .csvrows import indexed_csv_blocks
@@ -214,19 +214,26 @@ def _fdpd_den(lam: np.ndarray, gains: FdpdGains) -> np.ndarray:
     return pos * (g * lam + filt)
 
 
+def _quotient(num: float, den: float) -> float:
+    """``num / den`` of a uniform bound; NumericalError where it overflows or ``den`` lost digits below 2**-1022."""
+    if not (den >= 2.0**-1022 and num / den < math.inf):
+        raise NumericalError(f"the uniform-in-N bound {num!r} / {den!r} is out of float range")
+    return num / den
+
+
 def dapi_bound(gains: DapiGains) -> float:
     """Uniform-in-N upper bound (f + c*g0) / (2 * k_i * f * g0)."""
-    return (gains.f + gains.c * gains.g0) / (2.0 * gains.k_i * gains.f * gains.g0)
+    return _quotient(gains.f + gains.c * gains.g0, 2.0 * gains.k_i * gains.f * gains.g0)
 
 
 def fdpd_bound(gains: FdpdGains) -> float:
     """Uniform-in-N upper bound (tau^2 * f0 + 1) / (2 * f0 * k_d)."""
-    return (gains.tau**2 * gains.f0 + 1.0) / (2.0 * gains.f0 * gains.k_d)
+    return _quotient(gains.tau**2 * gains.f0 + 1.0, 2.0 * gains.f0 * gains.k_d)
 
 
-# kind -> the denominator of its mode term, what a non-positive one means, and its uniform-in-N bound
+# kind -> the denominator of its mode term, what a non-positive one means, and its uniform-in-N bound, None for P
 _CLOSED_FORMS = {
-    KIND_P: (_p_den, "zero denominator under P control", None),
+    KIND_P: (_p_den, "zero denominator under P control", lambda gains: None),
     KIND_DAPI: (_dapi_den, "non-positive denominator under DAPI", dapi_bound),
     KIND_FDPD: (_fdpd_den, "non-positive denominator under F-DPD", fdpd_bound),
 }
@@ -257,11 +264,6 @@ def _terms(kind: str, gains, lam: np.ndarray, first: int = 0, out: np.ndarray | 
                 raise NumericalError(f"mode {first + i + 2} (lambda={lam[i]:.6g}) has a denominator out of "
                                      f"float range")
         return np.divide(1.0, den, out=out)
-
-
-def _bound(kind: str, gains) -> float | None:
-    bound = _CLOSED_FORMS[kind][2]
-    return None if bound is None else bound(gains)
 
 
 def p_variance(spec: LaplacianSpectrum, gains: PGains) -> VarianceReport:
@@ -316,37 +318,12 @@ def variance_by_kind(spec: LaplacianSpectrum, kind: str, gains) -> VarianceRepor
     for i in range(0, lam.size, _SUM_CHUNK):
         _terms(*law, lam[i:i + _SUM_CHUNK], i, terms[i:i + _SUM_CHUNK])
     v_n = _mode_sum(terms) / (2.0 * spec.node_count)
-    return VarianceReport(v_n, _bound(kind, gains), METHOD_CLOSED_FORM, lam, terms)
+    return VarianceReport(v_n, _CLOSED_FORMS[kind][2](gains), METHOD_CLOSED_FORM, lam, terms)
 
 
 # ---------------------------------------------------------------------------
 # Lyapunov-equation oracles.
 # ---------------------------------------------------------------------------
-
-
-class _Poly(tuple):
-    """A polynomial in lambda as its float coefficients, lowest power first: the entries of a controller table
-    and what :func:`~netcoh.closed_loop._char_poly` forms of them, on plain floats.  Sums take operands of one
-    length; a product is the convolution.  Every coefficient of a registered controller's expansion is one
-    product of table entries, so the factors equal those of ``np.convolve`` bit for bit."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return _Poly(map(operator.add, self, other))
-
-    def __sub__(self, other):
-        return _Poly(map(operator.sub, self, other))
-
-    def __neg__(self):
-        return _Poly(map(operator.neg, self))
-
-    def __mul__(self, other):
-        out = [0.0] * (len(self) + len(other) - 1)
-        for i, x in enumerate(self):
-            for k, y in enumerate(other, i):
-                out[k] += x * y
-        return _Poly(out)
 
 
 def _horner(coeffs, lam: np.ndarray) -> np.ndarray:
@@ -367,12 +344,13 @@ def _modal_terms(factors: list, lam: np.ndarray, first: int, out: np.ndarray) ->
     """Terms of modes ``first + 2, ...`` at ``lam`` into ``out``; NumericalError if a Hurwitz factor is out of range."""
     with np.errstate(all="ignore"):
         values = [_horner(poly, lam) for poly in factors]
-        if len(values) == 3:
-            (a1, a0, b0), hurwitz = values, values[:2]
-            np.divide(b0 * b0, a0 * a1, out=out)
-        else:
+        if len(values) == 3:  # a_1, a_0 >= 0: their product, the Hurwitz determinant, is in range only if both are
+            a1, a0, b0 = values
+            hurwitz = [a0 * a1]
+            np.divide(b0 * b0, hurwitz[0], out=out)
+        else:  # h = (a_1 a_2 - a_0) / a_2, each r divided by a_2 first, so that h keeps a_1's magnitude
             a2, a0, b1, b0, *products = values
-            hurwitz = [a2, a0, _hurwitz_h(a2, zip(products[::2], products[1::2]))]
+            hurwitz = [a2, a0, sum((r / a2) * c for r, c in zip(products[::2], products[1::2]))]
             np.divide(b1 * (b1 / a2) + b0 * (b0 / a0), hurwitz[2], out=out)
         hurwitz = np.array(hurwitz)
     if not (hurwitz.min() > 0.0 and hurwitz.max() < math.inf):  # nan fails too
@@ -391,11 +369,12 @@ def modal_variance(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
     nothing cancels, and a priori, away from underflow and overflow, a term is within gamma_51 = 51u / (1 - 51u)
     < 5.7e-15 relative (gamma_17 for d = 2) of the exact term of the table's entries, u = 2**-53: no path to it
     holds more than 51 roundings of values of one sign.  Routh-Hurwitz is "every factor is > 0": a zero factor
-    polynomial fails at every mode, and InstabilityError names mode 2; any other is > 0 at lambda > 0, so one
-    that rounds to 0 or overflows puts its term out of range, and NumericalError names the lowest such mode.
+    polynomial fails at every mode, and names mode 2, InstabilityError if the law's is zero too (its table's sign
+    pattern), else NumericalError: its coefficients underflowed.  Any other is > 0 at lambda > 0, so where it, or
+    a_0 a_1 for d = 2, rounds to 0 or overflows, the term is out of range, and NumericalError names the lowest mode.
     """
-    alpha, beta = _law(kind, gains)[2].tolist()  # the coefficients of polynomial entries in lambda
-    e = [[_Poly(entry) for entry in zip(*rows)] for rows in zip(alpha, beta)]
+    table = _law(kind, gains)[2]
+    e = _entries(table)
     factors, pairs = _char_poly(e)
     factors.append(e[0][1])  # [a_1, a_0, b_0] for d = 2; [a_2, a_0, b_1, b_0, r, c, ...] for d = 3
     if pairs:  # with the non-zero Hurwitz pairs
@@ -405,12 +384,14 @@ def modal_variance(spec: LaplacianSpectrum, kind: str, gains) -> VarianceReport:
         raise NumericalError(f"{kind} gains {gains} give a mode factor a negative or nan coefficient in lambda")
     lam = spec.connected_modes()
     if lam.size and not (any(factors[0]) and any(factors[1]) and len(factors) != 4):  # d = 3: a non-zero pair
-        raise InstabilityError(f"mode 2 (lambda={lam[0]:.6g}) is not Hurwitz: a factor is 0", mode_index=2)
+        if not _is_hurwitz(table):
+            raise InstabilityError(f"mode 2 (lambda={lam[0]:.6g}) is not Hurwitz: a factor is 0", mode_index=2)
+        raise NumericalError(f"mode 2 (lambda={lam[0]:.6g}) has a Hurwitz factor that underflows to 0")
     terms = np.empty_like(lam)
     for i in range(0, lam.size, _SUM_CHUNK):
         _modal_terms(factors, lam[i:i + _SUM_CHUNK], i, terms[i:i + _SUM_CHUNK])
     v_n = _mode_sum(terms) / (2.0 * spec.node_count)
-    return VarianceReport(v_n, _bound(kind, gains), METHOD_MODAL_LYAPUNOV, lam, terms)
+    return VarianceReport(v_n, _CLOSED_FORMS[kind][2](gains), METHOD_MODAL_LYAPUNOV, lam, terms)
 
 
 def _check_oracle_size(n: int, size_limit: int = DEFAULT_ORACLE_LIMIT) -> None:

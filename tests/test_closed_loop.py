@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import netcoh as nc
 from netcoh import closed_loop
-from netcoh.closed_loop import modal_matrices, routh_hurwitz
+from netcoh.closed_loop import _is_hurwitz, _law, modal_matrices
 from netcoh.errors import (
     CoherenceError,
     DisconnectedGraphError,
@@ -177,52 +177,52 @@ class TestModalSubsystem:
             one_mode("p", nc.PGains(1.0, 1.0), -0.5)
 
 
+def verdict(kind, gains):
+    """The Routh-Hurwitz verdict of the law that controller ``kind`` runs with ``gains``."""
+    return _is_hurwitz(_law(kind, gains)[2])
+
+
 class TestStability:
     def test_p_examples(self):
-        stack = modal_matrices("p", nc.PGains(f=1.0, g=1.0), np.array([1.0, 0.0]))
-        assert routh_hurwitz(stack).tolist() == [True, False]
+        # the verdict holds at lambda > 0: the lambda = 0 mode of relative-only gains has an eigenvalue 0
+        gains = nc.PGains(f=1.0, g=1.0)
+        assert verdict("p", gains)
+        eigs = np.linalg.eigvals(modal_matrices("p", gains, np.array([1.0, 0.0])))
+        assert np.all(eigs[0].real < 0) and np.abs(eigs[1]).min() == 0.0
+        assert not verdict("p", nc.PGains(f=1.0, g=0.0)) and not verdict("p", nc.PGains(f=0.0, g=1.0))
 
     def test_fdpd_example_against_eigenvalues(self):
         gains = nc.FdpdGains(f=1.0, g=1.0, f0=1.0, k_d=1.0, tau=0.1)
         a = one_mode("fdpd", gains, 1.0)
-        assert routh_hurwitz(a)[0]
+        assert verdict("fdpd", gains)
         assert np.all(np.linalg.eigvals(a[0]).real < 0)
 
     def test_p_modes_stable_whenever_coefficients_positive(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            gains = nc.PGains(
-                f=float(rng.uniform(0, 2)),
-                g=float(rng.uniform(0, 2)),
-                f0=float(rng.uniform(0, 2)),
-                g0=float(rng.uniform(0, 2)),
-            )
+            # each gain 0 one time in three, so that both verdicts occur
+            gains = nc.PGains(*(float(rng.uniform(0, 2)) * (rng.uniform() > 1 / 3) for _ in range(4)))
             lam = float(rng.uniform(0.01, 10))
             positive = (gains.f0 + gains.f * lam > 0) and (gains.g0 + gains.g * lam > 0)
-            assert routh_hurwitz(one_mode("p", gains, lam))[0] == positive
+            assert verdict("p", gains) == positive
+            if positive:
+                assert np.all(np.linalg.eigvals(one_mode("p", gains, lam)[0]).real < 0)
 
-    def test_routh_hurwitz_agrees_with_eigenvalues_on_1000_draws(self):
+    def test_fdpd_verdict_agrees_with_eigenvalues_on_500_draws(self):
         rng = np.random.default_rng(11)
         checked = 0
-        while checked < 1000:
-            if checked % 2 == 0:
-                gains = nc.FdpdGains(
-                    f=float(rng.uniform(0, 3)),
-                    g=float(rng.uniform(0, 3)),
-                    f0=float(rng.uniform(0.05, 3)),
-                    k_d=float(rng.uniform(0.05, 3)),
-                    tau=float(rng.uniform(0.01, 2)),
-                )
-                matrix = one_mode("fdpd", gains, float(rng.uniform(0, 10)))[0]
-            else:
-                # same filtered-PD structure with arbitrary, possibly
-                # destabilizing entries
-                a, b, d, e = rng.uniform(-3, 3, size=4)
-                matrix = np.array([[0.0, 1.0, 0.0], [a, b, 1.0], [0.0, d, e]])
-            eigs = np.linalg.eigvals(matrix)
+        while checked < 500:
+            gains = nc.FdpdGains(
+                f=float(rng.uniform(0, 3)),
+                g=float(rng.uniform(0, 3)),
+                f0=float(rng.uniform(0.05, 3)),
+                k_d=float(rng.uniform(0.05, 3)),
+                tau=float(rng.uniform(0.01, 2)),
+            )
+            eigs = np.linalg.eigvals(one_mode("fdpd", gains, float(rng.uniform(0, 10)))[0])
             if np.abs(eigs.real).min() < 1e-9:  # boundary, verdicts may differ
                 continue
-            assert routh_hurwitz(matrix[None])[0] == bool(np.all(eigs.real < 0))
+            assert verdict("fdpd", gains) and np.all(eigs.real < 0)
             checked += 1
 
     def test_dapi_modes_numerically_stable_for_valid_gains(self):
@@ -235,16 +235,21 @@ class TestStability:
                 k_i=float(rng.uniform(0.05, 3)),
                 c=float(rng.uniform(0.01, 2)),
             )
-            assert routh_hurwitz(one_mode("dapi", gains, float(rng.uniform(0.01, 10))))[0]
+            assert verdict("dapi", gains)
+            assert np.all(np.linalg.eigvals(one_mode("dapi", gains, float(rng.uniform(0.01, 10)))[0]).real < 0)
+        assert not verdict("dapi", replace(DAPI_README, c=0.0))
 
     def test_slow_dapi_mode_on_ring_1200_is_stable(self):
         # the slow root is about -f*c*lam^2/k_i = -7.5e-11, below the old
         # eigenvalue threshold of 1e-10 times the spectral radius
         lam2 = float(nc.ring_spectrum(1200, 1.0).eigenvalues[1])
-        assert routh_hurwitz(one_mode("dapi", DAPI_README, lam2))[0]
+        assert verdict("dapi", DAPI_README)
+        slowest = np.linalg.eigvals(one_mode("dapi", DAPI_README, lam2)[0]).real.max()
+        assert slowest == pytest.approx(-DAPI_README.f * DAPI_README.c * lam2**2 / DAPI_README.k_i, rel=1e-3)
 
     @pytest.mark.parametrize("c", [1e-6, 1e-3, 0.1, 2.0])
     def test_every_dapi_mode_stable_on_families_up_to_4096(self, c):
+        # the modal route takes each mode's Routh-Hurwitz factors at its lambda: every one is > 0
         gains = replace(DAPI_README, c=c)
         spectra = [
             nc.ring_spectrum(1200, 1.0),
@@ -253,10 +258,10 @@ class TestStability:
             nc.torus_spectrum(64, 2, 1.0),
             nc.torus_spectrum(16, 3, 1.0),
         ]
+        assert verdict("dapi", gains)
         for spec in spectra:
-            stack = modal_matrices("dapi", gains, spec.connected_modes())
-            assert all(routh_hurwitz(a[None])[0] for a in stack)  # each mode on its own
-            assert routh_hurwitz(stack).all()
+            terms = nc.modal_variance(spec, "dapi", gains).terms
+            assert terms.size == spec.node_count - 1 and np.all((terms > 0) & np.isfinite(terms))
 
 
 def eigenvalue_multisets_match(full, parts, tol):

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import netcoh as nc
-from netcoh.closed_loop import _law, modal_matrices, routh_hurwitz
+from netcoh.closed_loop import _is_hurwitz, _law, modal_matrices
 from netcoh.errors import InstabilityError, NumericalError
 
 from conftest import random_connected_graph
@@ -34,6 +34,14 @@ def kind_and_gains(draw):
     if kind == "dapi":
         return kind, nc.DapiGains(draw(positive), draw(gain), draw(positive), draw(positive), draw(gain))
     return kind, nc.FdpdGains(draw(gain), draw(gain), draw(positive), draw(positive), draw(positive))
+
+
+def zero_gain(kind, gains):
+    """Whether a law has a Routh-Hurwitz factor that is the zero polynomial in lambda: P with f = f0 = 0 or
+    g = g0 = 0, DAPI with c = 0, F-DPD never (its f0, k_d > 0)."""
+    if kind == "p":
+        return gains.f == gains.f0 == 0.0 or gains.g == gains.g0 == 0.0
+    return kind == "dapi" and gains.c == 0.0
 
 
 def reference_modal(kind, gains, lam):
@@ -118,8 +126,8 @@ def test_companion_terms_match_per_mode_solves(kg, values):
     lam = spec.connected_modes()
     try:
         terms = nc.modal_variance(spec, kind, gains).terms
-    except InstabilityError as exc:  # Routh-Hurwitz, the route's only Hurwitz test
-        assert not routh_hurwitz(modal_matrices(kind, gains, lam)).all()
+    except InstabilityError as exc:  # Routh-Hurwitz: only a zero-gain law, which the assumptions exclude
+        assert zero_gain(kind, gains)
         assert str(exc).startswith(f"mode {exc.mode_index} (lambda=")
         return
     except NumericalError as exc:  # a term out of floating-point range
@@ -139,23 +147,17 @@ def test_companion_terms_match_per_mode_solves(kg, values):
 
 @PROPERTY
 @given(kind_and_gains(), lams)
-def test_routh_hurwitz_matches_eigenvalues_for_gains(kg, values):
+def test_hurwitz_verdict_matches_eigenvalues_for_gains(kg, values):
+    # the verdict is the law's, from its table's sign pattern: false exactly for the zero-gain laws, and where a
+    # mode's eigenvalues are clear of the imaginary axis they agree with it at every lambda > 0
     kind, gains = kg
-    stack = modal_matrices(kind, gains, np.array(values))
-    for a, verdict in zip(stack, routh_hurwitz(stack)):
-        eigs = np.linalg.eigvals(a)
-        if np.abs(eigs.real).min() <= 1e-6 * max(1.0, np.abs(eigs).max()):
-            continue  # on the stability boundary the verdicts may differ
+    verdict = _is_hurwitz(_law(kind, gains)[2])
+    assert verdict == (not zero_gain(kind, gains))
+    for lam in values:
+        eigs = np.linalg.eigvals(reference_modal(kind, gains, lam))
+        if lam == 0.0 or np.abs(eigs.real).min() <= 1e-6 * max(1.0, np.abs(eigs).max()):
+            continue  # lambda = 0 is the network average; on the stability boundary the verdicts may differ
         assert verdict == bool(np.all(eigs.real < 0.0))
-
-
-@PROPERTY
-@given(st.sampled_from([2, 3]), st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9))
-def test_routh_hurwitz_matches_eigenvalues_for_any_matrix(d, entries):
-    a = np.array(entries[: d * d]).reshape(d, d)
-    eigs = np.linalg.eigvals(a)
-    assume(np.abs(eigs.real).min() > 1e-6 * max(1.0, np.abs(eigs).max()))
-    assert routh_hurwitz(a[None])[0] == bool(np.all(eigs.real < 0.0))
 
 
 @PROPERTY
@@ -255,6 +257,70 @@ def test_overflowing_stable_mode_is_not_called_unstable():
     spec = nc.LaplacianSpectrum(np.array([0.0, 1.0, 1e155]), 1e-9)
     with pytest.raises(NumericalError, match=r"^mode 3 \(lambda=1e\+155\) has a Hurwitz factor out of float range"):
         nc.modal_variance(spec, "dapi", nc.DapiGains(1.0, 0.5, 1.0, 0.8, 0.1))
+
+
+def test_overflowing_hurwitz_determinant_of_a_p_mode_is_refused():
+    # at lambda = 1e155, a_1 = g0 + g lambda and a_0 = f0 + f lambda are in range but a_0 a_1 is not, so the term
+    # b_0^2 / (a_0 a_1) would round to 0; the closed form refuses mode 3 too
+    spec = nc.LaplacianSpectrum(np.array([0.0, 1.0, 1e155]), 1e-9)
+    gains = nc.PGains(1.0, 0.5, 1.0, 0.8)
+    with pytest.raises(NumericalError, match=r"^mode 3 \(lambda=1e\+155\) has a denominator out of float range"):
+        nc.p_variance(spec, gains)
+    with pytest.raises(NumericalError, match=r"^mode 3 \(lambda=1e\+155\) has a Hurwitz factor out of float range"):
+        nc.modal_variance(spec, "p", gains)
+
+
+# DAPI is Hurwitz for every c > 0, but the coefficient f c = 1e-340 of its a_0 = f c lambda^2 underflows to 0
+UNDERFLOW = nc.DapiGains(f=1e-170, g=0.5, g0=1.0, k_i=0.8, c=1e-170)
+
+
+@pytest.mark.parametrize("spec", [nc.path_spectrum(3, 1.0), nc.ring_spectrum(8, 1.0)], ids=["path3", "ring8"])
+def test_underflowing_factor_of_a_hurwitz_law_is_not_called_unstable(spec):
+    # the closed form answers; the modal route's a_0 comes out the zero polynomial, and the law's sign pattern
+    # tells that from a zero gain: it refuses the factor as out of range, naming mode 2
+    closed = nc.dapi_variance(spec, UNDERFLOW).v_n
+    assert closed == pytest.approx(23.0 / 36.0, rel=1e-15) if spec.node_count == 3 else closed > 0.0
+    with pytest.raises(NumericalError, match=r"^mode 2 \(lambda=[0-9.]+\) has a Hurwitz factor that underflows to 0"):
+        nc.modal_variance(spec, "dapi", UNDERFLOW)
+
+
+log_gain = st.floats(-200.0, 3.0).map(lambda e: 10.0**e)
+log_gain_or_zero = st.one_of(st.just(0.0), log_gain)
+
+
+@st.composite
+def log_kind_and_gains(draw):
+    kind = draw(st.sampled_from(["p", "dapi", "fdpd"]))
+    if kind == "p":
+        return kind, nc.PGains(*(draw(log_gain_or_zero) for _ in range(4)))
+    if kind == "dapi":
+        return kind, nc.DapiGains(draw(log_gain), draw(log_gain_or_zero), draw(log_gain), draw(log_gain),
+                                  draw(log_gain_or_zero))
+    return kind, nc.FdpdGains(draw(log_gain_or_zero), draw(log_gain_or_zero), draw(log_gain), draw(log_gain),
+                              draw(log_gain_or_zero))
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_kind_and_gains(), st.sampled_from([nc.build_path(3, 1.0), nc.build_ring(8, 1.0)]))
+@example(("dapi", UNDERFLOW), nc.build_path(3, 1.0))
+def test_only_a_zero_gain_law_is_called_unstable(kg, graph):
+    # gains from 1e-200 to 1e3, where factors underflow and the slow roots fall below eigenvalue resolution:
+    # the modal route and the step checks refuse such loops with NumericalError, never InstabilityError, and the
+    # modal route calls every zero-gain law unstable
+    kind, gains = kg
+    try:
+        nc.modal_variance(nc.spectrum(graph), kind, gains)
+        assert not zero_gain(kind, gains)
+    except InstabilityError as exc:
+        assert zero_gain(kind, gains) and exc.mode_index == 2
+    except NumericalError:
+        pass
+    try:
+        nc.slowest_time_constant(nc.assemble(graph, kind, gains))
+    except InstabilityError:
+        assert zero_gain(kind, gains)
+    except NumericalError:
+        pass
 
 
 def test_table_with_a_nan_coefficient_is_refused():

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 import netcoh as nc
 from netcoh import csvrows, simulate
-from netcoh.closed_loop import modal_matrices, routh_hurwitz
+from netcoh.closed_loop import modal_matrices
 from netcoh.errors import (
     InstabilityError,
     InvalidParameterError,
@@ -704,13 +704,26 @@ class TestSlowModes:
         assert nc.slowest_time_constant(system) == pytest.approx(1.0 / np.abs(visible.real).min(), rel=1e-12)
 
     def test_unresolved_slow_root_of_a_stable_mode_is_not_called_unstable(self):
-        # Routh-Hurwitz proves all 63 relative modes stable (dapi_variance is
-        # finite), but mode 2's slowest root computes with real part >= 0
+        # DAPI with c > 0 is Hurwitz at every lambda > 0, so all 63 relative modes
+        # are stable (dapi_variance is finite), but mode 2's slowest root computes
+        # with real part >= 0
         gains = nc.DapiGains(f=0.01, g=0.0, g0=100.0, k_i=50.0, c=1e-6)
         system = nc.assemble(nc.build_path(64, 1.0), "dapi", gains)
-        lam = nc.spectrum(nc.build_path(64, 1.0)).connected_modes()
-        assert routh_hurwitz(modal_matrices("dapi", gains, lam)).all()
+        assert np.isfinite(nc.dapi_variance(nc.spectrum(nc.build_path(64, 1.0)), gains).v_n)
         for check in (nc.slowest_time_constant, nc.recommended_step):
+            with pytest.raises(NumericalError, match="mode 2 .* below eigenvalue resolution"):
+                check(system)
+
+    @pytest.mark.parametrize("graph", [nc.build_path(3, 1.0), nc.build_ring(8, 1.0)], ids=["path3", "ring8"])
+    def test_underflowing_hurwitz_factor_is_not_called_unstable(self, graph):
+        # DAPI is Hurwitz for every c > 0; at f = c = 1e-170 the coefficient f c
+        # of a_0 = f c lambda^2 underflows to 0, and the slow root near -f c
+        # lambda^2 / k_i lies below eigenvalue resolution, so every step check
+        # refuses the loop as unresolved, naming mode 2, not as unstable
+        system = nc.assemble(graph, "dapi", nc.DapiGains(f=1e-170, g=0.5, g0=1.0, k_i=0.8, c=1e-170))
+        cfg = nc.SimConfig(dt=0.01, horizon=1.0, seed=0)
+        checks = (nc.slowest_time_constant, nc.recommended_step, lambda s: nc.ensemble_variance(s, cfg, [0, 1]))
+        for check in checks:
             with pytest.raises(NumericalError, match="mode 2 .* below eigenvalue resolution"):
                 check(system)
 

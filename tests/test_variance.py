@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 import netcoh as nc
 from netcoh import closed_loop, csvrows, variance
-from netcoh.closed_loop import modal_matrices, routh_hurwitz
+from netcoh.closed_loop import modal_matrices
 from netcoh.errors import (
     InstabilityError,
     MarginalModeObservableError,
@@ -38,8 +38,8 @@ class TestPVariance:
         report = nc.p_variance(spec, gains)
         assert report.v_n == pytest.approx(1.0 / 36.0, rel=1e-12)
         assert report.bound is None
-        # a report exists only for a stable loop: every relative mode is Hurwitz
-        assert routh_hurwitz(modal_matrices("p", gains, spec.connected_modes())).all()
+        # a report exists only for a stable loop: every relative mode's eigenvalues are in the left half-plane
+        assert np.all(np.linalg.eigvals(modal_matrices("p", gains, spec.connected_modes())).real < 0.0)
 
     def test_ring4_relative_only(self):
         spec = nc.spectrum(nc.build_ring(4, 1.0))
@@ -68,6 +68,19 @@ class TestDapiVariance:
         assert nc.dapi_bound(gains) == pytest.approx(0.55)
         spec = nc.spectrum(nc.build_ring(6, 1.0))
         assert nc.dapi_variance(spec, gains).bound == pytest.approx(0.55)
+
+    @pytest.mark.parametrize("gains", [nc.DapiGains(f=1.0, g=0.0, g0=1e-124, k_i=1e-200, c=1.0),
+                                       nc.DapiGains(f=1e-300, g=0.0, g0=1e-10, k_i=1e-5, c=1.0),
+                                       nc.DapiGains(f=10.0, g=0.0, g0=1e-155, k_i=1.5e-154, c=1.0)],
+                             ids=["den-underflows-to-0", "den-subnormal", "bound-overflows"])
+    def test_bound_out_of_float_range_is_refused(self, gains):
+        # 2 k_i f g0 = 2e-324 rounds to 0 (once a ZeroDivisionError), 2e-315 keeps 28 bits, and 10 / 3e-308
+        # overflows (once a bound of inf); both routes report the bound, so both refuse
+        spec = nc.ring_spectrum(6, 1.0)
+        for bound in (lambda: nc.dapi_bound(gains), lambda: nc.dapi_variance(spec, gains),
+                      lambda: nc.modal_variance(spec, "dapi", gains)):
+            with pytest.raises(NumericalError, match=r"^the uniform-in-N bound .* is out of float range"):
+                bound()
 
     def test_zero_averaging_reduces_to_p_with_integral_gain(self):
         gains = nc.DapiGains(f=1.3, g=0.6, g0=0.9, k_i=0.8, c=0.0)
@@ -113,6 +126,12 @@ class TestFdpdVariance:
     def test_bound_substitution(self):
         gains = nc.FdpdGains(f=1.0, g=0.0, f0=1.0, k_d=1.0, tau=0.1)
         assert nc.fdpd_bound(gains) == pytest.approx(0.505)
+
+    def test_bound_with_an_underflowing_denominator_is_refused(self):
+        # 2 f0 k_d = 2e-324 rounds to 0: once a ZeroDivisionError, at tau = 0 too
+        for tau in (0.0, 0.5):
+            with pytest.raises(NumericalError, match=r"^the uniform-in-N bound .* is out of float range"):
+                nc.fdpd_bound(nc.FdpdGains(f=0.0, g=1.0, f0=1e-124, k_d=1e-200, tau=tau))
 
     def test_zero_tau_equals_ideal_pd(self):
         spec = nc.spectrum(nc.build_ring(7, 1.0))
@@ -169,12 +188,11 @@ class TestModalOracle:
         assert report.v_n == pytest.approx(nc.dapi_variance(spec, gains).v_n, rel=1e-8)
 
     def test_eigenvalue_threshold_does_not_override_routh_hurwitz(self):
-        # path 64: Routh-Hurwitz proves every mode stable, yet a batched eigvals
-        # check called mode 2 unstable (real part ~1e-14); the modal route has
-        # no Hurwitz test but Routh-Hurwitz, and its companion-form terms answer
+        # path 64: DAPI with c > 0 is Hurwitz at every lambda > 0, yet a batched
+        # eigvals check called mode 2 unstable (real part ~1e-14); the modal route
+        # has no Hurwitz test but Routh-Hurwitz, and its companion-form terms answer
         spec = nc.spectrum(nc.build_path(64, 1.0))
         gains = nc.DapiGains(f=0.01, g=0.0, g0=100.0, k_i=50.0, c=1e-6)
-        assert routh_hurwitz(modal_matrices("dapi", gains, spec.connected_modes())).all()
         closed = nc.dapi_variance(spec, gains).v_n
         assert closed == pytest.approx(9.938e-05, rel=1e-3)
         assert nc.modal_variance(spec, "dapi", gains).v_n == pytest.approx(closed, rel=1e-13)
@@ -569,7 +587,7 @@ class TestModalEqualsClosed:
         # every coefficient of the registered tables' expansion is one product, so any order of summing agrees
         kind, gains = kind_gains
         table = closed_loop._law(kind, gains)[2]
-        plain = closed_loop._char_poly([[variance._Poly(x) for x in zip(*rows)] for rows in zip(*table.tolist())])
+        plain = closed_loop._char_poly(closed_loop._entries(table))
         with np.errstate(all="ignore"):
             convolved = closed_loop._char_poly([list(row) for row in table.transpose(1, 2, 0).view(ConvolvedPoly)])
         floats = lambda x: list(map(float, x))
