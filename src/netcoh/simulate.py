@@ -30,16 +30,13 @@ instead of 96 for DAPI).  The last, partial block carries no state out.  The
 carried state is the block's last state either way, so no state depends on
 ``record_every`` or ``accumulate_every``.
 
-The draws come in chunks of at most 512 steps for every seed, made by a
-one-worker thread pool while the calling thread steps (PCG64
-``standard_normal(out=...)`` and the GEMMs release the GIL).  Each job fills
-one chunk for every seed, in seed order, into one of two draw buffers; the
-one worker runs the jobs first in, first out, so the draws are those of a
-sequential run, bit for bit.  The kernel copies a chunk out of its buffer,
-rotated into the modes or, for a hand-built loop, as drawn, and only then
-submits the fill of chunk j + 2 into that buffer.  The pool is shut down, its
-queued fills cancelled, when the run ends, stops early or raises; a draw
-error is raised in the caller as it was raised.
+The noise comes in chunks of at most 512 steps for every seed, drawn on the
+calling thread into one buffer just before the chunk is stepped: each seed's
+generator fills its part with PCG64 ``standard_normal(out=...)``, in seed
+order, so the draws are those of a sequential run, bit for bit.  An assembled
+loop steps their rotation into the modes, a hand-built loop the draws as
+drawn.  No thread is started and the kernel holds no resource, so a run that
+stops early or raises leaves nothing to shut down.
 
 Note on step sizes: for a lightly damped oscillatory mode with eigenvalue xi
 the scheme inflates the stationary variance by roughly |xi|^2 dt / (2|Re xi|),
@@ -51,8 +48,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
-from contextlib import closing
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -99,8 +94,8 @@ INIT_FREQUENCY_PERTURBATION = "random_frequency_perturbation"
 
 BLOCK = 32  # EM steps per kernel block: a constant, so no state depends on a stride
 # Caps on one noise chunk: its steps, and its draws for all seeds (16 MiB) unless one
-# BLOCK of steps needs more.  Three chunks are held at once: the two draw buffers that
-# the draw worker fills in turn, and the copy of one that the kernel steps.
+# BLOCK of steps needs more.  At most two chunks are held at once: the draw buffer and,
+# for an assembled loop, its rotation into the modes.
 _NOISE_CHUNK = 512
 _NOISE_DRAWS = 1 << 21
 
@@ -286,42 +281,27 @@ def _em_blocks(system: ClosedLoopSystem, cfg: SimConfig, seeds, warn: bool = Fal
     chunk = BLOCK * max(1, min(_NOISE_CHUNK, _NOISE_DRAWS // (n * n_seeds)) // BLOCK)
     sizes = [min(chunk, steps - done) for done in range(0, steps, chunk)]
 
-    def fill(draws, size):
-        for rng, out in zip(rngs, draws[: n_seeds * size * n].reshape(n_seeds, size, n)):
-            rng.standard_normal(out=out)
-        return draws
-
     def blocks():
-        from concurrent.futures import ThreadPoolExecutor
-
-        rotated = np.empty(n_seeds * chunk * n)
+        draws = np.empty(n_seeds * chunk * n)
+        rotated = np.empty_like(draws) if r == 1 else None
         rows = np.empty((k, n_seeds, d + span * r))
         rows[:, :, :d] = (states.reshape(n_seeds, d, -1) @ modes.basis).transpose(2, 0, 1)
-        # one worker runs the fills first in, first out: each generator draws in the sequential order
-        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="netcoh-em-draws")
-        try:
-            fills = deque(pool.submit(fill, np.empty(n_seeds * chunk * n), size) for size in sizes[:2])
-            for j, size in enumerate(sizes):
-                draws = fills.popleft().result()
-                w = rotated[: n_seeds * size * n]
-                if r == 1:  # one draw per mode: xi U
-                    np.matmul(modes.basis.T, draws[: w.size].reshape(-1, n).T, out=w.reshape(n, -1))
-                else:  # one mode that reads every draw
-                    w[:] = draws[: w.size]
-                if j + 2 < len(sizes):  # the draws are copied out: refill their buffer
-                    fills.append(pool.submit(fill, draws, sizes[j + 2]))
-                w = w.reshape(k, n_seeds, size * r)
-                for t in range(0, size, span):
-                    m = min(span, size - t)
-                    rows[:, :, d : d + m * r] = w[:, :, t * r : (t + m) * r]
-                    if m < span:  # the last block: no state is carried out of it
-                        block = np.matmul(rows[:, :, : d + m * r], op[:, : d + m * r, : m * c])
-                    else:
-                        block = np.matmul(rows, op)
-                        rows[:, :, :d] = block[:, :, -d:]
-                    yield j * chunk + t, block[:, :, : m * c].reshape(k, n_seeds, m, c)
-        finally:
-            pool.shutdown(cancel_futures=True)
+        for j, size in enumerate(sizes):
+            w = draws[: n_seeds * size * n]
+            for rng, out in zip(rngs, w.reshape(n_seeds, size, n)):  # in seed order
+                rng.standard_normal(out=out)
+            if r == 1:  # one draw per mode: xi U; a hand-built loop's one mode reads every draw
+                w = np.matmul(modes.basis.T, w.reshape(-1, n).T, out=rotated[: w.size].reshape(n, -1))
+            w = w.reshape(k, n_seeds, size * r)
+            for t in range(0, size, span):
+                m = min(span, size - t)
+                rows[:, :, d : d + m * r] = w[:, :, t * r : (t + m) * r]
+                if m < span:  # the last block: no state is carried out of it
+                    block = np.matmul(rows[:, :, : d + m * r], op[:, : d + m * r, : m * c])
+                else:
+                    block = np.matmul(rows, op)
+                    rows[:, :, :d] = block[:, :, -d:]
+                yield j * chunk + t, block[:, :, : m * c].reshape(k, n_seeds, m, c)
 
     return modes, steps, burn_in, states, blocks()
 
@@ -339,14 +319,13 @@ def simulate_em(system: ClosedLoopSystem, cfg: SimConfig) -> Trajectory:
     n, every = system.n, cfg.record_every
     records = np.empty((1 + steps // every, system.state_dim))
     records[0] = states[0]
-    with closing(blocks):  # shuts the draw pool down however the loop ends
-        for first, block in blocks:
-            k, _, m, d = block.shape
-            at = np.flatnonzero((first + 1 + np.arange(m)) % every == 0)
-            if at.size:
-                full = (modes.basis @ block[:, 0].reshape(k, m * d)).reshape(-1, m, d)
-                row = (first + 1 + at[0]) // every
-                records[row : row + at.size] = full.transpose(1, 2, 0).reshape(m, -1)[at]
+    for first, block in blocks:
+        k, _, m, d = block.shape
+        at = np.flatnonzero((first + 1 + np.arange(m)) % every == 0)
+        if at.size:
+            full = (modes.basis @ block[:, 0].reshape(k, m * d)).reshape(-1, m, d)
+            row = (first + 1 + at[0]) // every
+            records[row : row + at.size] = full.transpose(1, 2, 0).reshape(m, -1)[at]
     times = (np.arange(len(records)) * every) * cfg.dt
     return Trajectory(times=times, states=records, n=n, burn_in=burn_in)
 
@@ -382,10 +361,8 @@ def ensemble_variance(
     ``accumulate_every``-th step past burn-in; no trajectory is stored, and no
     state depends on ``accumulate_every``.  For one seed the value is
     :func:`empirical_variance` of :func:`simulate_em` with ``record_every =
-    accumulate_every`` up to rounding.  The draws of the next chunk
-    are made by a one-worker thread pool, started and shut down within the
-    call, while this thread steps the current chunk; the values are those of
-    a sequential run, bit for bit.
+    accumulate_every`` up to rounding.  Every chunk is drawn on the calling
+    thread just before it is stepped.
     """
     seeds = list(seeds)
     if not seeds:
@@ -395,14 +372,13 @@ def ensemble_variance(
     _integer("accumulate_every", accumulate_every, 1)
     _, _, burn_in, _, blocks = _em_blocks(system, cfg, seeds, read=True)
     acc, count = np.zeros(len(seeds)), 0
-    with closing(blocks):  # shuts the draw pool down however the loop ends
-        for first, y in blocks:
-            step = first + 1 + np.arange(y.shape[2])
-            at = np.flatnonzero((step % accumulate_every == 0) & (step * cfg.dt > burn_in))
-            if at.size:
-                y = y[:, :, at]
-                acc += (y * y).sum(axis=(0, 2, 3))
-                count += at.size
+    for first, y in blocks:
+        step = first + 1 + np.arange(y.shape[2])
+        at = np.flatnonzero((step % accumulate_every == 0) & (step * cfg.dt > burn_in))
+        if at.size:
+            y = y[:, :, at]
+            acc += (y * y).sum(axis=(0, 2, 3))
+            count += at.size
     if count == 0:
         raise WindowError(f"no accumulation samples after burn-in {burn_in:.6g}")
     return acc / (count * system.n)

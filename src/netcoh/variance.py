@@ -453,7 +453,8 @@ def full_variance(
     gives the eigenvalue checks and the triangular Lyapunov equation, which
     :func:`_lyapunov_schur` solves (Bartels-Stewart, recursively blocked).
     A marginal eigenvalue surviving the deflation is observable by
-    construction and aborts the oracle.
+    construction and aborts the oracle, with :class:`NumericalError` where
+    the assembled law is Hurwitz (a root below eigenvalue resolution).
     """
     _check_oracle_size(system.n, size_limit)
     import scipy.linalg  # on first use, as in spectrum()'s band route: importing it costs most of `import netcoh`
@@ -495,6 +496,9 @@ def full_variance(
     if np.any(wr > tol):
         raise InstabilityError(f"closed loop has eigenvalue with real part {wr.max():.3e} > 0")
     if np.any(np.abs(wr) <= tol):
+        if system._modal is not None and _is_hurwitz(system._modal[2]):  # read only here, as the simulator does
+            raise NumericalError(f"closed loop is stable by Routh-Hurwitz, but a root is below eigenvalue "
+                                 f"resolution (computed real part {wr[np.argmin(np.abs(wr))]:.3e})")
         raise MarginalModeObservableError(
             "marginal mode outside the network-average subspace; variance undefined"
         )

@@ -596,7 +596,7 @@ class _FailingGenerator:
 
 
 class TestNoiseChunks:
-    """The draws of chunk j + 1 are made on a producer thread while chunk j steps."""
+    """The draws of each chunk are made on the calling thread, in seed order, just before it steps."""
 
     @pytest.mark.parametrize("nodes, hand_built", [(4, False), (4, True), (40, False)],
                              ids=["modal", "hand_built", "ring40"])
@@ -616,38 +616,32 @@ class TestNoiseChunks:
         assert np.array_equal(traj.states, nc.simulate_em(system, cfg).states)
         assert _close(traj.states, reference_em(system, cfg, 5, 1, cfg.burn_in)[0])
 
-    def test_closing_the_kernel_early_joins_its_thread(self):
-        baseline = threading.active_count()
-        cfg = nc.SimConfig(dt=0.01, horizon=10 * simulate._NOISE_CHUNK * 0.01, seed=0)
-        *_, blocks = simulate._em_blocks(small_system(), cfg, [0, 1])
-        assert threading.active_count() == baseline  # nothing starts before the first block
-        first, _ = next(blocks)
-        assert first == 0
-        assert threading.active_count() == baseline + 1
-        blocks.close()
-        assert threading.active_count() == baseline
-
     @pytest.mark.parametrize("run", [
         lambda system, cfg: nc.ensemble_variance(system, cfg, [0, 1]),
         lambda system, cfg: nc.simulate_em(system, cfg),
     ], ids=["ensemble_variance", "simulate_em"])
-    def test_an_error_in_the_consuming_loop_joins_the_thread(self, monkeypatch, run):
+    def test_no_thread_starts_and_a_loop_error_reaches_the_caller(self, monkeypatch, run):
         error = KeyboardInterrupt()
         baseline = threading.active_count()
         find = np.flatnonzero
+        counts, fail_at = [], None
 
-        def flatnonzero(a):  # raises in the loop over the blocks, while the producer runs
-            if threading.active_count() > baseline:
+        def flatnonzero(a):  # call 1 is the stability check, then one call per block of the consuming loop
+            counts.append(threading.active_count())
+            if len(counts) == fail_at:
                 raise error
             return find(a)
 
         monkeypatch.setattr(np, "flatnonzero", flatnonzero)
-        cfg = nc.SimConfig(dt=0.01, horizon=10 * simulate._NOISE_CHUNK * 0.01, seed=0)
+        cfg = nc.SimConfig(dt=0.01, horizon=(3 * simulate._NOISE_CHUNK + 7) * 0.01, seed=0)
+        run(small_system(), cfg)
+        assert len(counts) > 3 * simulate._NOISE_CHUNK // BLOCK and max(counts) == baseline
+        counts.clear()
+        fail_at = 2 + simulate._NOISE_CHUNK // BLOCK  # the first block of the second chunk
         with pytest.raises(KeyboardInterrupt) as err:
             run(small_system(), cfg)
         assert err.value is error
-        # the traceback still holds the caller's frame, and so the generator
-        assert threading.active_count() == baseline
+        assert len(counts) == fail_at and max(counts) == baseline
 
     def test_a_draw_error_reaches_the_caller_as_raised(self, monkeypatch):
         error = RuntimeError("draw failed")

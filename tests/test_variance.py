@@ -310,6 +310,17 @@ class TestFullOracle:
         with pytest.raises(MarginalModeObservableError):
             nc.full_variance(system)
 
+    @pytest.mark.parametrize("graph", [nc.build_path(3, 1.0), nc.build_ring(8, 1.0)], ids=["path3", "ring8"])
+    def test_unresolved_root_of_a_hurwitz_law_is_not_called_undefined(self, graph):
+        # DAPI is Hurwitz for every c > 0; at f = c = 1e-170 the slow root near -f c lambda^2 / k_i
+        # computes inside the marginal tolerance, so the law's verdict calls it out of range, as the
+        # modal route does; the same matrices hand-built carry no law and stay undefined
+        system = nc.assemble(graph, "dapi", nc.DapiGains(f=1e-170, g=0.5, g0=1.0, k_i=0.8, c=1e-170))
+        with pytest.raises(NumericalError, match="stable by Routh-Hurwitz, but a root is below eigenvalue resolution"):
+            nc.full_variance(system)
+        with pytest.raises(MarginalModeObservableError, match="variance undefined"):
+            nc.full_variance(replace(system))
+
     def test_output_reading_the_network_average_aborts(self):
         # uncentered positions see the marginal average mode that the deflation removes
         base = nc.assemble_p(nc.build_ring(4, 1.0), nc.PGains(1.0, 1.0, 1.0, 1.0))
