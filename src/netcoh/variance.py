@@ -453,8 +453,9 @@ def full_variance(
     gives the eigenvalue checks and the triangular Lyapunov equation, which
     :func:`_lyapunov_schur` solves (Bartels-Stewart, recursively blocked).
     A marginal eigenvalue surviving the deflation is observable by
-    construction and aborts the oracle, with :class:`NumericalError` where
-    the assembled law is Hurwitz (a root below eigenvalue resolution).
+    construction: a root within its error bound ``eps ||T||_F / s`` of the
+    axis aborts the oracle, with :class:`NumericalError` where the assembled
+    law is Hurwitz (a root below eigenvalue resolution).
     """
     _check_oracle_size(system.n, size_limit)
     import scipy.linalg  # on first use, as in spectrum()'s band route: importing it costs most of `import netcoh`
@@ -493,15 +494,26 @@ def full_variance(
         raise NumericalError(f"full-oracle Schur decomposition failed (info={info})")
     scale = max(1.0, float(np.hypot(wr, wi).max()))
     tol = 1e-9 * scale
-    if np.any(wr > tol):
+    near = np.abs(wr) <= tol
+    if near.any() and not np.any(wr > tol):
+        # A near-marginal root is refused only where |Re| <= eps ||T||_F / s, its error bound (LAPACK Users'
+        # Guide, sec. 4.8), with s from dtrsen for the cluster of them all.  To first order, s bounds how far
+        # the cluster's block T11 of the reordered Schur form moves, ||E|| / s.  Each eigenvalue of T11 moves
+        # no further when T11 is normal, as it is when each selected root is the only one of its Laplacian
+        # mode (DAPI's slow root near -f c lambda^2 / k_i): the mode blocks act on orthogonal subspaces.
+        # Where one mode holds two, the bound is that of their mean.
+        m = int(near.sum())
+        *_, s, _, info = scipy.linalg.lapack.dtrsen(near, t, z, job="E", lwork=max(1, m * (t.shape[0] - m)))
+        bound = np.finfo(float).eps * float(np.linalg.norm(t)) / s if s > 0 and not info else math.inf
+        root = wr[near][np.argmin(np.abs(wr[near]))]
+        if abs(root) <= bound:
+            if system._modal is not None and _is_hurwitz(system._modal[2]):  # read only here, as the simulator does
+                raise NumericalError(f"closed loop is stable by Routh-Hurwitz, but a root is below eigenvalue "
+                                     f"resolution (computed real part {root:.3e}, bound {bound:.3e})")
+            raise MarginalModeObservableError(f"marginal mode outside the network-average subspace; variance "
+                                              f"undefined (computed real part {root:.3e}, bound {bound:.3e})")
+    if np.any(wr > 0.0):  # above tol, or near it and resolved
         raise InstabilityError(f"closed loop has eigenvalue with real part {wr.max():.3e} > 0")
-    if np.any(np.abs(wr) <= tol):
-        if system._modal is not None and _is_hurwitz(system._modal[2]):  # read only here, as the simulator does
-            raise NumericalError(f"closed loop is stable by Routh-Hurwitz, but a root is below eigenvalue "
-                                 f"resolution (computed real part {wr[np.argmin(np.abs(wr))]:.3e})")
-        raise MarginalModeObservableError(
-            "marginal mode outside the network-average subspace; variance undefined"
-        )
     # T Y + Y T^T = Z^T (-B B^T) Z, then X = Z Y Z^T
     y = _lyapunov_schur(t, z.T @ (-noise @ z))
     x = z @ y @ z.T

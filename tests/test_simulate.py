@@ -648,7 +648,7 @@ class TestNoiseChunks:
         make = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", lambda seed: _FailingGenerator(make(seed), error))
         baseline = threading.active_count()
-        # a zero start draws nothing up front: call 2 fills chunk 1, on the producer thread
+        # a zero start draws nothing up front: call 2 fills chunk 1, on the calling thread
         cfg = nc.SimConfig(dt=0.01, horizon=3 * simulate._NOISE_CHUNK * 0.01, seed=0)
         with pytest.raises(RuntimeError) as err:
             nc.ensemble_variance(small_system(), cfg, [0])

@@ -321,6 +321,37 @@ class TestFullOracle:
         with pytest.raises(MarginalModeObservableError, match="variance undefined"):
             nc.full_variance(replace(system))
 
+    @pytest.mark.parametrize("n,c", [(16, 1e-8), (64, 1e-5)], ids=["ring16", "ring64"])
+    def test_a_resolved_slow_root_is_answered(self, n, c):
+        # the slow root of lambda_2 computes at -2.4e-10 on ring 16 and -1.1e-9 on ring 64: inside the
+        # 1e-9 * scale cut, yet far above its error bound eps ||T||_F / s (4.4e-15 and 1.1e-14)
+        graph, gains = nc.build_ring(n, 1.0), nc.DapiGains(f=1.0, g=0.5, g0=1.0, k_i=0.8, c=c)
+        full = nc.full_variance(nc.assemble(graph, "dapi", gains)).v_n
+        assert full == pytest.approx(nc.dapi_variance(nc.spectrum(graph), gains).v_n, rel=1e-12, abs=0)
+
+    def test_an_unresolved_slow_root_is_refused_with_its_bound(self):
+        # at c = 1e-14 the slow root of ring 16 computes at -1.9e-16, below its bound of 7.2e-15
+        system = nc.assemble(nc.build_ring(16, 1.0), "dapi", nc.DapiGains(f=1.0, g=0.5, g0=1.0, k_i=0.8, c=1e-14))
+        with pytest.raises(NumericalError, match=r"computed real part -1\.\d+e-16, bound 7\.\d+e-15\)"):
+            nc.full_variance(system)
+
+    def test_a_resolved_root_right_of_the_axis_is_unstable(self):
+        # the disconnected loop of test_observable_marginal_mode_aborts shifted by 1e-10: its zero root
+        # moves to 1e-10, inside the 1e-9 cut but far above its bound of about 2e-15
+        lap = nc.laplacian(nc.WeightedGraph(4, ((1, 2, 1.0), (3, 4, 1.0))))
+        a = np.block([[np.zeros((4, 4)), np.eye(4)], [-lap, -lap - 0.5 * np.eye(4)]]) + 1e-10 * np.eye(8)
+        b = np.vstack([np.zeros((4, 4)), np.eye(4)])
+        c = np.hstack([np.eye(4) - np.ones((4, 4)) / 4, np.zeros((4, 4))])
+        with pytest.raises(InstabilityError, match="real part 1.000e-10 > 0"):
+            nc.full_variance(nc.ClosedLoopSystem(a, b, c, "p", 4))
+
+    def test_the_resolution_bound_is_taken_only_near_the_axis(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrsen", None)  # calling it would raise TypeError
+        gains = nc.DapiGains(f=2.0, g=0.3, g0=1.0, k_i=0.8, c=0.1)
+        nc.full_variance(nc.assemble(nc.build_path(9, 1.0), "dapi", gains))
+        with pytest.raises(TypeError):
+            nc.full_variance(nc.assemble(nc.build_ring(16, 1.0), "dapi", replace(gains, c=1e-8)))
+
     def test_output_reading_the_network_average_aborts(self):
         # uncentered positions see the marginal average mode that the deflation removes
         base = nc.assemble_p(nc.build_ring(4, 1.0), nc.PGains(1.0, 1.0, 1.0, 1.0))
