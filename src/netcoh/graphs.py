@@ -534,13 +534,13 @@ def _complete_graph(n: int, weight: float) -> WeightedGraph:
 def _ring_values(n: int) -> np.ndarray:
     """4 sin^2(pi k / n) for k = 0..n-1 in ascending order, built so without a sort.
 
-    Each value is computed once, for k = 0..n // 2 from ``k / n <= 1/2``,
-    and written for both k and n-k.  The twins are thus bit-equal, and the
+    Each value is computed once, for k = 0..n // 2 by ``_half_wave``, and
+    written for both k and n-k.  The twins are thus bit-equal, and the
     value of n-k is as precise as that of k: from its own ``(n-k) / n``,
     ``pi * x`` near pi would carry an absolute rounding error of about
     1e-16, which is relatively large against a small sine.
     """
-    return np.repeat(_sin2(np.arange(n // 2 + 1) / n), 2)[1 : n + 1]
+    return np.repeat(_half_wave(n // 2 + 1, n), 2)[1 : n + 1]
 
 
 def _torus_spectrum(dims: int, side: int, weight: float) -> LaplacianSpectrum:
@@ -555,7 +555,7 @@ def _torus_spectrum(dims: int, side: int, weight: float) -> LaplacianSpectrum:
 _Family = namedtuple("_Family", "min_size build spectrum")
 _FAMILIES = {
     "path": _Family(2, lambda n, w: _uniform_graph(n, np.arange(1, n), np.arange(2, n + 1), w),
-                    lambda n, w: _analytic(_sin2(np.arange(n) / (2 * n)), w)),
+                    lambda n, w: _analytic(_half_wave(n, 2 * n), w)),
     "ring": _Family(3, partial(_torus_graph, 1), partial(_torus_spectrum, 1)),
     "complete": _Family(2, _complete_graph,
                         lambda n, w: _analytic(np.where(np.arange(n) > 0, float(n), 0.0), w)),
@@ -588,12 +588,18 @@ def _torus_name(dims: int) -> str:
     return f"torus{dims}"
 
 
-def _sin2(x: np.ndarray) -> np.ndarray:
-    """4 sin^2(pi x), the cancellation-free form of 2 - 2 cos(2 pi x), computed in ``x``."""
-    x *= np.pi
-    np.sin(x, out=x)
-    np.square(x, out=x)
-    x *= 4.0
+def _half_wave(count: int, m: int) -> np.ndarray:
+    """4 sin^2(pi k / m), the cancellation-free form of 2 - 2 cos(2 pi k / m), for
+    k = 0..count-1 <= m/2, ascending.  For even m only k <= m/4 take a sine; a later
+    value is ``4 - lambda_{m/2-k}``: 4 less a twin of at most 2, which does not
+    cancel.  Odd m has no such twin, and every value takes its sine."""
+    x = np.arange(count) / m
+    sines = x if m % 2 else x[:m // 4 + 1]
+    sines *= np.pi
+    np.sin(sines, out=sines)
+    np.square(sines, out=sines)
+    sines *= 4.0
+    np.subtract(4.0, x[m // 2 - count + 1 : m // 2 - sines.size + 1][::-1], out=x[sines.size:])
     return x
 
 

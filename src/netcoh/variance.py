@@ -86,7 +86,7 @@ _NO_VALUES = np.empty(0)  # the full oracle's eigenvalues and terms: it reports 
 _NO_VALUES.setflags(write=False)
 
 # _chunk_sum's exact summation, by levels: each level cuts the remainders
-# to integer multiples q * 2**unit with |q| < 2**(52 - bit_length(size)),
+# to integer multiples q * 2**unit with |q| < 2**(53 - bit_length(size - 1)),
 # so the float sum of a chunk's q is exact, and subtracts them exactly.
 _SUM_CHUNK = 1 << 16
 _SUM_SCALE = 1 << 1074  # the exact sum is an int in units of 2**-1074, the smallest subnormal
@@ -145,33 +145,47 @@ class VarianceReport:
         return "".join(["n,lambda,s_n\n", *blocks, f"V_N,{self.v_n!r}\nbound,{bound}\n"])
 
 
-def _chunk_sum(terms: np.ndarray, top: float, r: np.ndarray, q: np.ndarray) -> int:
+def _chunk_sum(terms: np.ndarray, hi: float, lo: float, r: np.ndarray, q: np.ndarray) -> int:
     """The exact sum of finite ``terms``, at most 2**16 of them, whose largest
-    magnitude is ``top``: a Python int in units of 2**-1074.
+    and least values are ``hi`` and ``lo``: a Python int in units of 2**-1074.
 
     ``r`` and ``q`` are scratch arrays of the terms' size.  Level by level,
-    ``2**unit`` is the smallest power of two with ``|r| * 2**-unit < 2**width``,
-    ``q = trunc(r * 2**-unit)`` are integers whose float sum is exact, and
-    ``r -= q * 2**unit`` is exact.  Truncation, unlike rounding to nearest,
-    never takes ``q * 2**unit`` past ``|r|``, so a term near the largest
-    double does not overflow.  Each level clears about ``width`` binades;
-    the loop ends when ``r`` is all zero, at the latest at ``unit = -1074``.
-    """
-    width = 52 - terms.size.bit_length()
+    ``q = trunc(r * 2**-unit)`` are integers below ``2**width`` whose float sum
+    is exact, and ``r -= q * 2**unit`` is exact; truncation never takes
+    ``q * 2**unit`` past ``|r|``, so a term near the largest double does not
+    overflow.  A level leaves ``|r| < 2**unit``, so the next unit is ``width``
+    binades lower, with no scan of ``r``, down to ``2**last``, the unit in the
+    last place of the least nonzero magnitude, which leaves ``r`` all zero.  A
+    level whose quotients are all zero reads the largest remainder instead, so
+    a gap of empty binades takes one step."""
+    if lo > 0.0 or hi < 0.0:  # one sign: the least magnitude is an end
+        bottom = lo if lo > 0.0 else -hi
+    elif hi or lo:  # |t| - 1 in bits orders as |t|, but an exact zero wraps round to the largest
+        bits = np.bitwise_and(terms.view(np.uint64), 2**63 - 1, out=q.view(np.uint64))
+        bits -= 1
+        bottom = float((bits.min(keepdims=True) + 1).view(np.float64)[0])
+    else:
+        return 0
+    width = 53 - (terms.size - 1).bit_length()
+    last = max(math.frexp(bottom)[1] - 53, -1074)
     total, lift, src = 0, 0, terms  # src holds the remainders times 2**lift
-    while top:
-        unit = math.frexp(top)[1] - width
-        if unit < -1022:  # lift once, so that 2**unit and 2**-unit stay normal
-            np.multiply(src, 2.0**_LIFT_EXP, out=r)
-            src, lift, unit = r, _LIFT_EXP, unit + _LIFT_EXP
-        unit = max(unit, lift - 1074)
-        np.multiply(src, 2.0**-unit, out=q)
+    unit = math.frexp(max(hi, -lo))[1] - width
+    while True:
+        unit = max(unit, last)
+        if unit < -1022 and not lift:  # lift once, so that 2**(unit + lift) and its inverse stay normal
+            src, lift = np.multiply(src, 2.0**_LIFT_EXP, out=r), _LIFT_EXP
+        np.multiply(src, 2.0**-(unit + lift), out=q)
         np.trunc(q, out=q)
-        total += int(q.sum()) << (unit - lift + 1074)
-        q *= 2.0**unit
-        src = np.subtract(src, q, out=r)
-        top = float(max(r.max(), -r.min()))
-    return total
+        total += int(level := q.sum()) << (unit + 1074)
+        if unit == last:
+            return total
+        if level or q.max() or q.min():  # some quotient is nonzero
+            q *= 2.0**(unit + lift)
+            src = np.subtract(src, q, out=r)
+            unit -= width
+        else:  # an empty level: the next unit comes from the largest remainder, or is the last
+            top = float(max(src.max(), -src.min()))
+            unit = math.frexp(top)[1] - lift - width if top else last
 
 
 def _mode_sum(terms: np.ndarray) -> float:
@@ -186,11 +200,11 @@ def _mode_sum(terms: np.ndarray) -> float:
     total, work = 0, np.empty((2, min(terms.size, _SUM_CHUNK)))
     for i in range(0, terms.size, _SUM_CHUNK):
         chunk = terms[i:i + _SUM_CHUNK]
-        hi, lo = chunk.max(), chunk.min()
+        hi, lo = float(chunk.max()), float(chunk.min())
         if not (-math.inf < lo and hi < math.inf):  # true for nan too
             j = int(np.flatnonzero(~np.isfinite(chunk))[0])
             raise NumericalError(f"mode {i + j + 2} has a non-finite term {float(chunk[j])!r}")
-        total += _chunk_sum(chunk, float(max(hi, -lo)), *work[:, :chunk.size])
+        total += _chunk_sum(chunk, hi, lo, *work[:, :chunk.size])
     try:
         return total / _SUM_SCALE
     except OverflowError:

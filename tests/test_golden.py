@@ -24,7 +24,12 @@ relative; ``c_star`` stays 0.0 on ring 16, and ring 12's P modal case still
 equals its closed-form twin).  ``variance_path9_dapi_modal`` was re-captured
 when the modal oracle took its factors from one expansion of the controller
 table as polynomials in lambda (5 cells moved, by at most 1.9e-16 relative;
-the other modal cases are byte-identical).
+the other modal cases are byte-identical).  The five cases with an even
+ring or torus side, or a path, were re-captured when each value above 2 of
+``4 sin^2(pi k / M)`` with even M became 4 less the value of ``M/2 - k``
+(ring 12, torus1 10, and path 9 with M = 18: 34 cells moved, by at most
+3.9e-16 relative, and no ``V_N``; ring 12's P modal case still equals its
+closed-form twin, and the odd sides are byte-identical).
 
 Regenerate files only for a deliberate output change: the entry point
 writes the named cases, or every case when none is named::

@@ -484,7 +484,7 @@ class TestBandRoute:
                                 random_graph(60, 0.05, 5), random_graph(40, 0.15, 3)],
                              ids=["torus2_3", "torus2_5", "torus2_16", "torus3_7", "torus3_8", "torus3_6",
                                   "ring40", "path33", "golden7", "two_pieces", "random60", "random40"])
-    def test_early_refusal_refuses_only_a_band_too_wide(self, graph):
+    def test_laplacian_band_verdict_at_every_max_kd(self, graph):
         whole = graphs._laplacian_band(graph, graph.node_count)  # kd <= N - 1: nothing refuses it
         kd = whole.shape[0] - 1
         for max_kd in range(kd + 2):
@@ -582,12 +582,18 @@ class TestAnalyticSpectra:
     def test_built_in_order_equals_sorted_per_index_values(self, family, n, weight):
         # the spectra are built ascending, bit for bit equal to the sorted
         # values of k = 0..n-1 in index order, where a ring's value of k > n/2
-        # is that of its twin n-k, computed from (n-k)/n < 1/2
+        # is that of its twin n-k, computed from (n-k)/n < 1/2, and a value
+        # 4 sin^2(pi k / m) with even m and k > m/4 is 4 - that of m/2 - k
+        def half_wave(k, m):
+            def sin2(j):
+                return np.square(np.sin(j / m * np.pi)) * 4.0
+            return sin2(k) if m % 2 else np.where(4 * k > m, 4.0 - sin2(m // 2 - k), sin2(k))
+
         eigenvalues = family_spectrum(family, n, weight).eigenvalues
         if family == "path":
-            per_index = np.square(np.sin(np.arange(n) / (2 * n) * np.pi)) * 4.0 * weight
+            per_index = half_wave(np.arange(n), 2 * n) * weight
         else:
-            lower = np.square(np.sin(np.arange(n // 2 + 1) / n * np.pi)) * 4.0 * weight
+            lower = half_wave(np.arange(n // 2 + 1), n) * weight
             per_index = np.concatenate((lower, lower[1:(n + 1) // 2][::-1]))  # lambda_{n-k} = lambda_k
             pairs = (n - 1) // 2
             assert eigenvalues[1:2 * pairs:2].tobytes() == eigenvalues[2:2 * pairs + 1:2].tobytes()
@@ -666,6 +672,17 @@ class TestClosedFormPrecision:
         reference = 4 * np.square(np.sin(pi * k.astype(np.longdouble) / n))
         error = np.abs(vals[index] - reference)
         assert (error <= 4 * np.finfo(float).eps * reference).all()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16, reason="long double is no wider than double here")
+    @pytest.mark.parametrize("family, n", [("ring", 2**20), ("ring", 1_000_003), ("path", 2**20), ("path", 999_999)])
+    def test_every_value_within_four_eps_of_long_double(self, family, n):
+        # the values above lambda = 2 of even m = n (ring) or m = 2n (path)
+        # come from 4 - lambda of a twin below 2, and keep its precision
+        vals = family_spectrum(family, n, 1.0).eigenvalues
+        k, m = ((np.arange(n) + 1) // 2, n) if family == "ring" else (np.arange(n), 2 * n)
+        pi = np.arccos(np.longdouble(-1.0))
+        reference = 4 * np.square(np.sin(pi * k.astype(np.longdouble) / m))
+        assert (np.abs(vals - reference) <= 4 * np.finfo(float).eps * reference).all()
 
     def test_large_closed_form_spectra_stay_connected(self):
         assert nc.ring_spectrum(2**20, 1.0).is_connected

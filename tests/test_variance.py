@@ -781,6 +781,15 @@ class TestExactModeSum:
     @example(base=np.array([1.0 + 2.0**-52, -1.0]), length=2, rest=np.array([]), cancel=False)  # high halves cancel
     @example(base=np.array([1.0, 2.0**-53]), length=2, rest=np.array([2.0**-200]), cancel=False)
     @example(base=np.array([1e308, 3.0]), length=2 * _SUM_CHUNK + 5, rest=np.array([-5e-324]), cancel=True)
+    # two clusters near 2**1000 and 2**-1000: the empty binades between them take one step
+    @example(base=np.array([1.5 * 2.0**1000, 1.25 * 2.0**-1000, -1.75 * 2.0**1000, (1 + 2.0**-52) * 2.0**-1000]),
+             length=_SUM_CHUNK, rest=np.array([]), cancel=False)
+    # mixed signs with exact zeros: the least nonzero magnitude, not a zero, sets the last level,
+    # and its 2**-90 breaks the tie at 1 + 2**-53
+    @example(base=np.array([1.5, -0.0, -0.5, 0.0, 2.0**-53, 2.0**-90]), length=6, rest=np.array([0.0, -0.0]),
+             cancel=False)
+    # one sign, the least term subnormal: the last level is at 2**-1074
+    @example(base=np.array([1.0 + 2.0**-52, 3.0]), length=_SUM_CHUNK - 1, rest=np.array([2.5e-320]), cancel=False)
     def test_equals_fsum_bit_for_bit(self, base, length, rest, cancel):
         body = np.resize(base, length)
         # with `cancel` the sum is that of `rest` alone, after partial sums of any size
