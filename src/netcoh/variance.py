@@ -155,9 +155,9 @@ def _chunk_sum(terms: np.ndarray, hi: float, lo: float, r: np.ndarray, q: np.nda
     ``q * 2**unit`` past ``|r|``, so a term near the largest double does not
     overflow.  A level leaves ``|r| < 2**unit``, so the next unit is ``width``
     binades lower, with no scan of ``r``, down to ``2**last``, the unit in the
-    last place of the least nonzero magnitude, which leaves ``r`` all zero.  A
-    level whose quotients are all zero reads the largest remainder instead, so
-    a gap of empty binades takes one step."""
+    last place of the least nonzero magnitude, of which every remainder is a
+    multiple: the last level sums ``r`` itself, exactly.  A level of all-zero
+    quotients reads the largest remainder instead: empty binades take one step."""
     if lo > 0.0 or hi < 0.0:  # one sign: the least magnitude is an end
         bottom = lo if lo > 0.0 else -hi
     elif hi or lo:  # |t| - 1 in bits orders as |t|, but an exact zero wraps round to the largest
@@ -174,11 +174,11 @@ def _chunk_sum(terms: np.ndarray, hi: float, lo: float, r: np.ndarray, q: np.nda
         unit = max(unit, last)
         if unit < -1022 and not lift:  # lift once, so that 2**(unit + lift) and its inverse stay normal
             src, lift = np.multiply(src, 2.0**_LIFT_EXP, out=r), _LIFT_EXP
+        if unit == last:  # the remainders are multiples of 2**(unit + lift) below 2**(unit + lift + width)
+            return total + (int(src.sum() * 2.0**-(unit + lift)) << (unit + 1074))
         np.multiply(src, 2.0**-(unit + lift), out=q)
         np.trunc(q, out=q)
         total += int(level := q.sum()) << (unit + 1074)
-        if unit == last:
-            return total
         if level or q.max() or q.min():  # some quotient is nonzero
             q *= 2.0**(unit + lift)
             src = np.subtract(src, q, out=r)
